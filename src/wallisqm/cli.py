@@ -213,6 +213,8 @@ def _cmd_variational(args) -> int:
     pot = _POTENTIALS[args.potential]
     method = _METHODS[args.method]
     ls = args.l_max if len(args.l_max) > 1 else list(range(args.l_min, args.l_max[0] + 1))
+    if not ls or min(ls) < 0:
+        raise DomainError(f"--l-max/--l-min select no nonnegative orbital numbers: {ls}")
     if family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR and min(ls) < 1:
         raise DomainError(
             "the Lorentz-oscillator combination diverges at l = 0; use --l-min 1")
@@ -236,7 +238,7 @@ def _cmd_bounds(args) -> int:
     for x in args.grid:
         try:
             if args.kind == "kazarinoff":
-                if x != int(x):
+                if not math.isfinite(x) or x != int(x):
                     raise DomainError(f"kazarinoff grid points must be integers, got {x}")
                 t = kazarinoff_bounds(int(x))
             elif args.kind == "quartic":
@@ -256,6 +258,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_integrals(args) -> int:
+    if args.l_max < 0:
+        raise DomainError(f"--l-max must be nonnegative, got {args.l_max}")
     tol = max(args.tol, 1e-12)
     rows = []
     failures = 0

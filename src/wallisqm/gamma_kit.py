@@ -10,9 +10,11 @@ from Stirling's expansion with the divergent pieces cancelled analytically:
     d = u - v,
     S(w) = 1/(12w) - 1/(360w³) + 1/(1260w⁵) - 1/(1680w⁷) + 1/(1188w⁹).
 
-Arguments below 16 are first shifted up through Γ(w) = Γ(w+1)/w.  The worst
-observed error of the resulting ratio is ~1e-14 (checked against 50-digit
-arithmetic), uniformly in the argument size.
+Arguments below 16 are first shifted up through Γ(w) = Γ(w+1)/w.  The
+rounding of x+a and x+b, which at x = 1e10 loses all but five digits of a
+non-dyadic offset, is carried as exact two-sum residues and folded back in;
+against 50-digit arithmetic the ratio stays within 1e-13 relative for x in
+[1e-3, 1e12] and real offsets a, b in (-0.9, 3).
 
 The Wallis ratio W_n = (2n-1)!!/(2n)!! doubles as the running-product
 definition and the gamma form Γ(n+1/2)/(√π Γ(n+1)); both paths are exposed
@@ -64,8 +66,6 @@ def _stirling_tail(w: float) -> float:
 def _lgamma_diff(u: float, v: float) -> float:
     """lnΓ(u) - lnΓ(v) for u, v > 0, without the cancellation that a plain
     lgamma difference suffers at large arguments."""
-    if u == v:
-        return 0.0
     if max(u, v) <= _DIRECT_MAX:
         return math.lgamma(u) - math.lgamma(v)
     parts = []
@@ -84,6 +84,41 @@ def _lgamma_diff(u: float, v: float) -> float:
         -_stirling_tail(v),
     ]
     return math.fsum(parts)
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth two-sum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _log_gamma_ratio(x: float, a: float, b: float) -> float:
+    """lnΓ(x+a) - lnΓ(x+b) for x+a, x+b > 0, the sums taken exactly.
+
+    The shifted arguments are rounded to u = fl(x+a) and v = fl(x+b); their
+    two-sum residues are folded back in to first order as ψ(w)·(u_lo - v_lo),
+    w = max(u, v).  Equal residues (integer or half-integer offsets of an
+    integer x) leave exactly _lgamma_diff(u, v).
+    """
+    u, u_lo = _two_sum(x, a)
+    v, v_lo = _two_sum(x, b)
+    d = _lgamma_diff(u, v)
+    if u_lo != v_lo:
+        w = max(u, v)
+        d += (math.log(w) - 0.5 / w) * (u_lo - v_lo)
+    return d
+
+
+def _log1p_minus_linear(t: float) -> float:
+    """log1p(t) - t without the cancellation of its leading terms near 0."""
+    if abs(t) > 0.01:
+        return math.log1p(t) - t
+    # -t²·(1/2 - t/3 + t²/4 - ...); ten terms reach 1e-20 relative at |t| <= 0.01
+    p = 0.0
+    for k in range(11, 1, -1):
+        p = 1.0 / k - t * p
+    return -t * t * p
 
 
 def log_gamma(x: float) -> float:
@@ -119,10 +154,11 @@ def gamma_ratio(q: GammaRatioQuery) -> float:
     """Γ(x+a)/Γ(x+b), evaluated through the log-space difference.
 
     Never forms the two gamma values themselves, so the result is finite
-    whenever the true ratio is representable; relative error ~1e-14 up to
-    x = 1e6 and beyond.
+    whenever the true ratio is representable.  The offsets are taken as
+    exact reals: relative error within 1e-13 (checked against 50-digit
+    arithmetic) for x in [1e-3, 1e12] and a, b in (-0.9, 3).
     """
-    delta = _lgamma_diff(q.x + q.a, q.x + q.b)
+    delta = _log_gamma_ratio(q.x, q.a, q.b)
     try:
         return math.exp(delta)
     except OverflowError:
@@ -144,7 +180,7 @@ def wallis_ratio(n: int) -> float:
         for k in range(1, n + 1):
             w *= (2.0 * k - 1.0) / (2.0 * k)
         return w
-    return math.exp(_lgamma_diff(n + 0.5, n + 1.0)) / _SQRT_PI
+    return math.exp(_log_gamma_ratio(n, 0.5, 1.0)) / _SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -170,7 +206,7 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
     if n != int(n) or n < 1:
         raise DomainError(f"kazarinoff_bounds requires an integer n >= 1, got {n}")
     n = int(n)
-    value = math.exp(_lgamma_diff(n + 1.0, n + 0.5))
+    value = math.exp(_log_gamma_ratio(n, 1.0, 0.5))
     lower = math.sqrt(n + 0.25)
     upper = math.sqrt(n + 0.5)
     return BoundsTriple(lower, value, upper, lower < value < upper)
@@ -208,7 +244,7 @@ def quartic_root_bounds(x: float) -> BoundsTriple:
             f"lower-bound radicand {lower_rad} is not positive at x = {x}; "
             "the bound needs x > ~0.05102366"
         )
-    value = math.exp(_lgamma_diff(x + 1.0, x + 0.5))
+    value = math.exp(_log_gamma_ratio(x, 1.0, 0.5))
     return BoundsTriple(lower_rad ** 0.25, value, upper_rad ** 0.25,
                         _quartic_satisfied(x))
 
@@ -217,15 +253,22 @@ def wendel_deviation(x: float, s: float) -> float:
     """Γ(x+s)/(x^s Γ(x)) - 1, which tends to 0 as x grows (fixed s).
 
     Identically zero at s = 0 and s = 1 (Γ(x+1) = xΓ(x)), returned as an
-    exact 0.0 in those cases.
+    exact 0.0 in those cases.  From x, x+s >= 16 the s·ln x is cancelled
+    analytically, t = s/x:  x·(log1p(t) - t) + (s - 1/2)·log1p(t) + S(x+s) - S(x).
+    Relative error within 1e-9 of 50-digit arithmetic for x in [1, 1e12]
+    and s in [1e-3, 1 - 1e-3].
     """
-    if not x > 0.0:
-        raise DomainError(f"wendel_deviation requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"wendel_deviation requires finite x > 0, got {x}")
     if not x + s > 0.0:
         raise DomainError(f"gamma pole: x+s = {x + s} must be positive")
     if s == 0.0 or s == 1.0:
         return 0.0
-    return math.expm1(_lgamma_diff(x + s, x) - s * math.log(x))
+    if min(x, x + s) < _SHIFT_MIN:
+        return math.expm1(_log_gamma_ratio(x, s, 0.0) - s * math.log(x))
+    t = s / x
+    return math.expm1(x * _log1p_minus_linear(t) + (s - 0.5) * math.log1p(t)
+                      + _stirling_tail(x + s) - _stirling_tail(x))
 
 
 def duplication_residual(l: int) -> float:

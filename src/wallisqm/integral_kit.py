@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
-from .gamma_kit import _lgamma_diff, wallis_ratio
+from .gamma_kit import _log_gamma_ratio, wallis_ratio
 
 __all__ = [
     "QuadratureResult",
@@ -147,7 +147,7 @@ def lorentz_coulomb_integral(l: int) -> float:
     if 2 * l + 1 <= 170:
         f = math.factorial(l)
         return 0.5 * (f * f / math.factorial(2 * l + 1))
-    return math.ldexp(_SQRT_PI * math.exp(_lgamma_diff(l + 1.0, l + 1.5)),
+    return math.ldexp(_SQRT_PI * math.exp(_log_gamma_ratio(l, 1.0, 1.5)),
                       -(2 * l + 2))
 
 

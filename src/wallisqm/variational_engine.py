@@ -7,8 +7,8 @@ that integrates out analytically, leaving the centrifugal term l(l+1)/r²):
     Gaussian:  R(r) = r^l · exp(-α r²)
     Lorentz:   R(r) = r^l / (a² + r²)^{l+1}
 
-Closed-form expectation values (units ħ = m = e² = ω = 1 throughout, kept
-as named constants so the formulas read like the derivation):
+Closed-form expectation values (atomic/oscillator units ħ = m = e² = ω = 1
+throughout):
 
     Gaussian-Coulomb:  ⟨H⟩ = α(l+3/2) - √(2α)·Γ(l+1)/Γ(l+3/2)
     Lorentz-Coulomb:   ⟨H⟩ = (l+1)(l+1/2)/(2a²) - (1/a)·[Γ(l+1)/Γ(l+1/2)]²/(l+1/2)
@@ -40,15 +40,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DivergenceError, DomainError
-from .gamma_kit import _lgamma_diff
+from .gamma_kit import _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
 __all__ = [
     "Family",
     "Potential",
     "Method",
-    "UnitsConvention",
-    "UNITS",
     "TrialSpec",
     "EnergyEstimate",
     "expectation_energy_closed",
@@ -73,19 +71,6 @@ class Potential(Enum):
 class Method(Enum):
     CLOSED_FORM = "closed"
     NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class UnitsConvention:
-    """Atomic/oscillator units; every constant is 1 in this artifact."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    charge_sq: float = 1.0
-    omega: float = 1.0
-
-
-UNITS = UnitsConvention()
 
 
 @dataclass(frozen=True)
@@ -131,33 +116,22 @@ def _require_lorentz_oscillator_valid(l: int) -> None:
         )
 
 
-def _coulomb_ratio_sq(l: int) -> float:
-    """[Γ(l+1)/Γ(l+1/2)]², stable at any l."""
-    return math.exp(2.0 * _lgamma_diff(l + 1.0, l + 0.5))
-
-
-def _gaussian_ratio(l: int) -> float:
-    """Γ(l+1)/Γ(l+3/2), stable at any l."""
-    return math.exp(_lgamma_diff(l + 1.0, l + 1.5))
-
-
 def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
     """⟨H⟩ for the given trial state, from the closed radial-moment forms."""
-    u = UNITS
     l, p = spec.l, spec.param
     if spec.family is Family.GAUSSIAN:
-        kinetic = u.hbar ** 2 * p * (l + 1.5) / u.mass
+        kinetic = p * (l + 1.5)
         if pot is Potential.COULOMB:
-            return kinetic - u.charge_sq * math.sqrt(2.0 * p) * _gaussian_ratio(l)
+            return kinetic - math.sqrt(2.0 * p) * math.exp(_log_gamma_ratio(l, 1.0, 1.5))
         # ⟨r²⟩ = (l+3/2)/(2α) from the Gaussian moment ratio
-        return kinetic + 0.5 * u.mass * u.omega ** 2 * (l + 1.5) / (2.0 * p)
-    kinetic = u.hbar ** 2 * (l + 1.0) * (l + 0.5) / (2.0 * u.mass * p * p)
+        return kinetic + 0.5 * (l + 1.5) / (2.0 * p)
+    kinetic = (l + 1.0) * (l + 0.5) / (2.0 * p * p)
     if pot is Potential.COULOMB:
         # ⟨1/r⟩ = coulomb/norm integral quotient = [Γ(l+1)/Γ(l+1/2)]²/((l+1/2)·a)
-        return kinetic - u.charge_sq * coulomb_to_norm_ratio(l) / p
+        return kinetic - coulomb_to_norm_ratio(l) / p
     _require_lorentz_oscillator_valid(l)
     # ⟨r²⟩ = a²·(l+3/2)/(l-1/2) from the rational moment ratio
-    return kinetic + 0.5 * u.mass * u.omega ** 2 * p * p * (l + 1.5) / (l - 0.5)
+    return kinetic + 0.5 * p * p * (l + 1.5) / (l - 0.5)
 
 
 def _profile_integrands(family: Family, l: int, pot: Potential, s: float):
@@ -167,7 +141,6 @@ def _profile_integrands(family: Family, l: int, pot: Potential, s: float):
     derivative enters through x²·R'² = g(x)·D(x) with the rational factor
     D(x) = (l - x²)² (Gaussian) or (l - (l+2)x²)²/(1+x²)² (Lorentz).
     """
-    u = UNITS
     L = float(l)
     if family is Family.GAUSSIAN:
         ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
@@ -196,21 +169,18 @@ def _profile_integrands(family: Family, l: int, pot: Potential, s: float):
             d = L - (L + 2.0) * x * x
             return d * d / (w * w)
 
-    half_h2m = 0.5 * u.hbar ** 2 / u.mass
     if pot is Potential.COULOMB:
-        e2s = u.charge_sq * s
-
         def vterm(x: float, g: float) -> float:
-            return -e2s * g * x
+            return -s * g * x
     else:
-        half_mw2_s4 = 0.5 * u.mass * u.omega ** 2 * s ** 4
+        half_s4 = 0.5 * s ** 4
 
         def vterm(x: float, g: float) -> float:
-            return half_mw2_s4 * g * x ** 4
+            return half_s4 * g * x ** 4
 
     def numerator(x: float) -> float:
         g = g2(x)
-        return half_h2m * g * (deriv_factor(x) + L * (L + 1.0)) + vterm(x, g)
+        return 0.5 * g * (deriv_factor(x) + L * (L + 1.0)) + vterm(x, g)
 
     def denominator(x: float) -> float:
         return g2(x) * x * x
@@ -243,44 +213,37 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
     if l != int(l) or l < 0:
         raise DomainError(f"orbital number l must be a nonnegative integer, got {l}")
     l = int(l)
-    u = UNITS
     if family is Family.GAUSSIAN:
         if pot is Potential.COULOMB:
-            g = _gaussian_ratio(l)
-            return (u.mass * u.charge_sq / u.hbar ** 2) ** 2 * g * g / (2.0 * (l + 1.5) ** 2)
-        return u.mass * u.omega / (2.0 * u.hbar)
+            g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
+            return g * g / (2.0 * (l + 1.5) ** 2)
+        return 0.5
     if pot is Potential.COULOMB:
-        return u.hbar ** 2 * (l + 1.0) * (l + 0.5) / (
-            u.mass * u.charge_sq * coulomb_to_norm_ratio(l))
+        return (l + 1.0) * (l + 0.5) / coulomb_to_norm_ratio(l)
     _require_lorentz_oscillator_valid(l)
-    return (u.hbar ** 2 * (l + 1.0) * (l + 0.5) * (l - 0.5)
-            / (u.mass ** 2 * u.omega ** 2 * (l + 1.5))) ** 0.25
+    return ((l + 1.0) * (l + 0.5) * (l - 0.5) / (l + 1.5)) ** 0.25
 
 
 def exact_energy(pot: Potential, l: int) -> float:
     """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2)."""
     if l != int(l) or l < 0:
         raise DomainError(f"orbital number l must be a nonnegative integer, got {l}")
-    u = UNITS
     if pot is Potential.COULOMB:
-        return -u.mass * u.charge_sq ** 2 / (2.0 * u.hbar ** 2 * (l + 1.0) ** 2)
-    return u.hbar * u.omega * (l + 1.5)
+        return -1.0 / (2.0 * (l + 1.0) ** 2)
+    return l + 1.5
 
 
 def _closed_energy(family: Family, pot: Potential, l: int) -> float:
-    u = UNITS
-    rydberg = u.mass * u.charge_sq ** 2 / (2.0 * u.hbar ** 2)
     if family is Family.GAUSSIAN:
         if pot is Potential.COULOMB:
-            g = _gaussian_ratio(l)
-            return -rydberg * g * g / (l + 1.5)
-        return u.hbar * u.omega * (l + 1.5)
+            g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
+            return -0.5 * g * g / (l + 1.5)
+        return l + 1.5
     if pot is Potential.COULOMB:
-        g2 = _coulomb_ratio_sq(l)
-        return -rydberg * g2 * g2 / ((l + 1.0) * (l + 0.5) ** 3)
+        g2 = math.exp(2.0 * _log_gamma_ratio(l, 1.0, 0.5))
+        return -0.5 * g2 * g2 / ((l + 1.0) * (l + 0.5) ** 3)
     _require_lorentz_oscillator_valid(l)
-    return u.hbar * u.omega * math.sqrt(
-        (l + 1.0) * (l + 0.5) * (l + 1.5) / (l - 0.5))
+    return math.sqrt((l + 1.0) * (l + 0.5) * (l + 1.5) / (l - 0.5))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gamma_kit import _lgamma_diff
+from .gamma_kit import _log_gamma_ratio
 
 __all__ = [
     "PartialSum",
@@ -44,34 +44,6 @@ __all__ = [
 ]
 
 _A1 = 8.0 / (3.0 * math.pi)  # a_1, the first series term
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """s, err with s + err = a + b exactly (Knuth two-sum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - bb) + (b - (s - bb))
-
-
-def _log_gamma_ratio_shifted(n: float, offset: float, shift: float) -> float:
-    """lnΓ(w) - lnΓ(w + shift) for w = n + offset, offset an arbitrary real.
-
-    fl(n + offset) and fl(n + offset + shift) round independently (the two
-    can straddle a binade boundary), which perturbs a lone gamma argument
-    by up to ~1e-13 and the log by ψ(w)·1e-13 ~ 1e-12: enough to break the
-    telescoping identities at their 1e-12 tolerance.  The rounding residues
-    are therefore carried explicitly and folded back in to first order with
-    ψ(w) ≈ ln w - 1/(2w).
-    """
-    u_hi, u_lo = _two_sum(n, offset)
-    v_hi, e = _two_sum(u_hi, shift)
-    v_lo = e + u_lo
-    d = _lgamma_diff(u_hi, v_hi)
-    if u_lo != 0.0:
-        d += (math.log(u_hi) - 0.5 / u_hi) * u_lo
-    if v_lo != 0.0:
-        d -= (math.log(v_hi) - 0.5 / v_hi) * v_lo
-    return d
 
 
 @dataclass(frozen=True)
@@ -128,7 +100,7 @@ def wallis_partial_product(n: int) -> float:
 def a_seq(n: int) -> float:
     """a_n = [Γ(n)/Γ(n+1/2)]²/(n+1/2); positive and strictly decreasing."""
     n = _check_positive_index(n, "a_seq")
-    return math.exp(2.0 * _lgamma_diff(float(n), n + 0.5) - math.log(n + 0.5))
+    return math.exp(2.0 * _log_gamma_ratio(n, 0.0, 0.5) - math.log(n + 0.5))
 
 
 def scaled_a(n: int) -> float:
@@ -137,7 +109,7 @@ def scaled_a(n: int) -> float:
     Equals (2/π)·wallis_partial_product(n) exactly.
     """
     n = _check_positive_index(n, "scaled_a")
-    return math.exp(2.0 * _lgamma_diff(n + 1.0, n + 0.5) - math.log(n + 0.5))
+    return math.exp(2.0 * _log_gamma_ratio(n, 1.0, 0.5) - math.log(n + 0.5))
 
 
 def sum_a_recurrence(n: int) -> PartialSum:
@@ -165,10 +137,9 @@ def sum_a_direct(n: int) -> float:
 def b_seq(p: GeneralizedParams, n: int) -> float:
     """b_n = Γ(n+m)Γ(n+k)/(Γ(n+m+1/2)Γ(n+k+3/2)) > 0."""
     n = _check_positive_index(n, "b_seq")
-    return math.exp(
-        _log_gamma_ratio_shifted(float(n), p.m, 0.5)
-        + _log_gamma_ratio_shifted(float(n), p.k, 1.5)
-    )
+    # the real shifts m, k take the kernel's x slot, so the exact offsets
+    # n, n+1/2, n+3/2 keep n+m+1/2 and n+k+3/2 exact through its two-sums
+    return math.exp(_log_gamma_ratio(p.m, n, n + 0.5) + _log_gamma_ratio(p.k, n, n + 1.5))
 
 
 def _prefactor(p: GeneralizedParams) -> float:
@@ -177,11 +148,15 @@ def _prefactor(p: GeneralizedParams) -> float:
 
 def _b_limit_term(p: GeneralizedParams) -> float:
     """Γ(m+1)Γ(k+1)/(Γ(m+1/2)Γ(k+3/2)), the b_1 contribution after the
-    4(m+1)(k+1) - 2(k-m) - 1 = 4(m+1/2)(k+3/2) simplification."""
-    return math.exp(
-        _log_gamma_ratio_shifted(1.0, p.m, -0.5)
-        + _log_gamma_ratio_shifted(1.0, p.k, 0.5)
-    )
+    4(m+1)(k+1) - 2(k-m) - 1 = 4(m+1/2)(k+3/2) simplification.
+
+    For m <= -1/2, where Γ(m+1/2) is negative or infinite, Γ(m+1)/Γ(m+1/2)
+    is taken as (m+1/2)·Γ(m+1)/Γ(m+3/2): it keeps the sign and is 0 at -1/2.
+    """
+    lk = _log_gamma_ratio(p.k, 1.0, 1.5)
+    if p.m > -0.5:
+        return math.exp(_log_gamma_ratio(p.m, 1.0, 0.5) + lk)
+    return (p.m + 0.5) * math.exp(_log_gamma_ratio(p.m, 1.0, 1.5) + lk)
 
 
 def sum_b_partial(p: GeneralizedParams, n: int) -> PartialSum:

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallisqm.errors import DomainError
-from wallisqm.gamma_kit import (BoundsTriple, GammaRatioQuery,
+from wallisqm.gamma_kit import (BoundsTriple, GammaRatioQuery, _lgamma_diff,
+                                _log_gamma_ratio, _two_sum,
                                 duplication_residual, gamma_ratio,
                                 kazarinoff_bounds, log_gamma,
                                 quartic_root_bounds, wallis_ratio,
@@ -86,6 +89,42 @@ class TestGammaRatio:
     def test_stirling_ratio_asymptotic(self, x, a, b):
         dev = abs(gamma_ratio(GammaRatioQuery(x, a, b)) * x ** (b - a) - 1.0)
         assert dev < 10.0 / x
+
+
+def _mp_rel_err(value, ref):
+    return float(abs(mp.mpf(value) / ref - 1))
+
+
+class TestLogGammaRatioKernel:
+    @given(st.one_of(st.integers(0, 2**53).map(float), st.floats(-1e300, 1e300)),
+           st.floats(-1e300, 1e300))
+    @example(1e6, 0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_two_sum_is_exact(self, x, a):
+        s, e = _two_sum(x, a)
+        assert s == x + a
+        assert Fraction(s) + Fraction(e) == Fraction(x) + Fraction(a)
+
+    @given(st.integers(0, 2**40), st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+           st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    @settings(max_examples=50, deadline=None)
+    def test_dyadic_offsets_keep_plain_difference(self, n, a, b):
+        # no residue to fold: integer and half-integer tables keep their bits
+        assume(n + a > 0.0 and n + b > 0.0)
+        assert _log_gamma_ratio(n, a, b) == _lgamma_diff(n + a, n + b)
+
+    @given(st.floats(-3.0, 12.0), st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
+    @example(6.0, 0.3, 0.0)
+    @example(10.0, 0.3, 0.0)
+    @example(10.0, 1.0 / 3.0, 2.0 / 3.0)
+    @settings(max_examples=150, deadline=None)
+    def test_gamma_ratio_matches_50_digit_reference(self, log10_x, a, b):
+        x = 10.0 ** log10_x
+        assume(x + a > 0.0 and x + b > 0.0)
+        with mp.workdps(50):
+            X = mp.mpf(x)
+            ref = mp.exp(mp.loggamma(X + mp.mpf(a)) - mp.loggamma(X + mp.mpf(b)))
+            assert _mp_rel_err(gamma_ratio(GammaRatioQuery(x, a, b)), ref) <= 1e-13
 
 
 class TestWallisRatio:
@@ -176,6 +215,17 @@ class TestWendel:
     def test_monotone_decay(self, s):
         devs = [abs(wendel_deviation(10.0 ** p, s)) for p in range(1, 7)]
         assert all(d2 <= d1 for d1, d2 in zip(devs, devs[1:]))
+
+    @given(st.floats(0.0, 12.0), st.floats(1e-3, 1.0 - 1e-3))
+    @example(6.0, 0.3)
+    @example(10.0, 0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_50_digit_reference(self, log10_x, s):
+        x = 10.0 ** log10_x
+        with mp.workdps(50):
+            X, S = mp.mpf(x), mp.mpf(s)
+            ref = mp.expm1(mp.loggamma(X + S) - mp.loggamma(X) - S * mp.log(X))
+            assert _mp_rel_err(wendel_deviation(x, s), ref) <= 1e-9
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):

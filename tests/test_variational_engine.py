@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisqm.errors import DivergenceError, DomainError
-from wallisqm.variational_engine import (UNITS, EnergyEstimate, Family,
-                                         Method, Potential, TrialSpec,
+from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
+                                         Potential, TrialSpec,
                                          exact_energy,
                                          expectation_energy_closed,
                                          expectation_energy_numeric,
@@ -26,9 +26,6 @@ def l_floor(family, pot):
 
 
 class TestTypes:
-    def test_units_all_one(self):
-        assert (UNITS.hbar, UNITS.mass, UNITS.charge_sq, UNITS.omega) == (1.0,) * 4
-
     def test_trial_spec_validation(self):
         with pytest.raises(DomainError):
             TrialSpec(GAUSSIAN, -1, 1.0)

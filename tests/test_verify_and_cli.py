@@ -203,6 +203,23 @@ class TestVerifyCommand:
         assert "[relaxed]" in target.read_text()
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["bounds", "--kind", "kazarinoff", "--grid", "inf"], 1),
+    (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
+    (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
+    (["variational", "--family", "lorentz", "--potential", "oscillator", "--l-max", "-1"], 2),
+    (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "-1"], 2),
+    (["integrals", "--l-max", "-3"], 2),
+])
+def test_edge_argv_exit_codes(capsys, argv, expected):
+    # main returns an exit code for each of these, never raising
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert out == "" and "domain error" in err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["conjure"])

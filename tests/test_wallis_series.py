@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +177,19 @@ class TestSumB:
         part = sum_b_partial(p, 500)
         residual = sum_b_closed(p) - part.value
         assert 0.0 < residual <= part.tail_bound
+
+    @pytest.mark.parametrize("m", [-0.9, -0.7, -0.55, -0.5])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_negative_gamma_below_half(self, m, k):
+        # Γ(m+1/2) < 0 for m in (-1, -1/2) and infinite at m = -1/2
+        p = GeneralizedParams(m, k)
+        direct = math.fsum(b_seq(p, i) for i in range(1, 201))
+        assert sum_b_partial(p, 200).value == pytest.approx(direct, rel=1e-12)
+        with mp.workdps(50):
+            M, K = mp.mpf(m), mp.mpf(k)
+            g = mp.rgamma(M + 0.5) * mp.gamma(M + 1) * mp.gamma(K + 1) / mp.gamma(K + 1.5)
+            closed = 4 / (2 * (K - M) + 1) * (1 - g)
+            assert sum_b_closed(p) == pytest.approx(float(closed), rel=1e-13)
 
     @pytest.mark.parametrize("m,k", [(0.0, 0.0), (-0.4, 1.0), (1.0, 0.0)])
     def test_remainder_decays_like_1_over_n(self, m, k):
