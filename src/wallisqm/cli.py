@@ -116,11 +116,22 @@ def _write(text: str, out_path) -> None:
             fh.write(text)
 
 
+_MAX_GRID_POINTS = 100_000  # largest grid a flag may request
+
+
+def _check_grid_size(text: str, count: float) -> None:
+    # the count is known before any list is built, so an oversized range
+    # fails fast instead of allocating it
+    if not count <= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} selects {count:.4g} points, more than the {_MAX_GRID_POINTS} allowed")
+
+
 def _parse_int_spec(text: str) -> list[int]:
     """'5' | '1,10,100' | 'start:stop:step' (stop inclusive when hit)."""
     def one(tok: str) -> int:
         v = float(tok)
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise argparse.ArgumentTypeError(f"expected an integer, got {tok!r}")
         return int(v)
 
@@ -133,8 +144,11 @@ def _parse_int_spec(text: str) -> list[int]:
         step = one(parts[2]) if len(parts) == 3 else 1
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        _check_grid_size(text, (stop - start) // step + 1)
         return list(range(start, stop + 1, step))
-    return [one(tok) for tok in text.split(",") if tok]
+    tokens = [tok for tok in text.split(",") if tok]
+    _check_grid_size(text, len(tokens))
+    return [one(tok) for tok in tokens]
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -144,11 +158,15 @@ def _parse_float_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range {text!r}, use start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0.0 and stop >= start):  # also rejects nan
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        _check_grid_size(text, span + 1.0)
+        count = int(math.floor(span)) + 1
         return [start + i * step for i in range(count)]
-    return [float(tok) for tok in text.split(",") if tok]
+    tokens = [tok for tok in text.split(",") if tok]
+    _check_grid_size(text, len(tokens))
+    return [float(tok) for tok in tokens]
 
 
 # ---------------------------------------------------------------------------

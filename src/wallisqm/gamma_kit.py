@@ -135,7 +135,8 @@ def log_gamma(x: float) -> float:
 class GammaRatioQuery:
     """Arguments of a ratio Γ(x+a)/Γ(x+b).
 
-    Both shifted arguments must avoid the gamma poles: x+a > 0 and x+b > 0.
+    All three must be finite, and both shifted arguments must avoid the
+    gamma poles: x+a > 0 and x+b > 0.
     """
 
     x: float
@@ -143,6 +144,11 @@ class GammaRatioQuery:
     b: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.a, self.b))):
+            raise DomainError(
+                f"gamma ratio arguments must be finite, got "
+                f"x = {self.x}, a = {self.a}, b = {self.b}"
+            )
         if not (self.x + self.a > 0.0 and self.x + self.b > 0.0):
             raise DomainError(
                 f"gamma pole: x+a = {self.x + self.a}, x+b = {self.x + self.b} "
@@ -230,13 +236,13 @@ def quartic_root_bounds(x: float) -> BoundsTriple:
     """(x²+x/2+1/8-1/(128x))^¼ < Γ(x+1)/Γ(x+1/2) < (x²+x/2+1/8)^¼.
 
     The lower radicand is positive only for x above ~0.05102366 (the real
-    root of 128x³+64x²+16x = 1); smaller x is rejected.  The reported triple
-    is double precision, but the strictness verdict is certified by a
-    50-digit evaluation: from x ~ 5e3 the three double values collide even
-    though the sandwich genuinely holds.
+    root of 128x³+64x²+16x = 1); smaller x, x = inf and nan are rejected.
+    The reported triple is double precision, but the strictness verdict is
+    certified by a 50-digit evaluation: from x ~ 5e3 the three double values
+    collide even though the sandwich genuinely holds.
     """
-    if not x > 0.0:
-        raise DomainError(f"quartic_root_bounds requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"quartic_root_bounds requires finite x > 0, got {x}")
     upper_rad = x * x + 0.5 * x + 0.125
     lower_rad = upper_rad - 1.0 / (128.0 * x)
     if not lower_rad > 0.0:

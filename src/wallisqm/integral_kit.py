@@ -218,17 +218,8 @@ def quad_semiinfinite(f: Callable[[float], float], tol: float) -> QuadratureResu
     """
     if not tol >= 1e-12:
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
+    isfinite = math.isfinite
     evals = 0
-
-    def feval(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        try:
-            y = f(x)
-        except (OverflowError, ZeroDivisionError):
-            return 0.0
-        return y if math.isfinite(y) else 0.0
-
     prev = None
     current = None
     diff = math.inf
@@ -237,13 +228,28 @@ def quad_semiinfinite(f: Callable[[float], float], tol: float) -> QuadratureResu
         terms = []
         peak = 0.0
         for i, (x, w, xm, wm) in enumerate(_nodes(level)):
-            t_hi = w * feval(x)
-            t_lo = 0.0 if (level == 0 and i == 0) else wm * feval(xm)
+            try:
+                y = f(x)
+            except (OverflowError, ZeroDivisionError):
+                y = 0.0
+            t_hi = w * y if isfinite(y) else 0.0
+            if level or i:
+                try:
+                    y = f(xm)
+                except (OverflowError, ZeroDivisionError):
+                    y = 0.0
+                t_lo = wm * y if isfinite(y) else 0.0
+            else:
+                t_lo = 0.0  # x = 1 is its own mirror
             terms.append(t_hi + t_lo)
-            size = max(abs(t_hi), abs(t_lo))
-            peak = max(peak, size)
+            a_hi = abs(t_hi)
+            a_lo = abs(t_lo)
+            size = a_lo if a_lo > a_hi else a_hi
+            if size > peak:
+                peak = size
             if i > 3 and size <= _TRUNC * peak:
                 break
+        evals += 2 * (i + 1) - (level == 0)
         block = h * math.fsum(terms)
         current = block if level == 0 else prev / 2.0 + block
         if level >= 2:

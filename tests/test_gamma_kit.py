@@ -78,6 +78,15 @@ class TestGammaRatio:
         with pytest.raises(DomainError):
             GammaRatioQuery(x=1.0, a=0.0, b=-1.0)
 
+    @pytest.mark.parametrize("x,a,b", [
+        (math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5),
+        (2.0, math.inf, 0.5), (2.0, 1.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, x, a, b):
+        # inf - inf inside the two-sum would otherwise make the ratio nan
+        with pytest.raises(DomainError):
+            gamma_ratio(GammaRatioQuery(x, a, b))
+
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_recurrence_property(self, x):
@@ -196,7 +205,7 @@ class TestQuarticRootBounds:
         t = quartic_root_bounds(1e5)
         assert t.satisfied
 
-    @pytest.mark.parametrize("x", [-1.0, 0.0, 0.05])
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 0.05, math.inf, math.nan])
     def test_domain_rejected(self, x):
         with pytest.raises(DomainError):
             quartic_root_bounds(x)

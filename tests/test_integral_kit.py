@@ -175,7 +175,53 @@ class TestQuadrature:
         assert info.value.best_estimate is not None
         assert info.value.evaluations > 0
 
+    def test_divergent_pinned(self):
+        # best estimate, last difference and evaluation count, bit for bit
+        with pytest.raises(ConvergenceError) as info:
+            quad_semiinfinite(lambda x: 1.0 / (1.0 + x), tol=1e-10)
+        assert info.value.best_estimate == 634.010051599295
+        assert info.value.error_estimate == 0.30957899640623054
+        assert info.value.evaluations == 12289
+
     def test_result_is_frozen_record(self):
         res = QuadratureResult(1.0, 1e-12, 42)
         with pytest.raises(AttributeError):
             res.value = 2.0
+
+
+def _raising(x):
+    if x < 1e-9:
+        raise ZeroDivisionError("near zero")
+    if x > 30.0:
+        raise OverflowError("tail")
+    return x * math.exp(-x)
+
+
+# (integrand, tol) -> (value, abs_error_estimate, evaluations); the results
+# are pinned bit for bit, so any change to the node sweep that alters the
+# summation order, the truncation test or the evaluation count shows here
+PINNED_QUADRATURES = [
+    ("gaussian", lambda x: math.exp(-x * x), 1e-10,
+     (0.8862269254527579, 3.5449077018110316e-16, 445)),
+    ("lorentzian", lambda x: 1.0 / (1.0 + x * x), 1e-10,
+     (1.5707963267948966, 2.333511162078139e-11, 119)),
+    ("rational-fourth-power", lambda x: x ** 4 / (1.0 + x * x) ** 4, 1e-10,
+     (0.09817477042468106, 3.926990816987242e-17, 165)),
+    ("exponential", lambda x: math.exp(-x), 1e-10,
+     (1.0, 6.217248937900877e-15, 229)),
+    ("gaussian-moment-12", lambda x: x ** 12 * math.exp(-x * x), 1e-12,
+     (143.94263890752217, 5.757705556300887e-14, 237)),
+    ("raises-overflow-and-zero-division", _raising, 1e-10,
+     (0.9999999999998238, 4.0967229608668276e-14, 181)),
+    ("nan-tail", lambda x: x * math.exp(-x) if x < 30.0 else math.nan, 1e-10,
+     (0.9999999999998238, 4.0967229608668276e-14, 185)),
+    ("minus-inf-tail", lambda x: x * math.exp(-x) if x < 30.0 else -math.inf, 1e-10,
+     (0.9999999999998238, 4.0967229608668276e-14, 185)),
+]
+
+
+@pytest.mark.parametrize("name,f,tol,expected", PINNED_QUADRATURES,
+                         ids=[case[0] for case in PINNED_QUADRATURES])
+def test_quadrature_bit_identical(name, f, tol, expected):
+    res = quad_semiinfinite(f, tol)
+    assert (res.value, res.abs_error_estimate, res.evaluations) == expected

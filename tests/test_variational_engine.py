@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallisqm import variational_engine
 from wallisqm.errors import DivergenceError, DomainError
 from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
-                                         Potential, TrialSpec,
+                                         Potential, TrialSpec, _brent_min,
                                          exact_energy,
                                          expectation_energy_closed,
                                          expectation_energy_numeric,
@@ -171,6 +172,76 @@ class TestVariationalEnergy:
         est = variational_energy(GAUSSIAN, COULOMB, 1)
         assert isinstance(est, EnergyEstimate)
         assert est.value >= est.exact_reference
+
+
+def brent_tol(x, xtol=1e-10):
+    # the documented stopping width: the bracket lies within 2·tol of x
+    return 2.0 * (math.sqrt(2.0 ** -52) * abs(x) + xtol / 3.0)
+
+
+class TestBrentMin:
+    @pytest.mark.parametrize("c", [-2.5, 0.0, 0.3, 1.2345, 3.9])
+    def test_shifted_parabola(self, c):
+        x = _brent_min(lambda t: (t - c) ** 2, -3.0, 4.0)
+        assert abs(x - c) <= brent_tol(c)
+
+    @pytest.mark.parametrize("c", [-0.7, 0.25, 2.0])
+    def test_quartic(self, c):
+        # a flat minimum: the parabolic steps lose their edge here
+        x = _brent_min(lambda t: (t - c) ** 4, -3.0, 4.0)
+        assert abs(x - c) <= brent_tol(c)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_returns_bracket_end(self, sign):
+        lo, hi = -1.0, 2.0
+        x = _brent_min(lambda t: sign * t, lo, hi)
+        end = lo if sign > 0 else hi
+        assert abs(x - end) <= 2.0 * brent_tol(end)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: (t - 0.1) ** 2,
+        lambda t: t,
+        lambda t: -t,
+        lambda t: math.cos(3.0 * t),
+        lambda t: abs(t - 1.999),
+    ])
+    def test_never_leaves_bracket(self, fn):
+        lo, hi = -2.0, 2.0
+        seen = []
+
+        def probe(t):
+            seen.append(t)
+            return fn(t)
+
+        x = _brent_min(probe, lo, hi)
+        assert seen and all(lo <= t <= hi for t in seen)
+        assert lo <= x <= hi
+
+
+NUMERIC_LEVELS = [
+    (family, pot, l)
+    for family, pot in ALL_COMBOS
+    for l in range(l_floor(family, pot), 21)
+]
+
+
+class TestNumericLevels:
+    @pytest.mark.parametrize("family,pot,l", NUMERIC_LEVELS)
+    def test_objective_calls_and_optimum(self, monkeypatch, family, pot, l):
+        calls = []
+        numeric = variational_engine.expectation_energy_numeric
+
+        def counting(spec, pot_, tol):
+            calls.append(spec.param)
+            return numeric(spec, pot_, tol)
+
+        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", counting)
+        est = variational_energy(family, pot, l, Method.NUMERIC)
+        closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
+        # at most 30 <H> evaluations, the final one at the optimum included
+        assert len(calls) <= 30
+        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-6)
+        assert est.value == pytest.approx(closed.value, rel=1e-6)
 
 
 class TestUpperBoundProperty:

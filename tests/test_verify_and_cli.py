@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wallisqm import verify, wallis_series
+from wallisqm import cli, verify, wallis_series
 from wallisqm.cli import main
 from wallisqm.wallis_series import PartialSum, scaled_a
 
@@ -205,6 +205,7 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("argv,expected", [
     (["bounds", "--kind", "kazarinoff", "--grid", "inf"], 1),
+    (["bounds", "--kind", "quartic", "--grid", "inf"], 1),
     (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
     (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
     (["variational", "--family", "lorentz", "--potential", "oscillator", "--l-max", "-1"], 2),
@@ -218,6 +219,33 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 2:
         assert out == "" and "domain error" in err
+
+
+def test_quartic_inf_is_an_out_of_domain_row(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--kind", "quartic", "--grid", "inf")
+    assert code == 1
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["value"] == "" and row["satisfied"] == "false"
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--n", "1:1000000000000"],
+    ["bounds", "--kind", "quartic", "--grid", "0:1:1e-12"],
+    ["bounds", "--kind", "quartic", "--grid", "0:inf:1"],
+    ["pi", "--n", "inf"],
+])
+def test_oversized_or_non_finite_grid_exits_2(capsys, argv):
+    # rejected while parsing, before any grid list is built
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_grid_cap_admits_its_limit():
+    assert len(cli._parse_int_spec(f"1:{cli._MAX_GRID_POINTS}")) == cli._MAX_GRID_POINTS
+    assert len(cli._parse_float_list("0:1:0.25")) == 5
 
 
 def test_unknown_command_exits_2():
