@@ -173,13 +173,21 @@ def _parse_float_list(text: str) -> list[float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
+    """n -> fsum of terms 1..n for every n of the grid, from one sweep."""
+    grid = sorted(set(ns))
+    return dict(zip(grid, ws._prefix_fsums(chunk_terms, grid)))
+
+
 def _cmd_pi(args) -> int:
-    rows = []
-    failures = 0
     for n in args.n:
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
-        value = 2.0 * ws.wallis_partial_product(n)
+    log_products = _grid_sums(ws._wallis_log_terms, args.n)
+    rows = []
+    failures = 0
+    for n in args.n:
+        value = 2.0 * math.exp(log_products[n])
         bound = math.pi / (4.0 * n + 2.0)
         row = make_report_row("wallis-pi", n, value, math.pi, bound)
         if not 0.0 < row.abs_error < bound:
@@ -190,33 +198,32 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    rows = []
-    failures = 0
     if args.mode == "simple":
-        for n in args.n:
-            part = ws.sum_a_recurrence(n)
-            direct = ws.sum_a_direct(n)
-            limit = part.closed_form_limit
-            rows.append(make_report_row("a-sum-recurrence", n, part.value, limit,
-                                        part.tail_bound))
-            rows.append(make_report_row("a-sum-direct", n, direct, limit,
-                                        part.tail_bound))
-            if abs(part.value - direct) > 1e-10 * abs(direct):
-                failures += 1
+        label, partial_sum, terms = "a-sum", ws.sum_a_recurrence, ws._a_terms
     else:
         if args.m is None or args.k is None:
             raise DomainError("general mode requires --m and --k")
         params = ws.GeneralizedParams(args.m, args.k)
-        for n in args.n:
-            part = ws.sum_b_partial(params, n)
-            direct = math.fsum(ws.b_seq(params, i) for i in range(1, n + 1))
-            limit = part.closed_form_limit
-            rows.append(make_report_row("b-sum-recurrence", n, part.value, limit,
-                                        part.tail_bound))
-            rows.append(make_report_row("b-sum-direct", n, direct, limit,
-                                        part.tail_bound))
-            if abs(part.value - direct) > 1e-10 * abs(direct):
-                failures += 1
+        label = "b-sum"
+
+        def partial_sum(n):
+            return ws.sum_b_partial(params, n)
+
+        def terms(lo, hi):
+            return [ws.b_seq(params, i) for i in range(lo, hi)]
+
+    parts = [partial_sum(n) for n in args.n]
+    directs = _grid_sums(terms, args.n)
+    rows = []
+    failures = 0
+    for n, part in zip(args.n, parts):
+        direct = directs[n]
+        limit = part.closed_form_limit
+        rows.append(make_report_row(f"{label}-recurrence", n, part.value, limit,
+                                    part.tail_bound))
+        rows.append(make_report_row(f"{label}-direct", n, direct, limit, part.tail_bound))
+        if abs(part.value - direct) > 1e-10 * abs(direct):
+            failures += 1
     _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
     return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
 

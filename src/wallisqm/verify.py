@@ -7,15 +7,15 @@ multiplies every relative tolerance by 100; strict-inequality checks
 profiles.
 
 Checks resolve library functions through their modules at call time, so a
-deliberately perturbed function (mutation testing) is picked up.
+deliberately perturbed function (mutation testing) is picked up.  The two
+b-series suites share one table of b_seq values per (m, k), built through
+``ws.b_seq`` afresh in every :func:`run`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gamma_kit as gk
 from . import integral_kit as ik
@@ -50,17 +50,31 @@ def _wallis_products(n_max: int):
         yield n, math.exp(s + c)
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """count evenly spaced points from lo to hi, with numpy.linspace's flops."""
+    step = (hi - lo) / (count - 1)
+    xs = [i * step + lo for i in range(count)]
+    xs[-1] = hi
+    return xs
+
+
+def _logspace(lo: float, hi: float, count: int) -> list[float]:
+    """count points from lo to hi, both exact, evenly spaced in log10."""
+    xs = [10.0 ** y for y in _linspace(math.log10(lo), math.log10(hi), count)]
+    xs[0], xs[-1] = lo, hi
+    return xs
+
+
 def _log_int_grid(lo: int, hi: int, count: int) -> list[int]:
-    return sorted(set(int(round(v)) for v in np.logspace(math.log10(lo), math.log10(hi), count)))
+    return sorted(set(int(round(v)) for v in _logspace(lo, hi, count)))
 
 
 # --- gamma_kit ------------------------------------------------------------
 
 def _check_gamma_recurrence(scale):
     tol = 1e-13 * scale
-    xs = np.concatenate([np.linspace(0.05, 1.0, 20), np.linspace(1.5, 100.0, 198)])
-    worst = max(_rel(gk.gamma_ratio(gk.GammaRatioQuery(float(x), 1.0, 0.0)), float(x))
-                for x in xs)
+    xs = _linspace(0.05, 1.0, 20) + _linspace(1.5, 100.0, 198)
+    worst = max(_rel(gk.gamma_ratio(gk.GammaRatioQuery(x, 1.0, 0.0)), x) for x in xs)
     return worst <= tol, f"max rel dev {worst:.2e} (tol {tol:.0e})"
 
 
@@ -90,8 +104,8 @@ def _check_kazarinoff(scale):
 
 
 def _check_quartic(scale):
-    xs = np.logspace(math.log10(0.2), 5.0, 40)
-    bad = [float(x) for x in xs if not gk.quartic_root_bounds(float(x)).satisfied]
+    xs = _logspace(0.2, 1e5, 40)
+    bad = [x for x in xs if not gk.quartic_root_bounds(x).satisfied]
     return not bad, f"{len(xs)} points in [0.2, 1e5], violations: {bad[:5]}"
 
 
@@ -158,21 +172,33 @@ def _check_a_recurrence(scale):
 
 _MK_GRID = [(m, k) for m in (-0.4, 0.0, 0.5, 1.0, 2.3) for k in (-0.4, 0.0, 0.5, 1.0, 2.3)
             if 2.0 * (k - m) + 1.0 != 0.0]
+_B_TERMS = 2000
+
+_b_tables: dict[tuple[float, float], list[float]] | None = None  # live only inside run()
+
+
+def _b_table(m: float, k: float) -> list[float]:
+    """[b_1, ..., b_2000] for the shifts (m, k), built once per run()."""
+    if _b_tables is not None and (m, k) in _b_tables:
+        return _b_tables[(m, k)]
+    p = ws.GeneralizedParams(m, k)
+    table = [ws.b_seq(p, n) for n in range(1, _B_TERMS + 1)]
+    if _b_tables is not None:
+        _b_tables[(m, k)] = table
+    return table
 
 
 def _check_b_recurrence(scale):
     tol = 1e-12 * scale
     worst = 0.0
     for m, k in _MK_GRID:
-        p = ws.GeneralizedParams(m, k)
         c = 2.0 * (k - m) + 1.0
-        prev = ws.b_seq(p, 1)
-        for n in range(2, 2001):
-            b = ws.b_seq(p, n)
+        table = _b_table(m, k)
+        for n in range(2, _B_TERMS + 1):
+            prev, b = table[n - 2], table[n - 1]
             lhs = 4.0 * (n + m) * (n + k) / c * b
             rhs = 4.0 * (n - 1.0 + m) * (n - 1.0 + k) / c * prev + b
             worst = max(worst, _rel(lhs, rhs))
-            prev = b
     return worst <= tol, f"max rel dev {worst:.2e} over {len(_MK_GRID)} (m,k) pairs (tol {tol:.0e})"
 
 
@@ -214,8 +240,8 @@ def _check_sum_b_paths(scale):
     worst = 0.0
     for m, k in _MK_GRID:
         p = ws.GeneralizedParams(m, k)
-        part = ws.sum_b_partial(p, 2000)
-        direct = math.fsum(ws.b_seq(p, i) for i in range(1, 2001))
+        part = ws.sum_b_partial(p, _B_TERMS)
+        direct = math.fsum(_b_table(m, k))
         worst = max(worst, _rel(part.value, direct))
         residual = ws.sum_b_closed(p) - part.value
         if not 0.0 < residual <= part.tail_bound:
@@ -313,12 +339,11 @@ def _check_variational_upper_bound(scale):
         for l in _l_values(family, pot, [0, 1, 2, 3, 5, 8, 13, 20, 35, 50]):
             exact = ve.exact_energy(pot, l)
             p_star = ve.optimal_param_closed(family, pot, l)
-            for factor in np.logspace(-2.0, 2.0, 9):
-                e = ve.expectation_energy_closed(
-                    ve.TrialSpec(family, l, p_star * float(factor)), pot)
+            for factor in _logspace(0.01, 100.0, 9):
+                e = ve.expectation_energy_closed(ve.TrialSpec(family, l, p_star * factor), pot)
                 at_exact_min = (family is ve.Family.GAUSSIAN
                                 and pot is ve.Potential.HARMONIC_OSCILLATOR
-                                and float(factor) == 1.0)
+                                and factor == 1.0)
                 if at_exact_min:
                     if e != exact:
                         return False, f"Gaussian-oscillator optimum not exact at l = {l}"
@@ -424,14 +449,19 @@ _PROFILES = {"strict": 1.0, "relaxed": 100.0}
 
 def run(profile: str = "strict") -> list[CheckResult]:
     """Run every invariant check; returns one result per check."""
+    global _b_tables
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
     scale = _PROFILES[profile]
+    _b_tables = {}
     results = []
-    for name, fn in CHECKS:
-        try:
-            passed, detail = fn(scale)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
+    try:
+        for name, fn in CHECKS:
+            try:
+                passed, detail = fn(scale)
+            except Exception as exc:  # a crashed check is a failed check
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(CheckResult(name=name, passed=passed, detail=detail))
+    finally:
+        _b_tables = None
     return results

@@ -18,14 +18,22 @@ term-by-term compensated summation, so each path can certify the other.
 P_n is evaluated as exp(Σ log1p(1/(4j²-1))) with exact (fsum) accumulation:
 a naively rounded running product drifts by ~n·ulp, which at n = 1e6 is
 larger than the gap separating P_n from its π/2·(1 - 1/(4n+2)) envelope.
+The log1p terms are one numpy pass, about 2.5 times faster than pure Python
+at n = 1e6, and numpy is imported there, on the first product, rather than
+with the module.
+
+Direct sums over a whole grid of n (the products and the oracle sums) come
+from one sweep, :func:`_prefix_fsums`: each term is computed once, at most
+``_SWEEP_CHUNK`` terms are held at a time, and the exact running total is
+carried between grid points and chunks as a short float expansion (two
+floats for the Wallis log terms), so every value is bit-identical to one
+fsum over its own n terms while the cost is O(max n) instead of O(Σn).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .gamma_kit import _log_gamma_ratio
@@ -65,14 +73,17 @@ class PartialSum:
 class GeneralizedParams:
     """Shifts (m, k) of the generalized sequence b_n.
 
-    Requires m > -1 and k > -1 (all gamma arguments positive from n = 1)
-    and k - m != -1/2 (finite prefactor in the closed forms).
+    Requires finite m > -1 and k > -1 (all gamma arguments positive and
+    finite from n = 1) and k - m != -1/2 (finite prefactor in the closed
+    forms).
     """
 
     m: float
     k: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.m) and math.isfinite(self.k)):
+            raise DomainError(f"m and k must be finite, got m = {self.m}, k = {self.k}")
         if not self.m > -1.0:
             raise DomainError(f"m must exceed -1 (gamma pole at n = 1), got m = {self.m}")
         if not self.k > -1.0:
@@ -89,12 +100,70 @@ def _check_positive_index(n, name: str) -> int:
     return int(n)
 
 
+_SWEEP_CHUNK = 1 << 20  # terms a sweep holds at once; P_n up to n = 10^6 is one chunk
+
+
+def _exact_expansion(parts: list[float]) -> list[float]:
+    """Floats [hi, lo, ...] whose exact sum is that of ``parts``, with
+    hi = fsum(parts): each next float is the rounded remainder, until the
+    remainder is 0.  A nan or infinite hi is carried alone, as fsum would
+    carry it.  Appends to ``parts``."""
+    out = [math.fsum(parts)]
+    while math.isfinite(out[-1]):
+        parts.append(-out[-1])
+        rest = math.fsum(parts)
+        if rest == 0.0:
+            break
+        out.append(rest)
+    return out
+
+
+def _prefix_fsums(chunk_terms, ns: list[int]) -> list[float]:
+    """math.fsum of terms 1..n for every n of the sorted grid ``ns`` of
+    positive integers; ``chunk_terms(lo, hi)`` returns terms lo..hi-1.
+
+    The terms up to the largest n are computed once, at most _SWEEP_CHUNK at
+    a time.  Between grid points and chunks the exact running total is
+    carried as an _exact_expansion, never rounded, so each value is
+    bit-identical to one fsum over its own terms.  The last piece carries
+    nothing on, so a single n up to the chunk size costs one term pass and
+    one fsum.
+    """
+    sums: list[float] = []
+    carry: list[float] = []  # exact total of terms 1..done
+    done = 0
+    last = ns[-1] if ns else 0
+    chunk, pos = [], 0  # computed terms; chunk[pos] is term done+1
+    for n in ns:
+        while done < n:
+            if pos == len(chunk):
+                chunk, pos = chunk_terms(done + 1, min(last, done + _SWEEP_CHUNK) + 1), 0
+            take = min(n - done, len(chunk) - pos)
+            if pos + take == len(chunk):  # the rest of the chunk: no copy
+                del chunk[:pos]
+                part, chunk, pos = chunk, [], 0
+            else:
+                part = chunk[pos:pos + take]
+                pos += take
+            done += take
+            part += carry  # fsum is exact, so the order of its terms does not matter
+            carry = [math.fsum(part)] if done == last else _exact_expansion(part)
+        sums.append(carry[0])
+    return sums
+
+
+def _wallis_log_terms(lo: int, hi: int) -> list[float]:
+    """log1p(1/(4j²-1)) for j = lo..hi-1: the logs of the Wallis factors."""
+    import numpy as np  # only the Wallis product pays numpy's import
+
+    j = np.arange(lo, hi, dtype=np.float64)
+    return np.log1p(1.0 / (4.0 * j * j - 1.0)).tolist()
+
+
 def wallis_partial_product(n: int) -> float:
     """P_n = prod_{j=1..n} (2j)²/((2j-1)(2j+1)); increasing, always < π/2."""
     n = _check_positive_index(n, "wallis_partial_product")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    terms = np.log1p(1.0 / (4.0 * j * j - 1.0))
-    return math.exp(math.fsum(terms.tolist()))
+    return math.exp(_prefix_fsums(_wallis_log_terms, [n])[0])
 
 
 def a_seq(n: int) -> float:
@@ -131,7 +200,11 @@ def sum_a_recurrence(n: int) -> PartialSum:
 def sum_a_direct(n: int) -> float:
     """Σ_{i<=n} a_i by compensated term-by-term summation (oracle path)."""
     n = _check_positive_index(n, "sum_a_direct")
-    return math.fsum(a_seq(i) for i in range(1, n + 1))
+    return _prefix_fsums(_a_terms, [n])[0]
+
+
+def _a_terms(lo: int, hi: int) -> list[float]:
+    return [a_seq(i) for i in range(lo, hi)]
 
 
 def b_seq(p: GeneralizedParams, n: int) -> float:

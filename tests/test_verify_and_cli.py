@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -37,6 +41,54 @@ class TestVerifySuites:
         monkeypatch.setattr(wallis_series, "sum_a_recurrence", perturbed)
         by_name = {r.name: r for r in verify.run("strict")}
         assert not by_name["sum-a-recurrence-vs-direct"].passed
+
+    def test_one_b_table_per_pair_and_run(self, monkeypatch):
+        counts = {"b_seq": 0, "sum_b_partial": 0}
+
+        def counted(name):
+            fn = getattr(wallis_series, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(wallis_series, name, counted(name))
+        assert all(r.passed for r in verify.run("strict"))
+        # sum_b_partial reaches b_seq through the patched module attribute too
+        assert counts["b_seq"] <= len(verify._MK_GRID) * 2000 + counts["sum_b_partial"]
+        assert verify._b_tables is None  # the cache lives only inside run()
+
+    def test_detects_perturbed_b_seq_in_both_b_suites(self, monkeypatch):
+        b_seq = wallis_series.b_seq
+        monkeypatch.setattr(wallis_series, "b_seq",
+                            lambda p, n: b_seq(p, n) * (1.0 + 1e-8 * (n % 2)))
+        by_name = {r.name: r for r in verify.run("strict")}
+        assert not by_name["b-recurrence-identity"].passed
+        assert not by_name["sum-b-recurrence-vs-direct"].passed
+
+    def test_grids_match_numpy(self):
+        np = pytest.importorskip("numpy")
+        assert verify._linspace(0.05, 1.0, 20) == np.linspace(0.05, 1.0, 20).tolist()
+        assert verify._linspace(1.5, 100.0, 198) == np.linspace(1.5, 100.0, 198).tolist()
+        assert verify._logspace(0.01, 100.0, 9) == np.logspace(-2.0, 2.0, 9).tolist()
+        assert verify._log_int_grid(1, 10**6, 40) == sorted(
+            {int(round(v)) for v in np.logspace(0.0, 6.0, 40)})
+        xs = verify._logspace(0.2, 1e5, 40)
+        assert (xs[0], xs[-1]) == (0.2, 1e5)
+        # libm pow may differ from numpy's vectorized pow by an ulp inside
+        assert xs == pytest.approx(np.logspace(math.log10(0.2), 5.0, 40).tolist(),
+                                   rel=1e-15)
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, wallisqm.cli; assert 'numpy' not in sys.modules"],
+                   check=True, env=env, timeout=60)
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +260,8 @@ class TestVerifyCommand:
     (["bounds", "--kind", "quartic", "--grid", "inf"], 1),
     (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
     (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
+    (["sum", "--mode", "general", "--m", "inf", "--k", "0", "--n", "1,2"], 2),
+    (["sum", "--mode", "general", "--m", "0", "--k", "inf", "--n", "1,2"], 2),
     (["variational", "--family", "lorentz", "--potential", "oscillator", "--l-max", "-1"], 2),
     (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "-1"], 2),
     (["integrals", "--l-max", "-3"], 2),
@@ -252,3 +306,21 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["conjure"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv,prefix,direct", [
+    (["pi", "--n", "1:100000"], 40,
+     lambda n: 2.0 * wallis_series.wallis_partial_product(n)),
+    (["sum", "--n", "1:20000"], 25, wallis_series.sum_a_direct),
+])
+def test_dense_grids_sweep_once(capsys, argv, prefix, direct):
+    # one sweep per grid: O(max n) work where a per-point oracle is O(sum n)
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and elapsed < 20.0
+    direct_rows = [r for r in rows if r["label"] in ("wallis-pi", "a-sum-direct")]
+    assert len(direct_rows) == int(argv[-1].split(":")[1])
+    for r in direct_rows[:prefix]:
+        assert r["value"] == format(direct(int(r["n_or_l"])), ".17g")

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wallisqm import wallis_series as ws
 from wallisqm.errors import DomainError
 from wallisqm.verify import _wallis_products
 from wallisqm.wallis_series import (GeneralizedParams, a_seq, b_seq, scaled_a,
@@ -122,6 +124,12 @@ class TestGeneralizedParams:
         with pytest.raises(DomainError):
             GeneralizedParams(m, k)
 
+    @pytest.mark.parametrize("m,k", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0),
+                                     (0.0, math.nan)])
+    def test_non_finite_rejected(self, m, k):
+        with pytest.raises(DomainError):
+            GeneralizedParams(m, k)
+
     @pytest.mark.parametrize("m,k", [(0.5, 0.0), (1.0, 0.5)])
     def test_singular_prefactor_rejected(self, m, k):
         with pytest.raises(DomainError):
@@ -198,3 +206,53 @@ class TestSumB:
         scaled = [abs(closed - sum_b_partial(p, n).value) * n for n in (100, 400, 1600)]
         assert max(scaled) < 4.0 * max(scaled[0], 1e-30) + 1.0  # bounded, no growth
         assert scaled[2] <= scaled[0] * 1.5
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+class TestPrefixSweep:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+           st.integers(1, 6))
+    @example([1.0, 1e-100, -1.0, 1e100, 1e-300, -1e100], [1, 2, 3, 3, 6], 1)
+    @example([0.1] * 30, [1, 30], 4)
+    @example([-0.0, -0.0, 5e-324], [1, 1, 2, 3], 2)
+    @example([1.0, math.nan, 2.0], [0, 1, 2], 1)  # a nan total must not loop forever
+    @example([1.0, math.inf, 2.0], [0, 1, 2], 1)
+    @example([-math.inf, 1.0, 0.5], [0, 1, 2], 2)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_fsum_of_each_prefix(self, terms, picks, chunk):
+        # random sorted grids with repeated points and gaps of several chunks
+        grid = sorted(1 + p % len(terms) for p in picks)
+        calls = []
+
+        def chunk_terms(lo, hi):
+            calls.append((lo, hi))
+            return terms[lo - 1:hi - 1]
+
+        with mock.patch.object(ws, "_SWEEP_CHUNK", chunk):
+            got = ws._prefix_fsums(chunk_terms, grid)
+        assert _bits(got) == _bits(math.fsum(terms[:n]) for n in grid)
+        # each term computed once, at most one chunk at a time
+        assert [lo for lo, _ in calls] == [1] + [hi for _, hi in calls[:-1]]
+        assert calls[-1][1] == grid[-1] + 1
+        assert all(hi - lo <= chunk for lo, hi in calls)
+
+    def test_opposite_infinities_raise_like_fsum(self):
+        terms = [math.inf, 1.0, -math.inf]
+        with pytest.raises(ValueError):
+            math.fsum(terms)
+        with pytest.raises(ValueError):
+            ws._prefix_fsums(lambda lo, hi: terms[lo - 1:hi - 1], [1, 3])
+
+    def test_wallis_carry_is_two_floats(self):
+        terms = ws._wallis_log_terms(1, 10**5 + 1)
+        assert len(ws._exact_expansion(terms[:4321])) == 2
+
+    def test_product_across_chunks_matches_one_chunk(self):
+        one_chunk = wallis_partial_product(5000)
+        with mock.patch.object(ws, "_SWEEP_CHUNK", 777):
+            assert wallis_partial_product(5000) == one_chunk
+            assert sum_a_direct(3000) == math.fsum(a_seq(i) for i in range(1, 3001))
