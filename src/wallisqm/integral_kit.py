@@ -18,12 +18,16 @@ up in the Coulomb expectation value.
 The quadrature engine maps [0, ∞) onto itself double-exponentially
 (the rational map of a tanh-sinh rule composes to x = exp(π·sinh t)) and
 doubles the trapezoidal density until two refinements differ by less than
-the requested tolerance; that last difference is the error estimate.
+the requested tolerance; that last difference is the error estimate.  It
+also integrates a pair-valued integrand in the same sweep, one call per
+node for both components, each component converging exactly as it would
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +36,7 @@ from .gamma_kit import _log_gamma_ratio, wallis_ratio
 
 __all__ = [
     "QuadratureResult",
+    "QuadraturePair",
     "RationalMomentQuery",
     "gaussian_moment",
     "rational_moment",
@@ -44,22 +49,46 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# largest arguments whose closed forms are normal doubles: Γ(343/2)/2 is the
+# last Gaussian moment below the overflow threshold, and both Lorentz
+# integrals, about 2^-(2l+2)/√l, fall below the smallest normal double at l = 509
+_GAUSSIAN_MOMENT_M_MAX = 342
+_LORENTZ_L_MAX = 508
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _check_index(n, name: str, largest: int | None = None) -> int:
+    """n as an int; DomainError unless n is a nonnegative integer (an integer
+    or an integral float, never a bool, nan or inf) and at most ``largest``."""
+    if isinstance(n, float):
+        k = int(n) if n.is_integer() else -1
+    elif isinstance(n, bool):
+        k = -1
+    else:
+        try:
+            k = operator.index(n)
+        except TypeError:
+            k = -1
+    if k < 0:
+        raise DomainError(f"{name} requires a nonnegative integer, got {n!r}")
+    if largest is not None and k > largest:
+        raise DomainError(f"{name} requires an integer at most {largest}, got {n!r}")
+    return k
+
+
 def gaussian_moment(m: int) -> float:
-    """∫_0^∞ x^m e^{-x²} dx = Γ((m+1)/2)/2 for integer m >= 0.
+    """∫_0^∞ x^m e^{-x²} dx = Γ((m+1)/2)/2 for integer 0 <= m <= 342.
 
     (m+1)/2 is an integer or half-integer, so Γ is taken from exact
     factorials — Γ(j) = (j-1)!, Γ(j+1/2) = (2j)!√π/(4^j j!) — while they
     fit a double (correct rounding to ~1 ulp); lgamma covers the rest.
+    m = 342 (about 4.7e307) is the largest valid argument: beyond it the
+    moment overflows a double, and DomainError is raised.
     """
-    if m != int(m) or m < 0:
-        raise DomainError(f"gaussian_moment requires a nonnegative integer, got {m}")
-    m = int(m)
+    m = _check_index(m, "gaussian_moment", _GAUSSIAN_MOMENT_M_MAX)
     if m % 2 == 1:
         j = (m + 1) // 2
         if j - 1 <= 170:
@@ -112,19 +141,13 @@ def beta_trig_integral(p: float, q: float) -> float:
         math.lgamma(p), math.lgamma(q), -math.lgamma(p + q)]))
 
 
-def _check_l(l, name: str) -> int:
-    if l != int(l) or l < 0:
-        raise DomainError(f"{name} requires a nonnegative integer l, got {l}")
-    return int(l)
-
-
 def G_rational(l: int) -> float:
     """G_{l+1} = ∫_0^∞ dx/(1+x²)^{l+1}, by the recurrence
     G_{j+1} = (2j-1)/(2j)·G_j seeded with G_1 = π/2.
 
     Equals (π/2)·W_l, the product of the same factors.
     """
-    l = _check_l(l, "G_rational")
+    l = _check_index(l, "G_rational")
     g = math.pi / 2.0
     for j in range(1, l + 1):
         g *= (2.0 * j - 1.0) / (2.0 * j)
@@ -132,8 +155,12 @@ def G_rational(l: int) -> float:
 
 
 def lorentz_norm_integral(l: int) -> float:
-    """I_{2l+2,2l+2} = ∫_0^∞ x^{2l+2}/(1+x²)^{2l+2} dx = π·W_l/2^{2l+2}."""
-    l = _check_l(l, "lorentz_norm_integral")
+    """I_{2l+2,2l+2} = ∫_0^∞ x^{2l+2}/(1+x²)^{2l+2} dx = π·W_l/2^{2l+2}.
+
+    l = 508 (about 2.8e-308) is the largest valid argument: beyond it the
+    integral is subnormal in doubles, and DomainError is raised.
+    """
+    l = _check_index(l, "lorentz_norm_integral", _LORENTZ_L_MAX)
     return math.ldexp(math.pi * wallis_ratio(l), -(2 * l + 2))
 
 
@@ -142,8 +169,10 @@ def lorentz_coulomb_integral(l: int) -> float:
 
     Exact integer factorials while (2l+1)! fits them comfortably (l <= 84),
     the equivalent duplication form √π·Γ(l+1)/(2^{2l+2}·Γ(l+3/2)) beyond.
+    l = 508 (about 2.8e-308) is the largest valid argument: beyond it the
+    integral is subnormal in doubles, and DomainError is raised.
     """
-    l = _check_l(l, "lorentz_coulomb_integral")
+    l = _check_index(l, "lorentz_coulomb_integral", _LORENTZ_L_MAX)
     if 2 * l + 1 <= 170:
         f = math.factorial(l)
         return 0.5 * (f * f / math.factorial(2 * l + 1))
@@ -157,7 +186,7 @@ def coulomb_to_norm_ratio(l: int) -> float:
     Stays O(1) even where both integrals underflow, which is why the
     Coulomb expectation value is assembled from this quotient directly.
     """
-    l = _check_l(l, "coulomb_to_norm_ratio")
+    l = _check_index(l, "coulomb_to_norm_ratio")
     w = wallis_ratio(l)
     return 1.0 / ((l + 0.5) * math.pi * w * w)
 
@@ -168,11 +197,30 @@ def coulomb_to_norm_ratio(l: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value, an upper error estimate, and the evaluation count."""
+    """Integral value, an upper error estimate, the evaluation count, and
+    ``levels``: the refinement level at which the result converged (level k
+    has step 2^-k; the first comparison is made at level 2)."""
 
     value: float
     abs_error_estimate: float
     evaluations: int
+    levels: int
+
+
+@dataclass(frozen=True)
+class QuadraturePair:
+    """Two integrals from one sweep, ``quad_semiinfinite(f, tol, pair=True)``.
+
+    ``parts`` holds one QuadratureResult per component, each bit-identical to
+    a scalar quad_semiinfinite call on that component alone: its own value,
+    error estimate, evaluation count and convergence level.  ``evaluations``
+    counts the calls of the pair integrand, and ``levels`` is the deepest
+    component's level.
+    """
+
+    parts: tuple[QuadratureResult, QuadratureResult]
+    evaluations: int
+    levels: int
 
 
 _T_MAX = 6.0       # exp(pi*sinh t) stays finite in doubles up to here
@@ -204,67 +252,123 @@ def _nodes(level: int):
     return _node_cache[level]
 
 
-def quad_semiinfinite(f: Callable[[float], float], tol: float) -> QuadratureResult:
+def quad_semiinfinite(f: Callable, tol: float, *,
+                      pair: bool = False) -> QuadratureResult | QuadraturePair:
     """∫_0^∞ f(x) dx for continuous, absolutely integrable, decaying f.
 
     Doubles the node density until two successive refinements differ by at
     most ``tol`` (an absolute tolerance, >= 1e-12); the returned
     ``abs_error_estimate`` is that last difference, floored at a few ulps
     of the value.  Non-finite integrand values (overflow at the double-
-    exponentially remote tail nodes) are treated as the decayed limit 0.
+    exponentially remote tail nodes) and OverflowError or ZeroDivisionError
+    raised by f are treated as the decayed limit 0.
+
+    With ``pair=True``, f returns two values per node and both integrals
+    come from one sweep, returned as a QuadraturePair: f is called once per
+    node for both components, while each component keeps its own terms,
+    peak, truncation index, convergence level and fsum, so each part is
+    bit-identical to a scalar call on that component.  The nodes of a level
+    run until every component still converging has truncated, and a
+    converged component is frozen.  A non-finite component is 0 for that
+    component only; an exception raised by f zeroes both.  A scalar call is
+    the one-component case of the same loop.
 
     Raises ConvergenceError, carrying the best estimate, if the refinement
-    budget is exhausted.
+    budget is exhausted (for a pair, that of the first component that did
+    not converge, as the scalar call on it would).
     """
     if not tol >= 1e-12:
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     isfinite = math.isfinite
-    evals = 0
-    prev = None
-    current = None
-    diff = math.inf
+    width = 2 if pair else 1
+    done: list[QuadratureResult | None] = [None] * width
+    prev = [0.0] * width
+    current = [0.0] * width
+    diff = [math.inf] * width
+    evals = [0] * width
+    calls = 0
     for level in range(_MAX_LEVEL + 1):
         h = 2.0 ** (-level)
-        terms = []
-        peak = 0.0
+        open0 = done[0] is None
+        open1 = pair and done[1] is None
+        terms0: list[float] = []
+        terms1: list[float] = []
+        peak0 = peak1 = 0.0
+        n0 = n1 = 0  # nodes each component took at this level
         for i, (x, w, xm, wm) in enumerate(_nodes(level)):
             try:
-                y = f(x)
+                if pair:
+                    y0, y1 = f(x)
+                else:
+                    y0 = f(x)
             except (OverflowError, ZeroDivisionError):
-                y = 0.0
-            t_hi = w * y if isfinite(y) else 0.0
+                y0 = y1 = 0.0
             if level or i:
                 try:
-                    y = f(xm)
+                    if pair:
+                        z0, z1 = f(xm)
+                    else:
+                        z0 = f(xm)
                 except (OverflowError, ZeroDivisionError):
-                    y = 0.0
-                t_lo = wm * y if isfinite(y) else 0.0
+                    z0 = z1 = 0.0
             else:
-                t_lo = 0.0  # x = 1 is its own mirror
-            terms.append(t_hi + t_lo)
-            a_hi = abs(t_hi)
-            a_lo = abs(t_lo)
-            size = a_lo if a_lo > a_hi else a_hi
-            if size > peak:
-                peak = size
-            if i > 3 and size <= _TRUNC * peak:
-                break
-        evals += 2 * (i + 1) - (level == 0)
-        block = h * math.fsum(terms)
-        current = block if level == 0 else prev / 2.0 + block
-        if level >= 2:
-            diff = abs(current - prev)
-            if diff <= tol:
-                return QuadratureResult(
-                    value=current,
-                    abs_error_estimate=max(diff, 4e-16 * abs(current)),
-                    evaluations=evals,
-                )
-        prev = current
+                z0 = z1 = 0.0  # x = 1 is its own mirror
+            if open0:
+                t_hi = w * y0 if isfinite(y0) else 0.0
+                t_lo = wm * z0 if isfinite(z0) else 0.0
+                terms0.append(t_hi + t_lo)
+                a_hi = abs(t_hi)
+                a_lo = abs(t_lo)
+                size = a_lo if a_lo > a_hi else a_hi
+                if size > peak0:
+                    peak0 = size
+                if i > 3 and size <= _TRUNC * peak0:
+                    open0 = False
+                    n0 = i + 1
+                    if not open1:
+                        break
+            if open1:
+                t_hi = w * y1 if isfinite(y1) else 0.0
+                t_lo = wm * z1 if isfinite(z1) else 0.0
+                terms1.append(t_hi + t_lo)
+                a_hi = abs(t_hi)
+                a_lo = abs(t_lo)
+                size = a_lo if a_lo > a_hi else a_hi
+                if size > peak1:
+                    peak1 = size
+                if i > 3 and size <= _TRUNC * peak1:
+                    open1 = False
+                    n1 = i + 1
+                    if not open0:
+                        break
+        nodes = i + 1  # a component still open used every node of the level
+        calls += 2 * nodes - (level == 0)
+        for c, terms, n in ((0, terms0, n0), (1, terms1, n1))[:width]:
+            if done[c] is not None:
+                continue
+            evals[c] += 2 * (n or nodes) - (level == 0)
+            block = h * math.fsum(terms)
+            current[c] = block if level == 0 else prev[c] / 2.0 + block
+            if level >= 2:
+                diff[c] = abs(current[c] - prev[c])
+                if diff[c] <= tol:
+                    done[c] = QuadratureResult(
+                        value=current[c],
+                        abs_error_estimate=max(diff[c], 4e-16 * abs(current[c])),
+                        evaluations=evals[c],
+                        levels=level,
+                    )
+            prev[c] = current[c]
+        if None not in done:
+            if not pair:
+                return done[0]
+            return QuadraturePair(parts=(done[0], done[1]), evaluations=calls,
+                                  levels=level)
+    c = done.index(None)
     raise ConvergenceError(
         f"quadrature did not reach tol = {tol} within {_MAX_LEVEL} refinements "
-        f"(last difference {diff:.3e})",
-        best_estimate=current,
-        error_estimate=diff,
-        evaluations=evals,
+        f"(last difference {diff[c]:.3e})",
+        best_estimate=current[c],
+        error_estimate=diff[c],
+        evaluations=evals[c],
     )

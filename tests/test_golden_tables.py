@@ -49,6 +49,19 @@ GOLDEN = {
     "variational_lorentz_oscillator.csv": (["variational", "--family", "lorentz",
                                             "--potential", "oscillator", "--l-min", "1",
                                             "--l-max", "10"], 0),
+    "variational_gaussian_coulomb_numeric.csv": (["variational", "--family", "gaussian",
+                                                  "--potential", "coulomb", "--method",
+                                                  "numeric", "--l-max", "20"], 0),
+    "variational_gaussian_oscillator_numeric.csv": (["variational", "--family", "gaussian",
+                                                     "--potential", "oscillator", "--method",
+                                                     "numeric", "--l-max", "20"], 0),
+    "variational_lorentz_coulomb_numeric.csv": (["variational", "--family", "lorentz",
+                                                 "--potential", "coulomb", "--method",
+                                                 "numeric", "--l-max", "20"], 0),
+    "variational_lorentz_oscillator_numeric.csv": (["variational", "--family", "lorentz",
+                                                    "--potential", "oscillator", "--method",
+                                                    "numeric", "--l-min", "1", "--l-max", "20"],
+                                                   0),
     "bounds_kazarinoff.csv": (["bounds", "--kind", "kazarinoff", "--grid", "1:1000:37"], 0),
     "bounds_quartic.csv": (["bounds", "--kind", "quartic", "--grid",
                             "0.2,1,100,100000"], 0),

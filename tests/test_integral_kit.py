@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -35,6 +36,21 @@ class TestGaussianMoment:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             gaussian_moment(-1)
+
+    @pytest.mark.parametrize("m", [True, 1.5, math.nan, math.inf, "3"])
+    def test_rejects_non_integer(self, m):
+        with pytest.raises(DomainError):
+            gaussian_moment(m)
+
+    def test_largest_argument(self):
+        # the last moment below the overflow threshold; the next raises
+        # DomainError where it raised OverflowError
+        assert math.isfinite(gaussian_moment(342))
+        assert gaussian_moment(342) == pytest.approx(
+            0.5 * math.exp(math.lgamma(171.5)), rel=1e-13)
+        for m in (343, 400, 10**6):
+            with pytest.raises(DomainError):
+                gaussian_moment(m)
 
 
 class TestRationalMoment:
@@ -135,6 +151,24 @@ class TestLorentzIntegrals:
         assert lorentz_coulomb_integral(100) == pytest.approx(
             rational_moment(q), rel=1e-12)
 
+    @pytest.mark.parametrize("fn", [lorentz_norm_integral, lorentz_coulomb_integral])
+    def test_largest_argument(self, fn):
+        # the last l whose integral is a normal double; beyond it DomainError,
+        # where 0.0 or a subnormal came back silently
+        assert fn(508) >= sys.float_info.min
+        expected = coulomb_to_norm_ratio(508) if fn is lorentz_coulomb_integral else 1.0
+        assert fn(508) / lorentz_norm_integral(508) == pytest.approx(expected, rel=1e-12)
+        for l in (509, 600):
+            with pytest.raises(DomainError):
+                fn(l)
+
+    @pytest.mark.parametrize("l", [True, -1, 2.5, math.nan, math.inf])
+    def test_rejects_bad_l(self, l):
+        for fn in (G_rational, lorentz_norm_integral, lorentz_coulomb_integral,
+                   coulomb_to_norm_ratio):
+            with pytest.raises(DomainError):
+                fn(l)
+
     def test_ratio_values(self):
         assert coulomb_to_norm_ratio(0) == pytest.approx(2.0 / PI, rel=1e-14)
         assert coulomb_to_norm_ratio(1) == pytest.approx(8.0 / (3.0 * PI), rel=1e-14)
@@ -183,8 +217,17 @@ class TestQuadrature:
         assert info.value.error_estimate == 0.30957899640623054
         assert info.value.evaluations == 12289
 
+    def test_levels(self):
+        # e^{-x²} at tol 1e-10 converges at level 6 (step 2^-6), after the
+        # 445 evaluations of levels 0 through 6
+        res = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-10)
+        assert (res.levels, res.evaluations) == (6, 445)
+        # a looser tolerance stops no deeper, and never before level 2
+        loose = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-2)
+        assert 2 <= loose.levels <= res.levels
+
     def test_result_is_frozen_record(self):
-        res = QuadratureResult(1.0, 1e-12, 42)
+        res = QuadratureResult(1.0, 1e-12, 42, 3)
         with pytest.raises(AttributeError):
             res.value = 2.0
 

@@ -35,6 +35,40 @@ class TestTypes:
         with pytest.raises(DomainError):
             TrialSpec(LORENTZ, 2, -3.0)
 
+    @pytest.mark.parametrize("family", [GAUSSIAN, LORENTZ])
+    @pytest.mark.parametrize("param", [math.inf, math.nan, 1e-300, 1e-76, 1e76, True])
+    def test_trial_spec_rejects_out_of_range_param(self, family, param):
+        # param = inf made the numeric ⟨H⟩ divide by zero and the closed one
+        # return 0.0; a Lorentz a = 1e-300 underflowed a² to 0
+        with pytest.raises(DomainError):
+            TrialSpec(family, 1, param)
+
+    @pytest.mark.parametrize("family,pot", ALL_COMBOS)
+    @pytest.mark.parametrize("param", [1e-75, 1e75])
+    def test_param_range_ends_are_finite(self, family, pot, param):
+        spec = TrialSpec(family, 2, param)
+        closed = expectation_energy_closed(spec, pot)
+        assert math.isfinite(closed)
+        assert expectation_energy_numeric(spec, pot, 3e-9) == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("l", [True, False, math.inf, -math.inf, math.nan, 1.5, -1, "2"])
+    def test_one_l_check_everywhere(self, l):
+        with pytest.raises(DomainError):
+            TrialSpec(GAUSSIAN, l, 1.0)
+        with pytest.raises(DomainError):
+            optimal_param_closed(GAUSSIAN, COULOMB, l)
+        with pytest.raises(DomainError):
+            exact_energy(COULOMB, l)
+        for method in Method:
+            with pytest.raises(DomainError):
+                variational_energy(GAUSSIAN, COULOMB, l, method)
+
+    def test_integral_float_l_is_accepted(self):
+        assert TrialSpec(GAUSSIAN, 2.0, 1.0).l == 2
+        assert exact_energy(COULOMB, 2.0) == exact_energy(COULOMB, 2)
+        assert variational_energy(LORENTZ, COULOMB, 3.0) == variational_energy(LORENTZ,
+                                                                                COULOMB, 3)
+
 
 class TestExpectationClosed:
     def test_gaussian_coulomb_l0(self):

@@ -265,6 +265,9 @@ class TestVerifyCommand:
     (["variational", "--family", "lorentz", "--potential", "oscillator", "--l-max", "-1"], 2),
     (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "-1"], 2),
     (["integrals", "--l-max", "-3"], 2),
+    # the Lorentz closed forms are subnormal beyond l = 508
+    (["integrals", "--l-max", "509"], 2),
+    (["integrals", "--l-max", "600"], 2),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising
