@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from . import wallis_series as ws
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
 from .integral_kit import (G_rational, RationalMomentQuery, gaussian_moment,
                            lorentz_coulomb_integral, lorentz_norm_integral,
@@ -131,7 +131,7 @@ def _parse_int_spec(text: str) -> list[int]:
     """'5' | '1,10,100' | 'start:stop:step' (stop inclusive when hit)."""
     def one(tok: str) -> int:
         v = float(tok)
-        if not math.isfinite(v) or v != int(v):
+        if not v.is_integer():  # nor are nan and inf
             raise argparse.ArgumentTypeError(f"expected an integer, got {tok!r}")
         return int(v)
 
@@ -180,9 +180,7 @@ def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
 
 
 def _cmd_pi(args) -> int:
-    for n in args.n:
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
+    _index(min(args.n, default=1), "--n", lo=1)
     log_products = _grid_sums(ws._wallis_log_terms, args.n)
     rows = []
     failures = 0
@@ -222,7 +220,7 @@ def _cmd_sum(args) -> int:
         rows.append(make_report_row(f"{label}-recurrence", n, part.value, limit,
                                     part.tail_bound))
         rows.append(make_report_row(f"{label}-direct", n, direct, limit, part.tail_bound))
-        if abs(part.value - direct) > 1e-10 * abs(direct):
+        if not abs(part.value - direct) <= 1e-10 * abs(direct):  # a nan fails
             failures += 1
     _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
     return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
@@ -237,12 +235,14 @@ def _cmd_variational(args) -> int:
     family = _FAMILIES[args.family]
     pot = _POTENTIALS[args.potential]
     method = _METHODS[args.method]
-    ls = args.l_max if len(args.l_max) > 1 else list(range(args.l_min, args.l_max[0] + 1))
-    if not ls or min(ls) < 0:
-        raise DomainError(f"--l-max/--l-min select no nonnegative orbital numbers: {ls}")
-    if family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR and min(ls) < 1:
-        raise DomainError(
-            "the Lorentz-oscillator combination diverges at l = 0; use --l-min 1")
+    ls = args.l_max
+    if len(ls) == 1:  # the range from --l-min, capped like any grid
+        if ls[0] - args.l_min >= _MAX_GRID_POINTS:
+            raise DomainError(f"--l-min {args.l_min} to --l-max {ls[0]} selects more "
+                              f"than the {_MAX_GRID_POINTS} orbital numbers allowed")
+        ls = list(range(args.l_min, ls[0] + 1))
+    if not ls:
+        raise DomainError("--l-max/--l-min select no orbital numbers")
     rows = []
     gaussian_coulomb = family is Family.GAUSSIAN and pot is Potential.COULOMB
     label = f"{args.family}-{args.potential}-{args.method}"
@@ -263,9 +263,7 @@ def _cmd_bounds(args) -> int:
     for x in args.grid:
         try:
             if args.kind == "kazarinoff":
-                if not math.isfinite(x) or x != int(x):
-                    raise DomainError(f"kazarinoff grid points must be integers, got {x}")
-                t = kazarinoff_bounds(int(x))
+                t = kazarinoff_bounds(x)
             elif args.kind == "quartic":
                 t = quartic_root_bounds(x)
             else:
@@ -283,8 +281,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_integrals(args) -> int:
-    if args.l_max < 0:
-        raise DomainError(f"--l-max must be nonnegative, got {args.l_max}")
+    _index(args.l_max, "--l-max")
     tol = max(args.tol, 1e-12)
     rows = []
     failures = 0
@@ -400,6 +397,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"wallisqm: convergence error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
+    except OSError as exc:
+        print(f"wallisqm: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

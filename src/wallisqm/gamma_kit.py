@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _index, _real
 
 __all__ = [
     "GammaRatioQuery",
@@ -126,7 +126,7 @@ def log_gamma(x: float) -> float:
 
     Relative error stays below 1e-14 across [1e-3, 1e8] (libm lgamma).
     """
-    if not x > 0.0:
+    if not _real(x, "log_gamma x") > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -144,11 +144,7 @@ class GammaRatioQuery:
     b: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.a, self.b))):
-            raise DomainError(
-                f"gamma ratio arguments must be finite, got "
-                f"x = {self.x}, a = {self.a}, b = {self.b}"
-            )
+        _real(self.x, "x"), _real(self.a, "a"), _real(self.b, "b")
         if not (self.x + self.a > 0.0 and self.x + self.b > 0.0):
             raise DomainError(
                 f"gamma pole: x+a = {self.x + self.a}, x+b = {self.x + self.b} "
@@ -178,9 +174,7 @@ def wallis_ratio(n: int) -> float:
     an independent oracle for the gamma path) and the gamma form beyond;
     the two paths agree to 1e-13 on the overlap n in [100, 150].
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"wallis_ratio requires a nonnegative integer, got {n}")
-    n = int(n)
+    n = _index(n, "wallis_ratio")
     if n <= _WALLIS_CROSSOVER:
         w = 1.0
         for k in range(1, n + 1):
@@ -209,9 +203,7 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
     The lower margin shrinks like 1/(64n²), which double precision resolves
     up to n ~ 1e6; past that, ties are reported as violated.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"kazarinoff_bounds requires an integer n >= 1, got {n}")
-    n = int(n)
+    n = _index(n, "kazarinoff_bounds", lo=1)
     value = math.exp(_log_gamma_ratio(n, 1.0, 0.5))
     lower = math.sqrt(n + 0.25)
     upper = math.sqrt(n + 0.5)
@@ -241,8 +233,8 @@ def quartic_root_bounds(x: float) -> BoundsTriple:
     certified by a 50-digit evaluation: from x ~ 5e3 the three double values
     collide even though the sandwich genuinely holds.
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"quartic_root_bounds requires finite x > 0, got {x}")
+    if not _real(x, "quartic_root_bounds x") > 0.0:
+        raise DomainError(f"quartic_root_bounds requires x > 0, got {x}")
     upper_rad = x * x + 0.5 * x + 0.125
     lower_rad = upper_rad - 1.0 / (128.0 * x)
     if not lower_rad > 0.0:
@@ -264,9 +256,9 @@ def wendel_deviation(x: float, s: float) -> float:
     Relative error within 1e-9 of 50-digit arithmetic for x in [1, 1e12]
     and s in [1e-3, 1 - 1e-3].
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"wendel_deviation requires finite x > 0, got {x}")
-    if not x + s > 0.0:
+    if not _real(x, "wendel_deviation x") > 0.0:
+        raise DomainError(f"wendel_deviation requires x > 0, got {x}")
+    if not x + _real(s, "wendel_deviation s") > 0.0:
         raise DomainError(f"gamma pole: x+s = {x + s} must be positive")
     if s == 0.0 or s == 1.0:
         return 0.0
@@ -288,9 +280,7 @@ def duplication_residual(l: int) -> float:
     so the residual stays below ~2e-14 out to l = 500 and beyond (plain
     lgamma differences would already exceed 1e-12 there).
     """
-    if l != int(l) or l < 0:
-        raise DomainError(f"duplication_residual requires a nonnegative integer, got {l}")
-    l = int(l)
+    l = _index(l, "duplication_residual")
     if l < 16:
         d = math.fsum([
             math.lgamma(2.0 * l + 1.0),

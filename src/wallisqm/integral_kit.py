@@ -27,11 +27,10 @@ alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio, wallis_ratio
 
 __all__ = [
@@ -60,25 +59,6 @@ _LORENTZ_L_MAX = 508
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _check_index(n, name: str, largest: int | None = None) -> int:
-    """n as an int; DomainError unless n is a nonnegative integer (an integer
-    or an integral float, never a bool, nan or inf) and at most ``largest``."""
-    if isinstance(n, float):
-        k = int(n) if n.is_integer() else -1
-    elif isinstance(n, bool):
-        k = -1
-    else:
-        try:
-            k = operator.index(n)
-        except TypeError:
-            k = -1
-    if k < 0:
-        raise DomainError(f"{name} requires a nonnegative integer, got {n!r}")
-    if largest is not None and k > largest:
-        raise DomainError(f"{name} requires an integer at most {largest}, got {n!r}")
-    return k
-
-
 def gaussian_moment(m: int) -> float:
     """∫_0^∞ x^m e^{-x²} dx = Γ((m+1)/2)/2 for integer 0 <= m <= 342.
 
@@ -88,7 +68,7 @@ def gaussian_moment(m: int) -> float:
     m = 342 (about 4.7e307) is the largest valid argument: beyond it the
     moment overflows a double, and DomainError is raised.
     """
-    m = _check_index(m, "gaussian_moment", _GAUSSIAN_MOMENT_M_MAX)
+    m = _index(m, "gaussian_moment", hi=_GAUSSIAN_MOMENT_M_MAX)
     if m % 2 == 1:
         j = (m + 1) // 2
         if j - 1 <= 170:
@@ -112,9 +92,9 @@ class RationalMomentQuery:
     n: float
 
     def __post_init__(self):
-        if not self.m >= 0.0:
+        if not _real(self.m, "m") >= 0.0:
             raise DomainError(f"numerator power must be nonnegative, got m = {self.m}")
-        if not self.n > 0.0:
+        if not _real(self.n, "n") > 0.0:
             raise DomainError(f"denominator power must be positive, got n = {self.n}")
         if not 2.0 * self.n - self.m > 1.0:
             raise DomainError(
@@ -135,7 +115,7 @@ def beta_trig_integral(p: float, q: float) -> float:
     The substitution x = tanθ carries this to rational_moment:
     rational_moment(m, n) = beta_trig_integral((m+1)/2, n-(m+1)/2).
     """
-    if not (p > 0.0 and q > 0.0):
+    if not (_real(p, "p") > 0.0 and _real(q, "q") > 0.0):
         raise DomainError(f"beta_trig_integral requires p, q > 0, got ({p}, {q})")
     return 0.5 * math.exp(math.fsum([
         math.lgamma(p), math.lgamma(q), -math.lgamma(p + q)]))
@@ -147,7 +127,7 @@ def G_rational(l: int) -> float:
 
     Equals (π/2)·W_l, the product of the same factors.
     """
-    l = _check_index(l, "G_rational")
+    l = _index(l, "G_rational")
     g = math.pi / 2.0
     for j in range(1, l + 1):
         g *= (2.0 * j - 1.0) / (2.0 * j)
@@ -160,7 +140,7 @@ def lorentz_norm_integral(l: int) -> float:
     l = 508 (about 2.8e-308) is the largest valid argument: beyond it the
     integral is subnormal in doubles, and DomainError is raised.
     """
-    l = _check_index(l, "lorentz_norm_integral", _LORENTZ_L_MAX)
+    l = _index(l, "lorentz_norm_integral", hi=_LORENTZ_L_MAX)
     return math.ldexp(math.pi * wallis_ratio(l), -(2 * l + 2))
 
 
@@ -172,7 +152,7 @@ def lorentz_coulomb_integral(l: int) -> float:
     l = 508 (about 2.8e-308) is the largest valid argument: beyond it the
     integral is subnormal in doubles, and DomainError is raised.
     """
-    l = _check_index(l, "lorentz_coulomb_integral", _LORENTZ_L_MAX)
+    l = _index(l, "lorentz_coulomb_integral", hi=_LORENTZ_L_MAX)
     if 2 * l + 1 <= 170:
         f = math.factorial(l)
         return 0.5 * (f * f / math.factorial(2 * l + 1))
@@ -186,7 +166,7 @@ def coulomb_to_norm_ratio(l: int) -> float:
     Stays O(1) even where both integrals underflow, which is why the
     Coulomb expectation value is assembled from this quotient directly.
     """
-    l = _check_index(l, "coulomb_to_norm_ratio")
+    l = _index(l, "coulomb_to_norm_ratio")
     w = wallis_ratio(l)
     return 1.0 / ((l + 0.5) * math.pi * w * w)
 
@@ -277,7 +257,7 @@ def quad_semiinfinite(f: Callable, tol: float, *,
     budget is exhausted (for a pair, that of the first component that did
     not converge, as the scalar call on it would).
     """
-    if not tol >= 1e-12:
+    if not _real(tol, "tolerance") >= 1e-12:
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     isfinite = math.isfinite
     width = 2 if pair else 1

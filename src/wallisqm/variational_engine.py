@@ -44,9 +44,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio
-from .integral_kit import _check_index, coulomb_to_norm_ratio, quad_semiinfinite
+from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
 __all__ = [
     "Family",
@@ -96,11 +96,10 @@ class TrialSpec:
     param: float
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _check_index(self.l, "orbital number l"))
-        p = self.param
-        if isinstance(p, bool) or not _PARAM_MIN <= p <= _PARAM_MAX:
+        object.__setattr__(self, "l", _index(self.l, "orbital number l"))
+        if not _PARAM_MIN <= _real(self.param, "scale parameter") <= _PARAM_MAX:
             raise DomainError(
-                f"scale parameter must lie in [{_PARAM_MIN}, {_PARAM_MAX}], got {p!r}")
+                f"scale parameter must lie in [{_PARAM_MIN}, {_PARAM_MAX}], got {self.param!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     is ~1e-14 relative, far inside the 1e-8 contract, for l <= 20 and
     parameters within a factor 100 of optimal.
     """
-    if not tol > 0.0:
+    if not _real(tol, "tolerance") > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if spec.family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR:
         _require_lorentz_oscillator_valid(spec.l)
@@ -227,7 +226,7 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
     """The stationary scale parameter of ⟨H⟩, in closed form."""
-    l = _check_index(l, "orbital number l")
+    l = _index(l, "orbital number l")
     if family is Family.GAUSSIAN:
         if pot is Potential.COULOMB:
             g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
@@ -241,7 +240,7 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
 
 def exact_energy(pot: Potential, l: int) -> float:
     """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2)."""
-    l = _check_index(l, "orbital number l")
+    l = _index(l, "orbital number l")
     if pot is Potential.COULOMB:
         return -1.0 / (2.0 * (l + 1.0) ** 2)
     return l + 1.5
@@ -335,7 +334,7 @@ def variational_energy(family: Family, pot: Potential, l: int,
     1e-11 quadrature tolerance.  The energies agree to ~1e-13 relative, the
     optimal parameters to ~1e-7.
     """
-    l = _check_index(l, "orbital number l")
+    l = _index(l, "orbital number l")
     p_star = optimal_param_closed(family, pot, l)
     reference = exact_energy(pot, l)
     if method is Method.CLOSED_FORM:
@@ -368,10 +367,9 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
     and at l = 0 otherwise.  Results are deterministic and independent of
     evaluation order.
     """
-    if l_max != int(l_max) or l_max < 1:
-        raise DomainError(f"l_max must be a positive integer, got {l_max}")
+    l_max = _index(l_max, "l_max", lo=1)
     l_min = 1 if (family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR) else 0
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)
-        for l in range(l_min, int(l_max) + 1)
+        for l in range(l_min, l_max + 1)
     ]

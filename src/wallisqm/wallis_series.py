@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio
 
 __all__ = [
@@ -82,22 +82,14 @@ class GeneralizedParams:
     k: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.k)):
-            raise DomainError(f"m and k must be finite, got m = {self.m}, k = {self.k}")
-        if not self.m > -1.0:
+        if not _real(self.m, "m") > -1.0:
             raise DomainError(f"m must exceed -1 (gamma pole at n = 1), got m = {self.m}")
-        if not self.k > -1.0:
+        if not _real(self.k, "k") > -1.0:
             raise DomainError(f"k must exceed -1 (gamma pole at n = 1), got k = {self.k}")
         if 2.0 * (self.k - self.m) + 1.0 == 0.0:
             raise DomainError(
                 f"k - m = -1/2 makes the closed-form prefactor singular (m = {self.m}, k = {self.k})"
             )
-
-
-def _check_positive_index(n, name: str) -> int:
-    if n != int(n) or n < 1:
-        raise DomainError(f"{name} requires a positive integer, got {n}")
-    return int(n)
 
 
 _SWEEP_CHUNK = 1 << 20  # terms a sweep holds at once; P_n up to n = 10^6 is one chunk
@@ -162,13 +154,13 @@ def _wallis_log_terms(lo: int, hi: int) -> list[float]:
 
 def wallis_partial_product(n: int) -> float:
     """P_n = prod_{j=1..n} (2j)²/((2j-1)(2j+1)); increasing, always < π/2."""
-    n = _check_positive_index(n, "wallis_partial_product")
+    n = _index(n, "wallis_partial_product", lo=1)
     return math.exp(_prefix_fsums(_wallis_log_terms, [n])[0])
 
 
 def a_seq(n: int) -> float:
     """a_n = [Γ(n)/Γ(n+1/2)]²/(n+1/2); positive and strictly decreasing."""
-    n = _check_positive_index(n, "a_seq")
+    n = _index(n, "a_seq", lo=1)
     return math.exp(2.0 * _log_gamma_ratio(n, 0.0, 0.5) - math.log(n + 0.5))
 
 
@@ -177,7 +169,7 @@ def scaled_a(n: int) -> float:
 
     Equals (2/π)·wallis_partial_product(n) exactly.
     """
-    n = _check_positive_index(n, "scaled_a")
+    n = _index(n, "scaled_a", lo=1)
     return math.exp(2.0 * _log_gamma_ratio(n, 1.0, 0.5) - math.log(n + 0.5))
 
 
@@ -187,7 +179,7 @@ def sum_a_recurrence(n: int) -> PartialSum:
     The tail bound 4·(1 - n²a_n) is the exact remainder to the limit
     4 - 8/π.
     """
-    n = _check_positive_index(n, "sum_a_recurrence")
+    n = _index(n, "sum_a_recurrence", lo=1)
     sa = scaled_a(n)
     return PartialSum(
         n_terms=n,
@@ -199,7 +191,7 @@ def sum_a_recurrence(n: int) -> PartialSum:
 
 def sum_a_direct(n: int) -> float:
     """Σ_{i<=n} a_i by compensated term-by-term summation (oracle path)."""
-    n = _check_positive_index(n, "sum_a_direct")
+    n = _index(n, "sum_a_direct", lo=1)
     return _prefix_fsums(_a_terms, [n])[0]
 
 
@@ -209,7 +201,7 @@ def _a_terms(lo: int, hi: int) -> list[float]:
 
 def b_seq(p: GeneralizedParams, n: int) -> float:
     """b_n = Γ(n+m)Γ(n+k)/(Γ(n+m+1/2)Γ(n+k+3/2)) > 0."""
-    n = _check_positive_index(n, "b_seq")
+    n = _index(n, "b_seq", lo=1)
     # the real shifts m, k take the kernel's x slot, so the exact offsets
     # n, n+1/2, n+3/2 keep n+m+1/2 and n+k+3/2 exact through its two-sums
     return math.exp(_log_gamma_ratio(p.m, n, n + 0.5) + _log_gamma_ratio(p.k, n, n + 1.5))
@@ -241,7 +233,7 @@ def sum_b_partial(p: GeneralizedParams, n: int) -> PartialSum:
     reported as the tail bound through that difference, so the bound
     dominates the observed residual even at the last ulp.
     """
-    n = _check_positive_index(n, "sum_b_partial")
+    n = _index(n, "sum_b_partial", lo=1)
     c = _prefactor(p)
     q = (n + p.m) * (n + p.k) * b_seq(p, n)
     g = _b_limit_term(p)

@@ -268,6 +268,11 @@ class TestVerifyCommand:
     # the Lorentz closed forms are subnormal beyond l = 508
     (["integrals", "--l-max", "509"], 2),
     (["integrals", "--l-max", "600"], 2),
+    (["--tol", "inf", "integrals"], 2),
+    # a nan partial sum is a failed comparison, not a pass
+    (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
+    # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
+    (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "100001"], 2),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising
@@ -276,6 +281,15 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 2:
         assert out == "" and "domain error" in err
+
+
+def test_out_to_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "t.csv"
+    code, out, err = run_cli(capsys, "--out", str(target), "pi", "--n", "5")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert f"wallisqm: cannot write {target}" in err
+    assert not target.exists()
 
 
 def test_quartic_inf_is_an_out_of_domain_row(capsys):
