@@ -35,9 +35,7 @@ from . import verify as verify_mod
 from . import wallis_series as ws
 from .errors import ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
-from .integral_kit import (G_rational, RationalMomentQuery, gaussian_moment,
-                           lorentz_coulomb_integral, lorentz_norm_integral,
-                           quad_semiinfinite, rational_moment)
+from .integral_kit import _certified_integrals
 from .variational_engine import Family, Method, Potential, variational_energy
 
 EXIT_OK = 0
@@ -47,24 +45,17 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One table row: a value against its reference, plus an optional bound.
-
-    ``abs_error`` is recomputed from value and reference at construction,
-    i.e. at emission time.
-    """
+    """One table row: a value against its reference, plus an optional bound."""
 
     label: str
     n_or_l: int
     value: float
     reference: float
-    abs_error: float
     bound: float | None = None
 
-
-def make_report_row(label: str, n_or_l: int, value: float, reference: float,
-                    bound: float | None = None) -> ReportRow:
-    return ReportRow(label=label, n_or_l=n_or_l, value=value, reference=reference,
-                     abs_error=abs(value - reference), bound=bound)
+    @property
+    def abs_error(self) -> float:
+        return abs(self.value - self.reference)
 
 
 @dataclass(frozen=True)
@@ -117,6 +108,7 @@ def _write(text: str, out_path) -> None:
 
 
 _MAX_GRID_POINTS = 100_000  # largest grid a flag may request
+_MAX_N = 10_000_000  # largest n of pi and sum, whose sweep costs O(max n)
 
 
 def _check_grid_size(text: str, count: float) -> None:
@@ -181,13 +173,14 @@ def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
 
 def _cmd_pi(args) -> int:
     _index(min(args.n, default=1), "--n", lo=1)
+    _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     log_products = _grid_sums(ws._wallis_log_terms, args.n)
     rows = []
     failures = 0
     for n in args.n:
         value = 2.0 * math.exp(log_products[n])
         bound = math.pi / (4.0 * n + 2.0)
-        row = make_report_row("wallis-pi", n, value, math.pi, bound)
+        row = ReportRow("wallis-pi", n, value, math.pi, bound)
         if not 0.0 < row.abs_error < bound:
             failures += 1
         rows.append(row)
@@ -196,6 +189,7 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_sum(args) -> int:
+    _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     if args.mode == "simple":
         label, partial_sum, terms = "a-sum", ws.sum_a_recurrence, ws._a_terms
     else:
@@ -217,9 +211,8 @@ def _cmd_sum(args) -> int:
     for n, part in zip(args.n, parts):
         direct = directs[n]
         limit = part.closed_form_limit
-        rows.append(make_report_row(f"{label}-recurrence", n, part.value, limit,
-                                    part.tail_bound))
-        rows.append(make_report_row(f"{label}-direct", n, direct, limit, part.tail_bound))
+        rows.append(ReportRow(f"{label}-recurrence", n, part.value, limit, part.tail_bound))
+        rows.append(ReportRow(f"{label}-direct", n, direct, limit, part.tail_bound))
         if not abs(part.value - direct) <= 1e-10 * abs(direct):  # a nan fails
             failures += 1
     _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
@@ -253,7 +246,7 @@ def _cmd_variational(args) -> int:
             # Kazarinoff envelope: 1 - ratio < 1/(4n+2), n = l+1, as an
             # absolute bound on |E_var - E_exact|
             bound = abs(est.exact_reference) / (4.0 * (l + 1.0) + 2.0)
-        rows.append(make_report_row(label, l, est.value, est.exact_reference, bound))
+        rows.append(ReportRow(label, l, est.value, est.exact_reference, bound))
     _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
     return EXIT_OK
 
@@ -282,34 +275,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_integrals(args) -> int:
     _index(args.l_max, "--l-max")
-    tol = max(args.tol, 1e-12)
-    rows = []
-    failures = 0
-
-    def add(label: str, idx: int, closed: float, integrand) -> None:
-        nonlocal failures
-        res = quad_semiinfinite(integrand, tol)
-        bound = max(1e-9, 10.0 * res.abs_error_estimate)
-        row = make_report_row(label, idx, closed, res.value, bound)
-        if row.abs_error > bound:
-            failures += 1
-        rows.append(row)
-
-    for m in range(0, 13):
-        add("gaussian-moment", m, gaussian_moment(m),
-            lambda x, m=m: x ** m * math.exp(-x * x))
-    for m, n in ((0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (4.0, 4.0), (3.0, 5.0), (6.0, 5.0)):
-        add("rational-moment", int(m), rational_moment(RationalMomentQuery(m, n)),
-            lambda x, m=m, n=n: x ** m / (1.0 + x * x) ** n)
-    for l in range(0, args.l_max + 1):
-        add("rational-integral", l, G_rational(l),
-            lambda x, l=l: (1.0 + x * x) ** -(l + 1.0))
-        add("lorentz-norm", l, lorentz_norm_integral(l),
-            lambda x, l=l: x ** (2 * l + 2) / (1.0 + x * x) ** (2 * l + 2))
-        add("lorentz-coulomb", l, lorentz_coulomb_integral(l),
-            lambda x, l=l: x ** (2 * l + 1) / (1.0 + x * x) ** (2 * l + 2))
+    cases = list(_certified_integrals(args.l_max, max(args.tol, 1e-12)))
+    rows = [ReportRow(label, idx, closed, quad, bound)
+            for label, idx, closed, quad, bound, _, _ in cases]
     _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
-    return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
+    return EXIT_OK if all(passed for *_, passed in cases) else EXIT_VERIFICATION_FAILURE
 
 
 def _cmd_verify(args) -> int:

@@ -47,8 +47,18 @@ def _index(n, name: str, lo: int = 0, hi: int | None = None) -> int:
             k = None
     if k is None or k < lo or (hi is not None and k > hi):
         limits = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise DomainError(f"{name} requires an integer {limits}, got {n!r}")
+        raise DomainError(f"{name} requires an integer {limits}, got {_shown(n)}")
     return k
+
+
+def _shown(n) -> str:
+    """repr(n), or for an int of more than 40 digits its sign and digit
+    count: Python refuses to print an int of more than 4300 digits."""
+    if not isinstance(n, int) or abs(n) < 10 ** 40:
+        return repr(n)
+    d = int(math.log10(abs(n))) + 1  # exact up to one either way
+    d += (abs(n) >= 10 ** d) - (abs(n) < 10 ** (d - 1))
+    return f"{'a negative' if n < 0 else 'an'} int of {d} digits"
 
 
 def _real(x, name: str) -> float:

@@ -21,7 +21,9 @@ doubles the trapezoidal density until two refinements differ by less than
 the requested tolerance; that last difference is the error estimate.  It
 also integrates a pair-valued integrand in the same sweep, one call per
 node for both components, each component converging exactly as it would
-alone.
+alone.  One table of cases, shared by ``wallisqm integrals`` and verify,
+certifies the closed forms by quadrature relative to each integrand's peak
+scale: 2^{2l+2} times the Lorentz integrals, to about 1e-14 up to l = 508.
 """
 
 from __future__ import annotations
@@ -352,3 +354,40 @@ def quad_semiinfinite(f: Callable, tol: float, *,
         error_estimate=diff[c],
         evaluations=evals[c],
     )
+
+
+# ---------------------------------------------------------------------------
+# the closed forms certified by quadrature (`integrals` and verify)
+# ---------------------------------------------------------------------------
+
+def _integral_cases(l_max: int):
+    """(label, index, closed, e, f) with ∫_0^∞ f = 2^e·closed: the Gaussian
+    and rational moments and the three l-families up to l_max.  e = 2l+2
+    makes each Lorentz integrand peak at 1; e = 0 for the others."""
+    for m in range(13):
+        yield ("gaussian-moment", m, gaussian_moment(m), 0,
+               lambda x, m=m: x ** m * math.exp(-x * x))
+    for m, n in ((0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (4.0, 4.0), (3.0, 5.0), (6.0, 5.0)):
+        yield ("rational-moment", int(m), rational_moment(RationalMomentQuery(m, n)), 0,
+               lambda x, m=m, n=n: x ** m / (1.0 + x * x) ** n)
+    for l in range(l_max + 1):
+        e = 2 * l + 2
+        yield ("rational-integral", l, G_rational(l), 0,
+               lambda x, l=l: (1.0 + x * x) ** -(l + 1.0))
+        yield ("lorentz-norm", l, lorentz_norm_integral(l), e,
+               lambda x, e=e: (2.0 * x / (1.0 + x * x)) ** e)
+        yield ("lorentz-coulomb", l, lorentz_coulomb_integral(l), e,
+               lambda x, e=e: (2.0 * x / (1.0 + x * x)) ** (e - 1) * 2.0 / (1.0 + x * x))
+
+
+def _certified_integrals(l_max: int, tol: float, slack: float = 1.0):
+    """(label, index, closed, quad, bound, dev, passed) for each case of
+    _integral_cases.  dev = |∫f - 2^e·closed| is taken on the scaled
+    integrand, and the case passes when it is at most slack·max(1e-9,
+    10·error estimate); quad and bound are returned scaled back by 2^-e."""
+    for label, idx, closed, e, f in _integral_cases(l_max):
+        res = quad_semiinfinite(f, tol)
+        bound = slack * max(1e-9, 10.0 * res.abs_error_estimate)
+        dev = abs(res.value - math.ldexp(closed, e))
+        yield (label, idx, closed, math.ldexp(res.value, -e), math.ldexp(bound, -e),
+               dev, dev <= bound)

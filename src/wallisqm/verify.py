@@ -7,13 +7,16 @@ multiplies every relative tolerance by 100; strict-inequality checks
 profiles.
 
 Checks resolve library functions through their modules at call time, so a
-deliberately perturbed function (mutation testing) is picked up.  The two
-b-series suites share one table of b_seq values per (m, k), built through
-``ws.b_seq`` afresh in every :func:`run`.
+deliberately perturbed function (mutation testing) is picked up.  The term
+tables a_1..a_10⁴, n²a_n (n <= 10⁴) and b_1..b_2000 per (m, k) are built
+once per :func:`run`, which clears them on entry and exit, and shared by
+the suites that read them.  The quadrature suite certifies the table of
+closed forms that the ``integrals`` command prints, for l <= 15.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,12 +148,30 @@ def _check_duplication(scale):
 
 # --- wallis_series ---------------------------------------------------------
 
+_A_TERMS = 10_000
+_B_TERMS = 2000
+_MK_GRID = [(m, k) for m in (-0.4, 0.0, 0.5, 1.0, 2.3) for k in (-0.4, 0.0, 0.5, 1.0, 2.3)
+            if 2.0 * (k - m) + 1.0 != 0.0]
+
+
+@functools.cache
+def _terms(name: str, *shifts: float) -> list[float]:
+    """[t_1, ..., t_N] of ws.<name>: N = 10⁴ for a_seq and scaled_a, 2000 for
+    b_seq at the shifts (m, k).  run() clears this cache on entry and exit,
+    so each table is built once per run."""
+    seq = getattr(ws, name)
+    if shifts:
+        seq = functools.partial(seq, ws.GeneralizedParams(*shifts))
+    return [seq(n) for n in range(1, (_B_TERMS if shifts else _A_TERMS) + 1)]
+
+
 def _check_sum_a_paths(scale):
     tol = 1e-12 * scale
+    a = _terms("a_seq")
     worst, worst_n = 0.0, 0
     for n in (1, 2, 3, 10, 100, 1000, 10_000):
         rec = ws.sum_a_recurrence(n).value
-        direct = ws.sum_a_direct(n)
+        direct = math.fsum(a[:n])  # bit-identical to ws.sum_a_direct(n)
         dev = _rel(rec, direct)
         if dev > worst:
             worst, worst_n = dev, n
@@ -159,33 +180,10 @@ def _check_sum_a_paths(scale):
 
 def _check_a_recurrence(scale):
     tol = 1e-12 * scale
-    worst = 0.0
-    prev = ws.a_seq(1)
-    for n in range(2, 10_001):
-        a = ws.a_seq(n)
-        lhs = 4.0 * n * n * a
-        rhs = 4.0 * (n - 1.0) ** 2 * prev + a
-        worst = max(worst, _rel(lhs, rhs))
-        prev = a
+    a = [0.0] + _terms("a_seq")  # a[n] = a_n
+    worst = max(_rel(4.0 * n * n * a[n], 4.0 * (n - 1.0) ** 2 * a[n - 1] + a[n])
+                for n in range(2, _A_TERMS + 1))
     return worst <= tol, f"max rel dev {worst:.2e} for n <= 1e4 (tol {tol:.0e})"
-
-
-_MK_GRID = [(m, k) for m in (-0.4, 0.0, 0.5, 1.0, 2.3) for k in (-0.4, 0.0, 0.5, 1.0, 2.3)
-            if 2.0 * (k - m) + 1.0 != 0.0]
-_B_TERMS = 2000
-
-_b_tables: dict[tuple[float, float], list[float]] | None = None  # live only inside run()
-
-
-def _b_table(m: float, k: float) -> list[float]:
-    """[b_1, ..., b_2000] for the shifts (m, k), built once per run()."""
-    if _b_tables is not None and (m, k) in _b_tables:
-        return _b_tables[(m, k)]
-    p = ws.GeneralizedParams(m, k)
-    table = [ws.b_seq(p, n) for n in range(1, _B_TERMS + 1)]
-    if _b_tables is not None:
-        _b_tables[(m, k)] = table
-    return table
 
 
 def _check_b_recurrence(scale):
@@ -193,20 +191,17 @@ def _check_b_recurrence(scale):
     worst = 0.0
     for m, k in _MK_GRID:
         c = 2.0 * (k - m) + 1.0
-        table = _b_table(m, k)
-        for n in range(2, _B_TERMS + 1):
-            prev, b = table[n - 2], table[n - 1]
-            lhs = 4.0 * (n + m) * (n + k) / c * b
-            rhs = 4.0 * (n - 1.0 + m) * (n - 1.0 + k) / c * prev + b
-            worst = max(worst, _rel(lhs, rhs))
+        b = [0.0] + _terms("b_seq", m, k)  # b[n] = b_n
+        worst = max(worst, max(_rel(4.0 * (n + m) * (n + k) / c * b[n],
+                                    4.0 * (n - 1.0 + m) * (n - 1.0 + k) / c * b[n - 1] + b[n])
+                               for n in range(2, _B_TERMS + 1)))
     return worst <= tol, f"max rel dev {worst:.2e} over {len(_MK_GRID)} (m,k) pairs (tol {tol:.0e})"
 
 
 def _check_scaled_a_product_identity(scale):
     tol = 1e-13 * scale
-    worst = 0.0
-    for n, pn in _wallis_products(10_000):
-        worst = max(worst, _rel(ws.scaled_a(n), 2.0 / math.pi * pn))
+    worst = max(_rel(sa, 2.0 / math.pi * pn)
+                for (_, pn), sa in zip(_wallis_products(_A_TERMS), _terms("scaled_a")))
     return worst <= tol, f"max rel dev {worst:.2e} for n <= 1e4 (tol {tol:.0e})"
 
 
@@ -225,8 +220,7 @@ def _check_monotonicity(scale):
             return False, f"P_n not strictly increasing below π/2 at n = {n}"
         prev_p = pn
     a_prev, s_prev = math.inf, 0.0
-    for n in range(1, 2001):
-        a, s = ws.a_seq(n), ws.scaled_a(n)
+    for n, a, s in zip(range(1, 2001), _terms("a_seq"), _terms("scaled_a")):
         if not a < a_prev:
             return False, f"a_n not strictly decreasing at n = {n}"
         if not s > s_prev:
@@ -241,7 +235,7 @@ def _check_sum_b_paths(scale):
     for m, k in _MK_GRID:
         p = ws.GeneralizedParams(m, k)
         part = ws.sum_b_partial(p, _B_TERMS)
-        direct = math.fsum(_b_table(m, k))
+        direct = math.fsum(_terms("b_seq", m, k))
         worst = max(worst, _rel(part.value, direct))
         residual = ws.sum_b_closed(p) - part.value
         if not 0.0 < residual <= part.tail_bound:
@@ -266,23 +260,11 @@ def _check_g_rational_wallis(scale):
 
 
 def _check_quadrature_closed_forms(scale):
-    worst = 0.0
-    cases = []
-    for m in range(0, 13):
-        cases.append((lambda x, m=m: x ** m * math.exp(-x * x), ik.gaussian_moment(m)))
-    for l in range(0, 16):
-        cases.append((lambda x, l=l: (1.0 + x * x) ** -(l + 1.0), ik.G_rational(l)))
-        cases.append((lambda x, l=l: x ** (2 * l + 2) / (1.0 + x * x) ** (2 * l + 2),
-                      ik.lorentz_norm_integral(l)))
-        cases.append((lambda x, l=l: x ** (2 * l + 1) / (1.0 + x * x) ** (2 * l + 2),
-                      ik.lorentz_coulomb_integral(l)))
-    for f, closed in cases:
-        res = ik.quad_semiinfinite(f, tol=1e-10)
-        err = abs(res.value - closed)
-        allowed = max(1e-9, 10.0 * res.abs_error_estimate) * scale
-        if err > allowed:
-            return False, f"closed form {closed:.6e} vs quadrature off by {err:.2e}"
-        worst = max(worst, err)
+    cases = list(ik._certified_integrals(15, 1e-10, scale))
+    for label, idx, closed, quad, _, _, passed in cases:
+        if not passed:
+            return False, f"{label} {idx}: closed form {closed:.6e} vs quadrature {quad:.6e}"
+    worst = max(dev for *_, dev, _ in cases)
     return True, f"{len(cases)} integrals, max |closed - quad| = {worst:.2e}"
 
 
@@ -449,11 +431,10 @@ _PROFILES = {"strict": 1.0, "relaxed": 100.0}
 
 def run(profile: str = "strict") -> list[CheckResult]:
     """Run every invariant check; returns one result per check."""
-    global _b_tables
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
     scale = _PROFILES[profile]
-    _b_tables = {}
+    _terms.cache_clear()
     results = []
     try:
         for name, fn in CHECKS:
@@ -463,5 +444,5 @@ def run(profile: str = "strict") -> list[CheckResult]:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             results.append(CheckResult(name=name, passed=passed, detail=detail))
     finally:
-        _b_tables = None
+        _terms.cache_clear()
     return results

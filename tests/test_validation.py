@@ -1,8 +1,8 @@
 """The one validation boundary: every public function and dataclass that
 takes an index or a real rejects a bool, nan, ±inf and a string with
-DomainError, as well as a non-integral float in an index slot and an integer
-too large for a double in a real slot; and the CLI, whatever its argv,
-exits 0, 1 or 2 without a traceback."""
+DomainError, as well as a non-integral float or an int too long to print in
+an index slot and an integer too large for a double in a real slot; and the
+CLI, whatever its argv, exits 0, 1 or 2 without a traceback."""
 
 import contextlib
 import io
@@ -69,7 +69,8 @@ REAL_SLOTS = {
 _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]
 
 
-@pytest.mark.parametrize("bad", _NEVER_VALID + [1.5], ids=repr)
+@pytest.mark.parametrize("bad", _NEVER_VALID + [
+    1.5, pytest.param(-10**5000, id="-10**5000")], ids=repr)
 @pytest.mark.parametrize("slot", sorted(INDEX_SLOTS))
 def test_index_slot_rejects(slot, bad):
     with pytest.raises(DomainError):

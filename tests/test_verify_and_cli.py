@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from wallisqm import cli, verify, wallis_series
+from wallisqm import cli, integral_kit, verify, wallis_series
 from wallisqm.cli import main
 from wallisqm.wallis_series import PartialSum, scaled_a
 
@@ -58,7 +58,7 @@ class TestVerifySuites:
         assert all(r.passed for r in verify.run("strict"))
         # sum_b_partial reaches b_seq through the patched module attribute too
         assert counts["b_seq"] <= len(verify._MK_GRID) * 2000 + counts["sum_b_partial"]
-        assert verify._b_tables is None  # the cache lives only inside run()
+        assert verify._terms.cache_info().currsize == 0  # the tables live only inside run()
 
     def test_detects_perturbed_b_seq_in_both_b_suites(self, monkeypatch):
         b_seq = wallis_series.b_seq
@@ -67,6 +67,45 @@ class TestVerifySuites:
         by_name = {r.name: r for r in verify.run("strict")}
         assert not by_name["b-recurrence-identity"].passed
         assert not by_name["sum-b-recurrence-vs-direct"].passed
+
+    def test_one_a_table_per_run(self, monkeypatch):
+        counts = {"a_seq": 0, "scaled_a": 0}
+
+        def counted(name):
+            fn = getattr(wallis_series, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(wallis_series, name, counted(name))
+        assert all(r.passed for r in verify.run("strict"))
+        # one 10⁴-term table each; scaled_a also serves the telescoped sums
+        # and the grids of two suites beyond n = 10⁴
+        assert counts["a_seq"] <= 10_000
+        assert counts["scaled_a"] <= 10_058
+        assert verify._terms.cache_info().currsize == 0
+
+    def test_detects_perturbed_a_seq_in_both_a_suites(self, monkeypatch):
+        a_seq = wallis_series.a_seq
+        monkeypatch.setattr(wallis_series, "a_seq",
+                            lambda n: a_seq(n) * (1.0 + 1e-8 * (n % 2)))
+        by_name = {r.name: r for r in verify.run("strict")}
+        assert not by_name["a-recurrence-identity"].passed
+        assert not by_name["sum-a-recurrence-vs-direct"].passed
+
+    def test_detects_perturbed_lorentz_norm_integral(self, monkeypatch, capsys):
+        # 1 % off at l = 15 only: an integral of about 1e-10, which an
+        # absolute 1e-9 floor would pass
+        norm = integral_kit.lorentz_norm_integral
+        monkeypatch.setattr(integral_kit, "lorentz_norm_integral",
+                            lambda l: norm(l) * (1.01 if l == 15 else 1.0))
+        by_name = {r.name: r for r in verify.run("strict")}
+        assert not by_name["quadrature-certifies-closed-forms"].passed
+        assert main(["integrals", "--l-max", "15"]) == 1
+        capsys.readouterr()
 
     def test_grids_match_numpy(self):
         np = pytest.importorskip("numpy")
@@ -238,6 +277,18 @@ class TestIntegralsCommand:
         for r in rows:
             assert float(r["abs_error"]) <= float(r["bound"])
 
+    def test_lorentz_rows_relative_to_their_size(self, capsys):
+        # certified against each integrand's peak, not an absolute floor,
+        # up to l = 508 where the integrals reach the smallest normal double
+        code, out, _ = run_cli(capsys, "integrals", "--l-max", "508")
+        assert code == 0
+        rows = [r for r in csv.DictReader(io.StringIO(out))
+                if r["label"].startswith("lorentz-")]
+        assert len(rows) == 2 * 509
+        for r in rows:
+            value, reference = float(r["value"]), float(r["reference"])
+            assert abs(value - reference) <= 1e-13 * value, r
+
 
 class TestVerifyCommand:
     def test_strict_passes(self, capsys):
@@ -273,6 +324,9 @@ class TestVerifyCommand:
     (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
     # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
     (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "100001"], 2),
+    # the one sweep runs to the largest n, so n is capped at 10⁷
+    (["sum", "--n", "1e12"], 2),
+    (["pi", "--n", "10000001"], 2),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising
