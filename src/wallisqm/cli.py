@@ -10,7 +10,9 @@ Subcommands:
     bounds       Double-inequality sandwiches (Kazarinoff, quartic-root,
                  Wendel) with per-row satisfied flags.
     integrals    Closed forms vs the quadrature engine, with residuals.
-    verify       Runs every invariant suite; one pass/fail line each.
+    verify       Runs every invariant suite; one pass/fail line each, or
+                 with ``--format json`` one record per suite carrying its
+                 measured worst deviation and tolerance.
 
 Global flags (before the subcommand): ``--format {csv,json}``,
 ``--tol <real>`` (quadrature tolerance for ``integrals``), ``--out <path>``.
@@ -72,6 +74,7 @@ class BoundsRow:
 
 _REPORT_FIELDS = ("label", "n_or_l", "value", "reference", "abs_error", "bound")
 _BOUNDS_FIELDS = ("label", "x", "lower", "value", "upper", "satisfied")
+_VERIFY_FIELDS = ("name", "passed", "measured", "tolerance", "detail")
 
 
 def _fmt_cell(v) -> str:
@@ -108,7 +111,7 @@ def _write(text: str, out_path) -> None:
 
 
 _MAX_GRID_POINTS = 100_000  # largest grid a flag may request
-_MAX_N = 10_000_000  # largest n of pi and sum, whose sweep costs O(max n)
+_MAX_N = ws._MAX_TERMS  # largest n of pi and sum, whose sweep costs O(max n)
 
 
 def _check_grid_size(text: str, count: float) -> None:
@@ -284,14 +287,15 @@ def _cmd_integrals(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run(args.tol_profile)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.detail}")
     n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} invariant suites passed"
-                 f" [{args.tol_profile}]")
-    _write("\n".join(lines) + "\n", args.out)
+    if args.format == "json":
+        text = _emit_table(results, _VERIFY_FIELDS, "json")
+    else:
+        lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+        lines.append(f"{len(results) - n_fail}/{len(results)} invariant suites passed"
+                     f" [{args.tol_profile}]")
+        text = "\n".join(lines) + "\n"
+    _write(text, args.out)
     return EXIT_VERIFICATION_FAILURE if n_fail else EXIT_OK
 
 

@@ -1,13 +1,15 @@
 """Shared exception types and the one input-validation boundary.
 
 Every public argument is checked by :func:`_index` (integer indices n, l, m)
-or :func:`_real` (real parameters and tolerances): a bool, nan, ±inf or a
-non-number raises DomainError in both.  Callers keep their own range tests.
+or :func:`_real` (real parameters and tolerances): a bool, nan, ±inf, a
+non-number or an integer beyond the range of a double raises DomainError in
+both.  Callers keep their own range tests.
 """
 
 import math
 import numbers
 import operator
+import sys
 
 
 class DomainError(ValueError):
@@ -33,9 +35,13 @@ class ConvergenceError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _index(n, name: str, lo: int = 0, hi: int | None = None) -> int:
+_DOUBLE_MAX = int(sys.float_info.max)
+
+
+def _index(n, name: str, lo: int = 0, hi: int = _DOUBLE_MAX) -> int:
     """n as an int; DomainError unless n is an integer or an integral float
-    (never a bool, nan or inf) with lo <= n and, if hi is given, n <= hi."""
+    (never a bool, nan or inf) with lo <= n <= hi, where hi defaults to the
+    largest double: the library computes with n as a double."""
     if isinstance(n, float):
         k = int(n) if n.is_integer() else None
     elif isinstance(n, bool):
@@ -45,8 +51,8 @@ def _index(n, name: str, lo: int = 0, hi: int | None = None) -> int:
             k = operator.index(n)
         except TypeError:
             k = None
-    if k is None or k < lo or (hi is not None and k > hi):
-        limits = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    if k is None or k < lo or k > hi:
+        limits = f">= {lo} within the range of a double" if hi == _DOUBLE_MAX else f"in [{lo}, {hi}]"
         raise DomainError(f"{name} requires an integer {limits}, got {_shown(n)}")
     return k
 

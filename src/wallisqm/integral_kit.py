@@ -55,6 +55,7 @@ _SQRT_PI = math.sqrt(math.pi)
 # integrals, about 2^-(2l+2)/√l, fall below the smallest normal double at l = 509
 _GAUSSIAN_MOMENT_M_MAX = 342
 _LORENTZ_L_MAX = 508
+_G_RATIONAL_L_MAX = 10_000_000  # G_rational's recurrence takes l steps
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +128,10 @@ def G_rational(l: int) -> float:
     """G_{l+1} = ∫_0^∞ dx/(1+x²)^{l+1}, by the recurrence
     G_{j+1} = (2j-1)/(2j)·G_j seeded with G_1 = π/2.
 
-    Equals (π/2)·W_l, the product of the same factors.
+    Equals (π/2)·W_l, the product of the same factors.  The recurrence
+    takes l steps, so l is limited to 10⁷; DomainError beyond.
     """
-    l = _index(l, "G_rational")
+    l = _index(l, "G_rational", hi=_G_RATIONAL_L_MAX)
     g = math.pi / 2.0
     for j in range(1, l + 1):
         g *= (2.0 * j - 1.0) / (2.0 * j)

@@ -79,6 +79,7 @@ class Method(Enum):
 
 
 _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
+_MAX_LEVELS = 100_000  # largest l_max of ratio_sequence, one level per l
 
 
 @dataclass(frozen=True)
@@ -365,9 +366,10 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
 
     Starts at l = 1 for the Lorentz-oscillator combination (l = 0 diverges)
     and at l = 0 otherwise.  Results are deterministic and independent of
-    evaluation order.
+    evaluation order.  One level per l, so l_max is limited to 10⁵, the
+    CLI's grid cap; DomainError beyond.
     """
-    l_max = _index(l_max, "l_max", lo=1)
+    l_max = _index(l_max, "l_max", lo=1, hi=_MAX_LEVELS)
     l_min = 1 if (family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR) else 0
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)

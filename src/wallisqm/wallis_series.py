@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _A1 = 8.0 / (3.0 * math.pi)  # a_1, the first series term
+_MAX_TERMS = 10_000_000  # largest n of a sweep over n terms
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,11 @@ def _wallis_log_terms(lo: int, hi: int) -> list[float]:
 
 
 def wallis_partial_product(n: int) -> float:
-    """P_n = prod_{j=1..n} (2j)²/((2j-1)(2j+1)); increasing, always < π/2."""
-    n = _index(n, "wallis_partial_product", lo=1)
+    """P_n = prod_{j=1..n} (2j)²/((2j-1)(2j+1)); increasing, always < π/2.
+
+    Sweeps n terms, so n is limited to 10⁷; DomainError beyond.
+    """
+    n = _index(n, "wallis_partial_product", lo=1, hi=_MAX_TERMS)
     return math.exp(_prefix_fsums(_wallis_log_terms, [n])[0])
 
 
@@ -190,8 +194,11 @@ def sum_a_recurrence(n: int) -> PartialSum:
 
 
 def sum_a_direct(n: int) -> float:
-    """Σ_{i<=n} a_i by compensated term-by-term summation (oracle path)."""
-    n = _index(n, "sum_a_direct", lo=1)
+    """Σ_{i<=n} a_i by compensated term-by-term summation (oracle path).
+
+    Sweeps n terms, so n is limited to 10⁷; DomainError beyond.
+    """
+    n = _index(n, "sum_a_direct", lo=1, hi=_MAX_TERMS)
     return _prefix_fsums(_a_terms, [n])[0]
 
 

@@ -1,12 +1,14 @@
 """The one validation boundary: every public function and dataclass that
 takes an index or a real rejects a bool, nan, ±inf and a string with
 DomainError, as well as a non-integral float or an int too long to print in
-an index slot and an integer too large for a double in a real slot; and the
-CLI, whatever its argv, exits 0, 1 or 2 without a traceback."""
+an index slot, an integer too large for a double in either slot, and an
+index past the limit of a call whose work grows with it; and the CLI,
+whatever its argv, exits 0, 1 or 2 without a traceback."""
 
 import contextlib
 import io
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,11 +72,28 @@ _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [
-    1.5, pytest.param(-10**5000, id="-10**5000")], ids=repr)
+    1.5, pytest.param(-10**5000, id="-10**5000"), pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("slot", sorted(INDEX_SLOTS))
 def test_index_slot_rejects(slot, bad):
     with pytest.raises(DomainError):
         INDEX_SLOTS[slot](bad)
+
+
+# the calls whose work grows with their index, and their largest index
+O_N_LIMITS = {
+    "wallis_partial_product": 10**7,
+    "sum_a_direct": 10**7,
+    "G_rational": 10**7,
+    "ratio_sequence": 10**5,
+}
+
+
+@pytest.mark.parametrize("slot", sorted(O_N_LIMITS))
+def test_index_one_past_its_limit_is_rejected_at_once(slot):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        INDEX_SLOTS[slot](O_N_LIMITS[slot] + 1)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [pytest.param(10**400, id="10**400")], ids=repr)

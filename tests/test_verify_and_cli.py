@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -107,6 +108,26 @@ class TestVerifySuites:
         assert main(["integrals", "--l-max", "15"]) == 1
         capsys.readouterr()
 
+    def test_detects_perturbed_tangent_substitution_pair(self, monkeypatch):
+        # both sides of the substitution off by the same factor: a check
+        # that compares the two of them with each other cannot see it
+        for name in ("rational_moment", "beta_trig_integral"):
+            fn = getattr(integral_kit, name)
+            monkeypatch.setattr(integral_kit, name, lambda *a, fn=fn: fn(*a) * (1.0 + 1e-10))
+        by_name = {r.name: r for r in verify.run("strict")}
+        assert not by_name["tangent-substitution-identity"].passed
+
+    def test_relaxed_tolerances_are_100_times_strict(self):
+        strict, relaxed = verify.run("strict"), verify.run("relaxed")
+        assert [r.name for r in relaxed] == [r.name for r in strict]
+        for s, r in zip(strict, relaxed):
+            assert s.tolerance == verify._CLAIMS[s.name].tol
+            if s.tolerance is None:
+                assert r.tolerance is None and r.measured is None
+            else:
+                assert r.tolerance == 100.0 * s.tolerance
+                assert r.measured == s.measured
+
     def test_grids_match_numpy(self):
         np = pytest.importorskip("numpy")
         assert verify._linspace(0.05, 1.0, 20) == np.linspace(0.05, 1.0, 20).tolist()
@@ -119,6 +140,54 @@ class TestVerifySuites:
         # libm pow may differ from numpy's vectorized pow by an ulp inside
         assert xs == pytest.approx(np.logspace(math.log10(0.2), 5.0, 40).tolist(),
                                    rel=1e-15)
+
+
+def _two_path_links():
+    """(claim name, link index) of every _Gap in the claims table."""
+    for name, claim in verify._CLAIMS.items():
+        chain = claim.measure if isinstance(claim.measure, verify._Chain) else [claim.measure]
+        for i, link in enumerate(chain):
+            if isinstance(link, verify._Gap):
+                yield name, i
+
+
+@pytest.mark.parametrize("side", ["path", "other"])
+@pytest.mark.parametrize("name,link", list(_two_path_links()))
+def test_each_two_path_claim_sees_a_perturbed_path(monkeypatch, name, link, side):
+    # one path off by 10 tolerances must fail the claim on its measurement
+    claim = verify._CLAIMS[name]
+    is_chain = isinstance(claim.measure, verify._Chain)
+    links = list(claim.measure) if is_chain else [claim.measure]
+    fn, factor = getattr(links[link], side), 1.0 + 10.0 * claim.tol
+    links[link] = dataclasses.replace(links[link], **{side: lambda *a: fn(*a) * factor})
+    measure = verify._Chain(links) if is_chain else links[0]
+    monkeypatch.setattr(verify, "CHECKS", [(name, measure)])
+    [result] = verify.run("strict")
+    assert result.name == name and not result.passed
+    assert result.measured > result.tolerance == claim.tol
+
+
+def test_claims_table_names_and_tolerances():
+    # suite order and tolerances as printed by `wallisqm verify`; None marks
+    # a claim judged by a strict rule of its own
+    assert [(name, c.tol) for name, c in verify._CLAIMS.items()] == [
+        ("gamma-recurrence-ratio", 1e-13), ("wallis-ratio-gamma-identity", 1e-12),
+        ("wallis-ratio-path-overlap", 1e-13), ("kazarinoff-sandwich", None),
+        ("quartic-root-sandwich", None), ("wendel-limit", 1e-6),
+        ("stirling-ratio-asymptotic", None), ("duplication-residual", 1e-12),
+        ("sum-a-recurrence-vs-direct", 1e-12), ("a-recurrence-identity", 1e-12),
+        ("b-recurrence-identity", 1e-12), ("scaled-a-wallis-product-identity", 1e-13),
+        ("partial-sum-sandwich", None), ("sequence-monotonicity", None),
+        ("sum-b-recurrence-vs-direct", 1e-10), ("gaussian-moment-recurrence", 1e-14),
+        ("rational-integral-wallis-identity", 1e-12),
+        ("quadrature-certifies-closed-forms", None), ("tangent-substitution-identity", 1e-13),
+        ("lorentz-norm-reduction-chain", 1e-13), ("lorentz-coulomb-duplication-chain", 1e-13),
+        ("variational-upper-bound", None), ("stationarity-at-optimum", 1e-6),
+        ("gaussian-ratio-wallis-linkage", 1e-12), ("lorentz-ratio-identity", 1e-12),
+        ("oscillator-ratio-window", None), ("numeric-path-agreement", 1e-6),
+    ]
+    assert [name for name, _ in verify.CHECKS] == list(verify._CLAIMS)
+    assert len({name for name, _ in _two_path_links()}) == 17
 
 
 def test_cli_import_leaves_numpy_out():
@@ -297,6 +366,18 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("[strict]")
+
+    def test_json_records(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "verify")
+        assert code == 0
+        records = json.loads(out)
+        assert [r["name"] for r in records] == [name for name, _ in verify.CHECKS]
+        assert len(records) == 27
+        for r in records:
+            assert list(r) == ["name", "passed", "measured", "tolerance", "detail"]
+            assert r["passed"] is True
+            if r["tolerance"] is not None:
+                assert r["measured"] <= r["tolerance"]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
