@@ -15,10 +15,15 @@ Subcommands:
                  measured worst deviation and tolerance.
 
 Global flags (before the subcommand): ``--format {csv,json}``,
-``--tol <real>`` (quadrature tolerance for ``integrals``), ``--out <path>``.
-Numeric cells are emitted with 17 significant digits so parsing them back
-reproduces the doubles bit-for-bit; identical invocations produce
-byte-identical output.
+``--tol <real>`` (quadrature tolerance for ``integrals``, at least 1e-12),
+``--out <path>``.  Numeric cells are emitted with 17 significant digits so
+parsing them back reproduces the doubles bit-for-bit; identical invocations
+produce byte-identical output.
+
+CSV rows are the cells joined with commas, never quoted: no cell can hold a
+comma, a quote, CR or LF, because labels are fixed identifiers or option
+choices, numbers are ``.17g`` floats or ints, flags are ``true``/``false``,
+and an absent value is empty.
 
 Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 """
@@ -26,8 +31,6 @@ Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -94,12 +97,12 @@ def _emit_table(rows, fields, fmt: str) -> str:
             for r in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for r in rows:
-        writer.writerow([_fmt_cell(getattr(r, f)) for f in fields])
-    return buf.getvalue()
+    # no cell can hold a comma, quote, CR or LF (labels are fixed identifiers
+    # or option choices, the rest numbers, flags or empty), so a plain join
+    # gives the bytes csv.writer would
+    lines = [",".join(fields)]
+    lines += [",".join([_fmt_cell(getattr(r, f)) for f in fields]) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write(text: str, out_path) -> None:
@@ -119,7 +122,7 @@ def _check_grid_size(text: str, count: float) -> None:
     # fails fast instead of allocating it
     if not count <= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"{text!r} selects {count:.4g} points, more than the {_MAX_GRID_POINTS} allowed")
+            f"{text!r} selects {count:.6g} points, more than the {_MAX_GRID_POINTS} allowed")
 
 
 def _parse_int_spec(text: str) -> list[int]:
@@ -156,8 +159,9 @@ def _parse_float_list(text: str) -> list[float]:
         if not (step > 0.0 and stop >= start):  # also rejects nan
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         span = (stop - start) / step + 1e-9
-        _check_grid_size(text, span + 1.0)
-        count = int(math.floor(span)) + 1
+        # the count that is built; floor of a nan or inf span would raise
+        count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+        _check_grid_size(text, count)
         return [start + i * step for i in range(count)]
     tokens = [tok for tok in text.split(",") if tok]
     _check_grid_size(text, len(tokens))
@@ -174,7 +178,7 @@ def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
     return dict(zip(grid, ws._prefix_fsums(chunk_terms, grid)))
 
 
-def _cmd_pi(args) -> int:
+def _cmd_pi(args) -> tuple[str, int]:
     _index(min(args.n, default=1), "--n", lo=1)
     _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     log_products = _grid_sums(ws._wallis_log_terms, args.n)
@@ -187,11 +191,10 @@ def _cmd_pi(args) -> int:
         if not 0.0 < row.abs_error < bound:
             failures += 1
         rows.append(row)
-    _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
-    return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
+    return _emit_table(rows, _REPORT_FIELDS, args.format), failures
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args) -> tuple[str, int]:
     _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     if args.mode == "simple":
         label, partial_sum, terms = "a-sum", ws.sum_a_recurrence, ws._a_terms
@@ -218,19 +221,13 @@ def _cmd_sum(args) -> int:
         rows.append(ReportRow(f"{label}-direct", n, direct, limit, part.tail_bound))
         if not abs(part.value - direct) <= 1e-10 * abs(direct):  # a nan fails
             failures += 1
-    _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
-    return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
+    return _emit_table(rows, _REPORT_FIELDS, args.format), failures
 
 
-_FAMILIES = {"gaussian": Family.GAUSSIAN, "lorentz": Family.LORENTZ}
-_POTENTIALS = {"coulomb": Potential.COULOMB, "oscillator": Potential.HARMONIC_OSCILLATOR}
-_METHODS = {"closed": Method.CLOSED_FORM, "numeric": Method.NUMERIC}
-
-
-def _cmd_variational(args) -> int:
-    family = _FAMILIES[args.family]
-    pot = _POTENTIALS[args.potential]
-    method = _METHODS[args.method]
+def _cmd_variational(args) -> tuple[str, int]:
+    family = Family(args.family)
+    pot = Potential(args.potential)
+    method = Method(args.method)
     ls = args.l_max
     if len(ls) == 1:  # the range from --l-min, capped like any grid
         if ls[0] - args.l_min >= _MAX_GRID_POINTS:
@@ -250,11 +247,10 @@ def _cmd_variational(args) -> int:
             # absolute bound on |E_var - E_exact|
             bound = abs(est.exact_reference) / (4.0 * (l + 1.0) + 2.0)
         rows.append(ReportRow(label, l, est.value, est.exact_reference, bound))
-    _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
-    return EXIT_OK
+    return _emit_table(rows, _REPORT_FIELDS, args.format), 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[str, int]:
     rows = []
     for x in args.grid:
         try:
@@ -271,23 +267,22 @@ def _cmd_bounds(args) -> int:
             rows.append(BoundsRow(args.kind, x, t.lower, t.value, t.upper, t.satisfied))
         except DomainError:
             rows.append(BoundsRow(args.kind, x, None, None, None, False))
-    _write(_emit_table(rows, _BOUNDS_FIELDS, args.format), args.out)
-    violated = sum(1 for r in rows if not r.satisfied)
-    return EXIT_VERIFICATION_FAILURE if violated else EXIT_OK
+    violated = sum(not r.satisfied for r in rows)
+    return _emit_table(rows, _BOUNDS_FIELDS, args.format), violated
 
 
-def _cmd_integrals(args) -> int:
+def _cmd_integrals(args) -> tuple[str, int]:
     _index(args.l_max, "--l-max")
-    cases = list(_certified_integrals(args.l_max, max(args.tol, 1e-12)))
+    cases = list(_certified_integrals(args.l_max, args.tol))
     rows = [ReportRow(label, idx, closed, quad, bound)
             for label, idx, closed, quad, bound, _, _ in cases]
-    _write(_emit_table(rows, _REPORT_FIELDS, args.format), args.out)
-    return EXIT_OK if all(passed for *_, passed in cases) else EXIT_VERIFICATION_FAILURE
+    failed = sum(not passed for *_, passed in cases)
+    return _emit_table(rows, _REPORT_FIELDS, args.format), failed
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     results = verify_mod.run(args.tol_profile)
-    n_fail = sum(1 for r in results if not r.passed)
+    n_fail = sum(not r.passed for r in results)
     if args.format == "json":
         text = _emit_table(results, _VERIFY_FIELDS, "json")
     else:
@@ -295,8 +290,7 @@ def _cmd_verify(args) -> int:
         lines.append(f"{len(results) - n_fail}/{len(results)} invariant suites passed"
                      f" [{args.tol_profile}]")
         text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return EXIT_VERIFICATION_FAILURE if n_fail else EXIT_OK
+    return text, n_fail
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sum)
 
     p = sub.add_parser("variational", help="variational energy levels")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--potential", choices=sorted(_POTENTIALS), required=True)
+    p.add_argument("--family", choices=[v.value for v in Family], required=True)
+    p.add_argument("--potential", choices=[v.value for v in Potential], required=True)
     p.add_argument("--l-max", type=_parse_int_spec, default=[10],
                    help="single value (range from --l-min), comma list, or start:stop:step")
     p.add_argument("--l-min", type=int, default=0)
-    p.add_argument("--method", choices=sorted(_METHODS), default="closed")
+    p.add_argument("--method", choices=[v.value for v in Method], default="closed")
     p.set_defaults(handler=_cmd_variational)
 
     p = sub.add_parser("bounds", help="gamma-ratio double inequalities")
@@ -364,7 +358,8 @@ def main(argv=None) -> int:
     if args.command == "bounds" and args.kind == "wendel" and not 0.0 < args.s < 1.0:
         parser.error(f"--s must lie strictly inside (0, 1), got {args.s}")
     try:
-        return args.handler(args)
+        text, failures = args.handler(args)
+        _write(text, args.out)
     except DomainError as exc:
         print(f"wallisqm: domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -374,6 +369,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wallisqm: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_VERIFICATION_FAILURE if failures else EXIT_OK
 
 
 if __name__ == "__main__":

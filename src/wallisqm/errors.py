@@ -52,7 +52,10 @@ def _index(n, name: str, lo: int = 0, hi: int = _DOUBLE_MAX) -> int:
         except TypeError:
             k = None
     if k is None or k < lo or k > hi:
-        limits = f">= {lo} within the range of a double" if hi == _DOUBLE_MAX else f"in [{lo}, {hi}]"
+        if hi == _DOUBLE_MAX:
+            limits = f">= {lo} within the range of a double"
+        else:  # a limit such as 2**511 - 1 is shown in four digits
+            limits = f"in [{lo}, {hi if hi < 10**16 else format(hi, '.4g')}]"
         raise DomainError(f"{name} requires an integer {limits}, got {_shown(n)}")
     return k
 

@@ -158,7 +158,9 @@ def gamma_ratio(q: GammaRatioQuery) -> float:
     Never forms the two gamma values themselves, so the result is finite
     whenever the true ratio is representable.  The offsets are taken as
     exact reals: relative error within 1e-13 (checked against 50-digit
-    arithmetic) for x in [1e-3, 1e12] and a, b in (-0.9, 3).
+    arithmetic) for x in [1e-3, 1e12] and a, b in (-0.9, 3), and within
+    1e-12 for x in [1e-3, 16] with one offset in (-0.9, 3) and the other in
+    [17, 150], where the smaller argument is shifted up by recurrence.
     """
     delta = _log_gamma_ratio(q.x, q.a, q.b)
     try:

@@ -80,6 +80,9 @@ class Method(Enum):
 
 _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
 _MAX_LEVELS = 100_000  # largest l_max of ratio_sequence, one level per l
+# largest orbital number: l⁴ and l²/param² stay finite for every param, so
+# every closed form is finite
+_MAX_L = 10**76
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,8 @@ class TrialSpec:
     ``param`` is the Gaussian width α or the Lorentz scale a; the principal
     quantum number at zero radial excitation is n = l + 1.  It must lie in
     [1e-75, 1e75], so that the fourth power of the trial length that ⟨H⟩
-    uses stays a normal double.
+    uses stays a normal double, and l must be at most 10⁷⁶, so that every
+    closed form stays finite.
     """
 
     family: Family
@@ -97,7 +101,7 @@ class TrialSpec:
     param: float
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _index(self.l, "orbital number l"))
+        object.__setattr__(self, "l", _index(self.l, "orbital number l", hi=_MAX_L))
         if not _PARAM_MIN <= _real(self.param, "scale parameter") <= _PARAM_MAX:
             raise DomainError(
                 f"scale parameter must lie in [{_PARAM_MIN}, {_PARAM_MAX}], got {self.param!r}")
@@ -226,8 +230,8 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
 
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
-    """The stationary scale parameter of ⟨H⟩, in closed form."""
-    l = _index(l, "orbital number l")
+    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶."""
+    l = _index(l, "orbital number l", hi=_MAX_L)
     if family is Family.GAUSSIAN:
         if pot is Potential.COULOMB:
             g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
@@ -240,8 +244,9 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
 
 
 def exact_energy(pot: Potential, l: int) -> float:
-    """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2)."""
-    l = _index(l, "orbital number l")
+    """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2);
+    l <= 10⁷⁶."""
+    l = _index(l, "orbital number l", hi=_MAX_L)
     if pot is Potential.COULOMB:
         return -1.0 / (2.0 * (l + 1.0) ** 2)
     return l + 1.5
@@ -333,9 +338,9 @@ def variational_energy(family: Family, pot: Potential, l: int,
     log(param) by Brent's method (Brent 1973), bracketed a factor 10 around
     the closed optimum, and evaluates it once more at the optimum with a
     1e-11 quadrature tolerance.  The energies agree to ~1e-13 relative, the
-    optimal parameters to ~1e-7.
+    optimal parameters to ~1e-7.  l is at most 10⁷⁶; DomainError beyond.
     """
-    l = _index(l, "orbital number l")
+    l = _index(l, "orbital number l", hi=_MAX_L)
     p_star = optimal_param_closed(family, pot, l)
     reference = exact_energy(pot, l)
     if method is Method.CLOSED_FORM:

@@ -53,6 +53,8 @@ __all__ = [
 
 _A1 = 8.0 / (3.0 * math.pi)  # a_1, the first series term
 _MAX_TERMS = 10_000_000  # largest n of a sweep over n terms
+_A_MAX_N = 2**511 - 1  # largest n with a_n >= 2^-1022, the smallest normal double
+_B_MAX_N = 2**52 - 2  # largest n with n + 1/2 and n + 3/2 exact doubles
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,13 @@ def wallis_partial_product(n: int) -> float:
 
 
 def a_seq(n: int) -> float:
-    """a_n = [Γ(n)/Γ(n+1/2)]²/(n+1/2); positive and strictly decreasing."""
-    n = _index(n, "a_seq", lo=1)
+    """a_n = [Γ(n)/Γ(n+1/2)]²/(n+1/2); positive and strictly decreasing.
+
+    a_n ≈ 1/n² is a normal double, at least 2⁻¹⁰²², up to n = 2⁵¹¹ - 1
+    (about 6.7e153); DomainError beyond, where it would lose bits and
+    then round to 0.
+    """
+    n = _index(n, "a_seq", lo=1, hi=_A_MAX_N)
     return math.exp(2.0 * _log_gamma_ratio(n, 0.0, 0.5) - math.log(n + 0.5))
 
 
@@ -207,8 +214,13 @@ def _a_terms(lo: int, hi: int) -> list[float]:
 
 
 def b_seq(p: GeneralizedParams, n: int) -> float:
-    """b_n = Γ(n+m)Γ(n+k)/(Γ(n+m+1/2)Γ(n+k+3/2)) > 0."""
-    n = _index(n, "b_seq", lo=1)
+    """b_n = Γ(n+m)Γ(n+k)/(Γ(n+m+1/2)Γ(n+k+3/2)) > 0.
+
+    n is limited to 2⁵² - 2, the largest n for which the offsets n + 1/2
+    and n + 3/2 are exact doubles; DomainError beyond, where they would be
+    rounded before the exact-offset kernel sees them.
+    """
+    n = _index(n, "b_seq", lo=1, hi=_B_MAX_N)
     # the real shifts m, k take the kernel's x slot, so the exact offsets
     # n, n+1/2, n+3/2 keep n+m+1/2 and n+k+3/2 exact through its two-sums
     return math.exp(_log_gamma_ratio(p.m, n, n + 0.5) + _log_gamma_ratio(p.k, n, n + 1.5))
@@ -238,9 +250,10 @@ def sum_b_partial(p: GeneralizedParams, n: int) -> PartialSum:
     partial = C·((n+m)(n+k)·b_n - g) and limit = C·(1 - g).  The exact
     remainder C·(1 - (n+m)(n+k)·b_n) equals limit - partial and is
     reported as the tail bound through that difference, so the bound
-    dominates the observed residual even at the last ulp.
+    dominates the observed residual even at the last ulp.  n is limited to
+    2⁵² - 2, as in :func:`b_seq`.
     """
-    n = _index(n, "sum_b_partial", lo=1)
+    n = _index(n, "sum_b_partial", lo=1, hi=_B_MAX_N)
     c = _prefactor(p)
     q = (n + p.m) * (n + p.k) * b_seq(p, n)
     g = _b_limit_term(p)

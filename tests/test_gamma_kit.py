@@ -135,6 +135,21 @@ class TestLogGammaRatioKernel:
             ref = mp.exp(mp.loggamma(X + mp.mpf(a)) - mp.loggamma(X + mp.mpf(b)))
             assert _mp_rel_err(gamma_ratio(GammaRatioQuery(x, a, b)), ref) <= 1e-13
 
+    @given(st.floats(1e-3, 16.0), st.floats(-0.9, 3.0, exclude_max=True, exclude_min=True),
+           st.floats(17.0, 150.0), st.booleans())
+    @example(2.0, 0.0, 38.0, False)  # wendel_deviation(2.0, 40.0)'s ratio
+    @example(16.0, 2.999, 150.0, True)
+    @settings(max_examples=150, deadline=None)
+    def test_offsets_far_apart_take_the_shift_loops(self, x, near, far, swap):
+        # x + far exceeds _DIRECT_MAX while x + near is below _SHIFT_MIN, so
+        # _lgamma_diff shifts the small argument up: u's loop, or v's if swapped
+        assume(x + near > 0.0)
+        a, b = (far, near) if swap else (near, far)
+        with mp.workdps(50):
+            X = mp.mpf(x)
+            ref = mp.exp(mp.loggamma(X + mp.mpf(a)) - mp.loggamma(X + mp.mpf(b)))
+            assert _mp_rel_err(gamma_ratio(GammaRatioQuery(x, a, b)), ref) <= 1e-12
+
 
 class TestWallisRatio:
     def test_small_values(self):

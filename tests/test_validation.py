@@ -7,8 +7,12 @@ whatever its argv, exits 0, 1 or 2 without a traceback."""
 
 import contextlib
 import io
+import itertools
 import math
+import sys
 import time
+
+import mpmath as mp
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,21 +83,50 @@ def test_index_slot_rejects(slot, bad):
         INDEX_SLOTS[slot](bad)
 
 
-# the calls whose work grows with their index, and their largest index
-O_N_LIMITS = {
+# each slot with an upper limit, and its largest index: the calls whose work
+# grows with their index, and those whose result would stop being a double
+# or whose offsets would stop being exact
+INDEX_LIMITS = {
     "wallis_partial_product": 10**7,
     "sum_a_direct": 10**7,
     "G_rational": 10**7,
     "ratio_sequence": 10**5,
+    "a_seq": 2**511 - 1,
+    "b_seq": 2**52 - 2,
+    "sum_b_partial": 2**52 - 2,
+    "TrialSpec.l": 10**76,
+    "exact_energy": 10**76,
+    "optimal_param_closed": 10**76,
+    "variational_energy": 10**76,
 }
 
 
-@pytest.mark.parametrize("slot", sorted(O_N_LIMITS))
+@pytest.mark.parametrize("slot", sorted(INDEX_LIMITS))
 def test_index_one_past_its_limit_is_rejected_at_once(slot):
     start = time.perf_counter()
     with pytest.raises(DomainError):
-        INDEX_SLOTS[slot](O_N_LIMITS[slot] + 1)
+        INDEX_SLOTS[slot](INDEX_LIMITS[slot] + 1)
     assert time.perf_counter() - start < 0.1
+
+
+def test_results_at_the_value_limits_are_sound():
+    # a_n is still a normal double, b_n and its partial sum still see exact
+    # offsets, and every closed form at the largest l is finite
+    assert ws.a_seq(2**511 - 1) >= sys.float_info.min
+    n = 2**52 - 2
+    with mp.workdps(50):
+        N = mp.mpf(n)
+        ref = float(mp.gamma(N + 0.5) ** 2 / (mp.gamma(N + 1) * mp.gamma(N + 2)))
+    assert ws.b_seq(_P, n) == pytest.approx(ref, rel=1e-13)
+    part = ws.sum_b_partial(_P, n)
+    assert abs(part.tail_bound) < 1e-13 and part.value == pytest.approx(part.closed_form_limit)
+    l = 10**76
+    for family, pot in itertools.product(ve.Family, ve.Potential):
+        for param in (1e-75, 1e75):
+            assert math.isfinite(ve.expectation_energy_closed(ve.TrialSpec(family, l, param), pot))
+        est = ve.variational_energy(family, pot, l)
+        assert all(math.isfinite(v) and v != 0.0
+                   for v in (est.value, est.optimal_param, est.exact_reference))
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [pytest.param(10**400, id="10**400")], ids=repr)

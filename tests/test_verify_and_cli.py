@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from wallisqm import cli, integral_kit, verify, wallis_series
+from wallisqm import cli, integral_kit, variational_engine, verify, wallis_series
 from wallisqm.cli import main
 from wallisqm.wallis_series import PartialSum, scaled_a
 
@@ -197,6 +198,40 @@ def test_cli_import_leaves_numpy_out():
     subprocess.run([sys.executable, "-c",
                     "import sys, wallisqm.cli; assert 'numpy' not in sys.modules"],
                    check=True, env=env, timeout=60)
+
+
+def _csv_writer_table(rows, fields):
+    # the reference: the csv module, which quotes any cell that needs it
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for r in rows:
+        writer.writerow([cli._fmt_cell(getattr(r, f)) for f in fields])
+    return buf.getvalue()
+
+
+def test_csv_rows_need_no_quoting():
+    # every label the CLI can emit, with the awkward cells a row can hold
+    labels = ["wallis-pi", "kazarinoff", "quartic", "wendel"]
+    labels += [f"{s}-sum-{p}" for s in "ab" for p in ("recurrence", "direct")]
+    labels += [f"{f.value}-{p.value}-{m.value}" for f, p, m in
+               itertools.product(variational_engine.Family, variational_engine.Potential,
+                                 variational_engine.Method)]
+    labels += sorted({case[0] for case in integral_kit._integral_cases(1)})
+    cells = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+             math.pi, -1.0000000000000002, 1.7976931348623157e308, 0.1 + 0.2]
+    # a report row's value and reference are always floats; its bound may be None
+    report = [cli.ReportRow(label, i, cells[1 + i % 11], cells[1 + (i + 5) % 11], cells[i % 12])
+              for i, label in enumerate(labels)]
+    bounds = [cli.BoundsRow(label, cells[i % 12], cells[(i + 1) % 12], cells[(i + 2) % 12],
+                            cells[(i + 3) % 12], i % 2 == 0)
+              for i, label in enumerate(labels)]
+    for rows, fields in ((report, cli._REPORT_FIELDS), (bounds, cli._BOUNDS_FIELDS)):
+        text = cli._emit_table(rows, fields, "csv")
+        assert text == _csv_writer_table(rows, fields)
+        assert '"' not in text and len(text.splitlines()) == len(rows) + 1
+    assert {"true", "false", "", "inf", "-inf", "nan", "-0"} <= set(
+        _csv_writer_table(bounds, cli._BOUNDS_FIELDS).replace("\n", ",").split(","))
 
 
 def run_cli(capsys, *argv):
@@ -401,6 +436,10 @@ class TestVerifyCommand:
     (["integrals", "--l-max", "509"], 2),
     (["integrals", "--l-max", "600"], 2),
     (["--tol", "inf", "integrals"], 2),
+    # the quadrature takes no tolerance below 1e-12, and none is clamped
+    (["--tol", "-1", "integrals"], 2),
+    (["--tol", "0", "integrals"], 2),
+    (["--tol", "1e-300", "integrals"], 2),
     # a nan partial sum is a failed comparison, not a pass
     (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
     # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
@@ -440,6 +479,7 @@ def test_quartic_inf_is_an_out_of_domain_row(capsys):
     ["bounds", "--kind", "quartic", "--grid", "0:1:1e-12"],
     ["bounds", "--kind", "quartic", "--grid", "0:inf:1"],
     ["pi", "--n", "inf"],
+    ["bounds", "--kind", "quartic", "--grid", f"1:{cli._MAX_GRID_POINTS + 1}:1"],
 ])
 def test_oversized_or_non_finite_grid_exits_2(capsys, argv):
     # rejected while parsing, before any grid list is built
@@ -452,6 +492,8 @@ def test_oversized_or_non_finite_grid_exits_2(capsys, argv):
 def test_grid_cap_admits_its_limit():
     assert len(cli._parse_int_spec(f"1:{cli._MAX_GRID_POINTS}")) == cli._MAX_GRID_POINTS
     assert len(cli._parse_float_list("0:1:0.25")) == 5
+    cap = cli._MAX_GRID_POINTS
+    assert len(cli._parse_float_list(f"1:{cap}:1")) == cap
 
 
 def test_unknown_command_exits_2():
