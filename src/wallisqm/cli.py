@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from . import wallis_series as ws
-from .errors import ConvergenceError, DomainError, _index
+from .errors import _MAX_GRID_POINTS, ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
 from .integral_kit import _certified_integrals
 from .variational_engine import Family, Method, Potential, variational_energy
@@ -113,7 +113,6 @@ def _write(text: str, out_path) -> None:
             fh.write(text)
 
 
-_MAX_GRID_POINTS = 100_000  # largest grid a flag may request
 _MAX_N = ws._MAX_TERMS  # largest n of pi and sum, whose sweep costs O(max n)
 
 
@@ -281,14 +280,13 @@ def _cmd_integrals(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    results = verify_mod.run(args.tol_profile)
+    results = verify_mod.run()
     n_fail = sum(not r.passed for r in results)
     if args.format == "json":
         text = _emit_table(results, _VERIFY_FIELDS, "json")
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-        lines.append(f"{len(results) - n_fail}/{len(results)} invariant suites passed"
-                     f" [{args.tol_profile}]")
+        lines.append(f"{len(results) - n_fail}/{len(results)} invariant suites passed [strict]")
         text = "\n".join(lines) + "\n"
     return text, n_fail
 
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_integrals)
 
     p = sub.add_parser("verify", help="run every invariant suite")
-    p.add_argument("--tol-profile", choices=("strict", "relaxed"), default="strict")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -3,7 +3,8 @@
 Every public argument is checked by :func:`_index` (integer indices n, l, m)
 or :func:`_real` (real parameters and tolerances): a bool, nan, ±inf, a
 non-number or an integer beyond the range of a double raises DomainError in
-both.  Callers keep their own range tests.
+both.  Callers keep their own range tests; the limits that several modules
+share are defined here once.
 """
 
 import math
@@ -36,6 +37,8 @@ class ConvergenceError(RuntimeError):
 
 
 _DOUBLE_MAX = int(sys.float_info.max)
+_MAX_TERMS = 10_000_000  # largest n of a loop or sweep over n terms
+_MAX_GRID_POINTS = 100_000  # largest grid a CLI flag may request, one row per point
 
 
 def _index(n, name: str, lo: int = 0, hi: int = _DOUBLE_MAX) -> int:

@@ -44,7 +44,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DivergenceError, DomainError, _index, _real
+from .errors import _MAX_GRID_POINTS as _MAX_LEVELS  # one level per l of ratio_sequence
+from .errors import ConvergenceError, DivergenceError, DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -79,7 +80,6 @@ class Method(Enum):
 
 
 _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
-_MAX_LEVELS = 100_000  # largest l_max of ratio_sequence, one level per l
 # largest orbital number: l⁴ and l²/param² stay finite for every param, so
 # every closed form is finite
 _MAX_L = 10**76
@@ -172,7 +172,7 @@ def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
 
         def integrand(x: float) -> tuple[float, float]:
             xx = x * x
-            g = exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak)) if l else exp(-xx)
+            g = exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
             d = L - xx
             kin = 0.5 * g * (d * d + centrifugal)
             if coulomb:
@@ -182,17 +182,13 @@ def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
             except OverflowError:
                 return math.nan, g * x * x
     else:
-        if l:
-            xpk2 = L / (L + 2.0)
-            ln_peak = 0.5 * L * math.log(xpk2) - (L + 1.0) * math.log1p(xpk2)
-        else:
-            ln_peak = 0.0
         L1, L2 = L + 1.0, L + 2.0
+        xpk2 = L / L2
+        ln_peak = 0.5 * L * math.log(xpk2) - L1 * math.log1p(xpk2) if l else 0.0
 
         def integrand(x: float) -> tuple[float, float]:
             xx = x * x
-            lead = L * log(x) if l else 0.0
-            g = exp(2.0 * (lead - L1 * log1p(xx) - ln_peak))
+            g = exp(2.0 * (L * log(x) - L1 * log1p(xx) - ln_peak))
             w = 1.0 + xx
             d = L - L2 * x * x
             kin = 0.5 * g * (d * d / (w * w) + centrifugal)
@@ -210,22 +206,23 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     """⟨H⟩ by radial quadrature; the independent oracle for the closed forms.
 
     ``tol`` is the absolute quadrature tolerance on the rescaled O(1)
-    integrals (clamped to the engine minimum 1e-12).  Numerator and
-    denominator are one pair quadrature, a single sweep that evaluates the
-    trial profile once per node for both; each converges on its own, with
-    the value, error estimate and evaluation count that a separate scalar
-    quadrature of it would give.  Agreement with expectation_energy_closed
-    is ~1e-14 relative, far inside the 1e-8 contract, for l <= 20 and
-    parameters within a factor 100 of optimal.
+    integrals, passed to quad_semiinfinite as it is: DomainError below
+    1e-12.  Numerator and denominator are one pair quadrature, a single
+    sweep that evaluates the trial profile once per node for both; each
+    converges on its own, with the value, error estimate and evaluation
+    count that a separate scalar quadrature of it would give.  Agreement
+    with expectation_energy_closed is ~1e-14 relative, far inside the 1e-8
+    contract, for l <= 20 and parameters within a factor 100 of optimal.
+    ConvergenceError is raised when the norm integral is not positive: the
+    nodes missed the profile's peak, which happens at large l.
     """
-    if not _real(tol, "tolerance") > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     if spec.family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR:
         _require_lorentz_oscillator_valid(spec.l)
-    qtol = max(tol, 1e-12)
     s = 1.0 / math.sqrt(2.0 * spec.param) if spec.family is Family.GAUSSIAN else spec.param
-    num, den = quad_semiinfinite(_energy_integrand(spec.family, spec.l, pot, s), qtol,
+    num, den = quad_semiinfinite(_energy_integrand(spec.family, spec.l, pot, s), tol,
                                  pair=True).parts
+    if not den.value > 0.0:
+        raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {spec.l}")
     return num.value / (s * s * den.value)
 
 

@@ -6,10 +6,8 @@ or absolute gap between two named evaluation paths over a grid, so the table
 shows which two paths each claim compares.  The others compute a deviation
 of their own or apply a strict rule (sandwiches, monotonicity, the upper
 bound), which has no tolerance and raises :class:`_Violation` when it fails.
-:func:`run` multiplies each tolerance by the profile factor (``relaxed`` is
-100 times ``strict``), judges, formats the detail and reports the measured
-worst deviation and its tolerance.  The quadrature claim alone receives the
-factor, as the slack of the ``integrals`` table it certifies for l <= 15.
+:func:`run` judges every claim, formats the detail and reports the
+measured worst deviation and its tolerance.
 
 Paths resolve library functions through their modules at call time, so a
 deliberately perturbed function (mutation testing) is picked up.  The term
@@ -214,9 +212,9 @@ def _monotonicity() -> None:
 
 # --- integral_kit -----------------------------------------------------------
 
-def _quadrature(slack: float) -> tuple[int, float]:
+def _quadrature() -> tuple[int, float]:
     """(cases, worst |closed - quad|) of the integral table at l <= 15."""
-    cases = list(ik._certified_integrals(15, 1e-10, slack))
+    cases = list(ik._certified_integrals(15, 1e-10))
     for label, idx, closed, quad, _, _, passed in cases:
         if not passed:
             raise _Violation(f"{label} {idx}: closed form {closed:.6e} vs quadrature {quad:.6e}")
@@ -272,7 +270,7 @@ def _stationarity() -> float:
 def _oscillator_ratio_window() -> None:
     prev = math.inf
     for l in range(2, 1001):
-        r2 = (l + 1.0) * (l + 0.5) / ((l + 1.5) * (l - 0.5))
+        r2 = ve.variational_energy(*_LO, l).ratio_to_exact ** 2
         if not (1.0 < r2 < 1.0 + 3.0 / l and r2 < prev):
             raise _Violation(f"ratio² window fails at l = {l} (value {r2})")
         prev = r2
@@ -283,14 +281,12 @@ def _oscillator_ratio_window() -> None:
 @dataclass(frozen=True)
 class Claim:
     """One verify suite.  measure() returns the template's fields, led by the
-    worst deviation if tol is set (None: a strict rule of its own); with
-    takes_slack it is called with the profile factor."""
+    worst deviation if tol is set (None: a strict rule of its own)."""
 
     name: str
     tol: float | None
     template: str
     measure: Callable
-    takes_slack: bool = False
 
 
 _MAX_REL = "max rel dev {0:.2e} (tol {tol:.0e})"
@@ -359,7 +355,7 @@ _CLAIMS = {c.name: c for c in [
               lambda l: math.pi / 2.0 * gk.wallis_ratio(l),
               lambda: range(0, 301))),
     Claim("quadrature-certifies-closed-forms", None,
-          "{0} integrals, max |closed - quad| = {1:.2e}", _quadrature, takes_slack=True),
+          "{0} integrals, max |closed - quad| = {1:.2e}", _quadrature),
     Claim("tangent-substitution-identity", 1e-13, _MAX_REL, _Gap(
         lambda m, n: ik.rational_moment(ik.RationalMomentQuery(m, n)),
         _beta_by_factorials,
@@ -406,13 +402,11 @@ _CLAIMS = {c.name: c for c in [
 # or replaced measure is what runs
 CHECKS = [(name, claim.measure) for name, claim in _CLAIMS.items()]
 
-_PROFILES = {"strict": 1.0, "relaxed": 100.0}
 
-
-def _judge(claim: Claim, measure: Callable, factor: float) -> CheckResult:
-    tol = None if claim.tol is None else claim.tol * factor
+def _judge(claim: Claim, measure: Callable) -> CheckResult:
+    tol = claim.tol
     try:
-        out = measure(factor) if claim.takes_slack else measure()
+        out = measure()
         fields = out if isinstance(out, tuple) else (out,)
         measured = None if tol is None else fields[0]
         return CheckResult(claim.name, tol is None or measured <= tol,
@@ -424,13 +418,10 @@ def _judge(claim: Claim, measure: Callable, factor: float) -> CheckResult:
     return CheckResult(claim.name, False, detail, tolerance=tol)
 
 
-def run(profile: str = "strict") -> list[CheckResult]:
+def run() -> list[CheckResult]:
     """Run every claim of CHECKS; returns one result per claim."""
-    if profile not in _PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
-    factor = _PROFILES[profile]
     _terms.cache_clear()
     try:
-        return [_judge(_CLAIMS[name], measure, factor) for name, measure in CHECKS]
+        return [_judge(_CLAIMS[name], measure) for name, measure in CHECKS]
     finally:
         _terms.cache_clear()

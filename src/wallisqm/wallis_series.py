@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _index, _real
+from .errors import _MAX_TERMS, DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _A1 = 8.0 / (3.0 * math.pi)  # a_1, the first series term
-_MAX_TERMS = 10_000_000  # largest n of a sweep over n terms
 _A_MAX_N = 2**511 - 1  # largest n with a_n >= 2^-1022, the smallest normal double
 _B_MAX_N = 2**52 - 2  # largest n with n + 1/2 and n + 3/2 exact doubles
 

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath as mp
 import pytest
 
 from wallisqm.errors import ConvergenceError, DomainError
@@ -51,6 +52,13 @@ class TestGaussianMoment:
         for m in (343, 400, 10**6):
             with pytest.raises(DomainError):
                 gaussian_moment(m)
+
+    def test_exact_over_the_whole_domain(self):
+        # exact factorials: about one rounding of the quotient and one of √π
+        with mp.workdps(50):
+            for m in range(343):
+                ref = mp.gamma(mp.mpf(m + 1) / 2) / 2
+                assert abs(gaussian_moment(m) / ref - 1) <= 4.5e-16, m
 
 
 class TestRationalMoment:

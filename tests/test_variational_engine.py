@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisqm import variational_engine
-from wallisqm.errors import DivergenceError, DomainError
+from wallisqm.errors import ConvergenceError, DivergenceError, DomainError
 from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
                                          Potential, TrialSpec, _brent_min,
                                          exact_energy,
@@ -118,6 +118,16 @@ class TestExpectationNumeric:
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             expectation_energy_numeric(TrialSpec(GAUSSIAN, 0, 1.0), COULOMB, tol=0.0)
+
+    def test_tol_below_the_quadrature_minimum_is_refused(self):
+        # passed to the quadrature as it is, not clamped to 1e-12
+        with pytest.raises(DomainError):
+            expectation_energy_numeric(TrialSpec(GAUSSIAN, 2, 0.1), COULOMB, 1e-13)
+
+    def test_missed_peak_is_a_convergence_error(self):
+        # the nodes miss the narrow Gaussian peak, so the norm integral is 0
+        with pytest.raises(ConvergenceError):
+            variational_energy(GAUSSIAN, OSC, 10**4, Method.NUMERIC)
 
 
 class TestOptimalParam:
