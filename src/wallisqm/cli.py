@@ -31,6 +31,7 @@ Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from . import wallis_series as ws
-from .errors import _MAX_GRID_POINTS, ConvergenceError, DomainError, _index
+from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
 from .integral_kit import _certified_integrals
 from .variational_engine import Family, Method, Potential, variational_energy
@@ -124,28 +125,45 @@ def _check_grid_size(text: str, count: float) -> None:
             f"{text!r} selects {count:.6g} points, more than the {_MAX_GRID_POINTS} allowed")
 
 
+# digits of the largest double, beyond which no index slot takes an integer
+_MAX_INT_DIGITS = len(str(_DOUBLE_MAX))
+
+
+def _parse_int(tok: str) -> int:
+    """An integer token, exactly: plain digits through int, a form such as
+    '1e76' or '5.0' through Decimal, refused before its conversion to int
+    when it has more digits than the largest double."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
+    try:
+        d = decimal.Decimal(tok)
+    except decimal.InvalidOperation:
+        d = None
+    if d is None or not d.is_finite() or d.adjusted() >= _MAX_INT_DIGITS \
+            or d != d.to_integral_value():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {_MAX_INT_DIGITS} digits, got {tok!r}")
+    return int(d)
+
+
 def _parse_int_spec(text: str) -> list[int]:
     """'5' | '1,10,100' | 'start:stop:step' (stop inclusive when hit)."""
-    def one(tok: str) -> int:
-        v = float(tok)
-        if not v.is_integer():  # nor are nan and inf
-            raise argparse.ArgumentTypeError(f"expected an integer, got {tok!r}")
-        return int(v)
-
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise argparse.ArgumentTypeError(f"bad range {text!r}, use start:stop[:step]")
-        start, stop = one(parts[0]), one(parts[1])
-        step = one(parts[2]) if len(parts) == 3 else 1
+        start, stop = _parse_int(parts[0]), _parse_int(parts[1])
+        step = _parse_int(parts[2]) if len(parts) == 3 else 1
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         _check_grid_size(text, (stop - start) // step + 1)
         return list(range(start, stop + 1, step))
     tokens = [tok for tok in text.split(",") if tok]
     _check_grid_size(text, len(tokens))
-    return [one(tok) for tok in tokens]
+    return [_parse_int(tok) for tok in tokens]
 
 
 def _parse_float_list(text: str) -> list[float]:

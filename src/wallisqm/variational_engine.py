@@ -334,8 +334,10 @@ def variational_energy(family: Family, pot: Potential, l: int,
     formulas; NUMERIC minimizes the quadrature expectation value over
     log(param) by Brent's method (Brent 1973), bracketed a factor 10 around
     the closed optimum, and evaluates it once more at the optimum with a
-    1e-11 quadrature tolerance.  The energies agree to ~1e-13 relative, the
-    optimal parameters to ~1e-7.  l is at most 10⁷⁶; DomainError beyond.
+    1e-11 quadrature tolerance; a bracket that leaves the parameter domain
+    [1e-75, 1e75] raises ConvergenceError.  The energies agree to ~1e-13
+    relative, the optimal parameters to ~1e-7.  l is at most 10⁷⁶;
+    DomainError beyond.
     """
     l = _index(l, "orbital number l", hi=_MAX_L)
     p_star = optimal_param_closed(family, pot, l)
@@ -348,8 +350,12 @@ def variational_energy(family: Family, pot: Potential, l: int,
             spec = TrialSpec(family, l, math.exp(y))
             return expectation_energy_numeric(spec, pot, tol=3e-9)
 
-        y_best = _brent_min(objective, math.log(p_star / 10.0),
-                            math.log(p_star * 10.0))
+        lo, hi = p_star / 10.0, p_star * 10.0
+        if not (_PARAM_MIN <= lo and hi <= _PARAM_MAX):
+            raise ConvergenceError(
+                f"the numeric search bracket [{lo:.6g}, {hi:.6g}] at l = {l} "
+                f"leaves the scale parameter domain [{_PARAM_MIN}, {_PARAM_MAX}]")
+        y_best = _brent_min(objective, math.log(lo), math.log(hi))
         param = math.exp(y_best)
         value = expectation_energy_numeric(TrialSpec(family, l, param), pot,
                                            tol=1e-11)

@@ -129,6 +129,12 @@ class TestExpectationNumeric:
         with pytest.raises(ConvergenceError):
             variational_energy(GAUSSIAN, OSC, 10**4, Method.NUMERIC)
 
+    @pytest.mark.parametrize("family,l", [(GAUSSIAN, 10**25), (LORENTZ, 10**38)])
+    def test_bracket_outside_the_parameter_domain_is_a_convergence_error(self, family, l):
+        # p*/10 falls below 1e-75 (Gaussian) or 10·p* above 1e75 (Lorentz)
+        with pytest.raises(ConvergenceError, match=rf"bracket .* at l = {l} "):
+            variational_energy(family, COULOMB, l, Method.NUMERIC)
+
 
 class TestOptimalParam:
     def test_gaussian_coulomb_l0(self):

@@ -335,6 +335,18 @@ class TestVariationalCommand:
         assert [r["n_or_l"] for r in rows] == ["1", "2", "3"]
         assert float(rows[0]["value"]) == pytest.approx(math.sqrt(15.0), rel=1e-13)
 
+    @pytest.mark.parametrize("token,l", [
+        ("9007199254740993", 9007199254740993),  # 2^53 + 1, which a float rounds
+        ("1e76", 10**76),  # the largest orbital number, in exponent notation
+        (str(10**76), 10**76),
+        ("2.5e1", 25),
+    ])
+    def test_l_max_is_parsed_exactly(self, capsys, token, l):
+        code, out, _ = run_cli(capsys, "variational", "--family", "lorentz",
+                               "--potential", "coulomb", "--l-max", f"{token},{token}")
+        assert code == 0
+        assert [r["n_or_l"] for r in csv.DictReader(io.StringIO(out))] == [str(l)] * 2
+
 
 class TestBoundsCommand:
     def test_kazarinoff_all_satisfied(self, capsys):
@@ -449,6 +461,10 @@ class TestVerifyCommand:
       "--l-max", "10000,10000", "--method", "numeric"], 1),
     # verify has one set of tolerances and no profile flag
     (["verify", "--tol-profile", "relaxed"], 2),
+    # the numeric search bracket leaves the scale parameter domain: the
+    # method fails to converge, the caller gave no bad parameter
+    (["variational", "--family", "gaussian", "--potential", "coulomb",
+      "--l-max", "1e25,1e25", "--method", "numeric"], 1),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising, except
@@ -486,6 +502,10 @@ def test_quartic_inf_is_an_out_of_domain_row(capsys):
     ["bounds", "--kind", "quartic", "--grid", "0:1:1e-12"],
     ["bounds", "--kind", "quartic", "--grid", "0:inf:1"],
     ["pi", "--n", "inf"],
+    ["pi", "--n", "1.5"],
+    # refused by its exponent, before a billion-digit int is built
+    ["pi", "--n", "1e1000000000"],
+    ["pi", "--n", "1" + "0" * 5000],
     ["bounds", "--kind", "quartic", "--grid", f"1:{cli._MAX_GRID_POINTS + 1}:1"],
 ])
 def test_oversized_or_non_finite_grid_exits_2(capsys, argv):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,7 @@ def _bits(values):
 
 
 class TestPrefixSweep:
+    @pytest.mark.parametrize("as_array", [False, True])
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
            st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
            st.integers(1, 6))
@@ -223,16 +226,20 @@ class TestPrefixSweep:
     @example([1.0, math.inf, 2.0], [0, 1, 2], 1)
     @example([-math.inf, 1.0, 0.5], [0, 1, 2], 2)
     @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_fsum_of_each_prefix(self, terms, picks, chunk):
-        # random sorted grids with repeated points and gaps of several chunks
+    def test_bit_identical_to_fsum_of_each_prefix(self, as_array, terms, picks, chunk):
+        # random sorted grids with repeated points and gaps of several chunks;
+        # array chunks, as _wallis_log_terms returns, go through _exact_parts
+        # from 2 terms a piece and are listed below that
         grid = sorted(1 + p % len(terms) for p in picks)
         calls = []
 
         def chunk_terms(lo, hi):
             calls.append((lo, hi))
-            return terms[lo - 1:hi - 1]
+            part = terms[lo - 1:hi - 1]
+            return np.array(part, dtype=np.float64) if as_array else part
 
-        with mock.patch.object(ws, "_SWEEP_CHUNK", chunk):
+        with mock.patch.object(ws, "_SWEEP_CHUNK", chunk), \
+                mock.patch.object(ws, "_EXTRACT_MIN", 2):
             got = ws._prefix_fsums(chunk_terms, grid)
         assert _bits(got) == _bits(math.fsum(terms[:n]) for n in grid)
         # each term computed once, at most one chunk at a time
@@ -248,7 +255,7 @@ class TestPrefixSweep:
             ws._prefix_fsums(lambda lo, hi: terms[lo - 1:hi - 1], [1, 3])
 
     def test_wallis_carry_is_two_floats(self):
-        terms = ws._wallis_log_terms(1, 10**5 + 1)
+        terms = ws._wallis_log_terms(1, 10**5 + 1).tolist()
         assert len(ws._exact_expansion(terms[:4321])) == 2
 
     def test_product_across_chunks_matches_one_chunk(self):
@@ -256,3 +263,88 @@ class TestPrefixSweep:
         with mock.patch.object(ws, "_SWEEP_CHUNK", 777):
             assert wallis_partial_product(5000) == one_chunk
             assert sum_a_direct(3000) == math.fsum(a_seq(i) for i in range(1, 3001))
+
+    def test_wallis_sweep_memory_is_bounded_by_the_chunk(self):
+        # one chunk of terms and the kernel's buffer, never a list of n floats
+        wallis_partial_product(10)  # numpy imported outside the trace
+        tracemalloc.start()
+        try:
+            wallis_partial_product(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _fsum_bits(terms):
+    """math.fsum(terms) as hex, or the type of the error it raises."""
+    try:
+        return math.fsum(terms).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_same_sum(parts, terms):
+    """fsum(parts) is fsum(terms) bit for bit and, for finite terms, the two
+    exact sums are equal: fsum of their difference is exactly 0."""
+    assert _fsum_bits(parts) == _fsum_bits(terms)
+    if all(map(math.isfinite, terms)):
+        assert math.fsum(parts + [-t for t in terms]) == 0.0
+
+
+def _extract_limit(length):
+    """The largest magnitude _exact_parts sums: below 2^(1022 - M)."""
+    return math.nextafter(math.ldexp(1.0, 1022 - (length + 1).bit_length()), 0.0)
+
+
+class TestExactParts:
+    @given(st.lists(st.one_of(st.floats(-_extract_limit(40), _extract_limit(40)),
+                              st.floats(-1e-300, 1e-300), st.just(0.0)),
+                    min_size=1, max_size=40))
+    @example([_extract_limit(40)] * 40)
+    @example([math.ldexp(1.0, 1020), 1.0])  # at 2^(1022 - M): listed, not extracted
+    @example([5e-324, -5e-324, 1e-310, 1.0])
+    @example([1.0, math.nan])
+    @example([math.inf, 1.0, -math.inf])
+    @settings(max_examples=300, deadline=None)
+    def test_fsum_of_parts_is_fsum_of_terms(self, terms):
+        _assert_same_sum(ws._exact_parts(np.array(terms, dtype=np.float64)), terms)
+
+    @given(st.integers(1, 4000), st.integers(0, 2**32 - 1),
+           st.integers(-1074, 1010), st.integers(0, 2100), st.floats(0.0, 0.5),
+           st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)]))
+    @settings(max_examples=100, deadline=None)
+    def test_long_arrays_of_mixed_signs_and_exponents(self, length, seed, top, span,
+                                                      zeros, signs):
+        # exponents from `top` down `span` binades, subnormals and the
+        # precondition's edge included, with a share of exact zeros; terms of
+        # one sign make the extracted sums largest against sigma
+        rng = np.random.default_rng(seed)
+        top = min(top, 1022 - (length + 1).bit_length())
+        exps = rng.integers(max(top - span, -1074), top, endpoint=True, size=length)
+        a = np.ldexp(rng.uniform(*signs, length), exps)
+        a[rng.random(length) < zeros] = 0.0
+        terms = a.tolist()
+        parts = ws._exact_parts(a)
+        _assert_same_sum(parts, terms)
+        assert len(parts) <= 60
+
+    def test_arrays_longer_than_a_chunk(self):
+        rng = np.random.default_rng(12)
+        n = 2**16 - 2  # several chunks long; n + 2 = 2^M exactly, the longest for M = 16
+        arrays = [
+            ws._wallis_log_terms(1, 200_002),
+            np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 990, size=n)),
+            rng.uniform(0.5, 1.0, n),
+            -rng.uniform(0.5, 1.0, n),  # sigma + a below sigma: the finer grid
+            np.ldexp(-rng.uniform(0.5, 1.0, n), 1021 - (n + 1).bit_length()),
+            np.full(n, _extract_limit(n)),
+            np.full(n, -_extract_limit(n)),
+        ]
+        for a in arrays:
+            terms = a.tolist()
+            _assert_same_sum(ws._exact_parts(a), terms)
+
+    def test_wallis_terms_take_a_few_passes(self):
+        terms = ws._wallis_log_terms(1, ws._SWEEP_CHUNK + 1)
+        assert len(ws._exact_parts(terms)) <= 3
