@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from . import wallis_series as ws
-from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, ConvergenceError, DomainError, _index
+from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, _MAX_TERMS, ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
 from .integral_kit import _certified_integrals
 from .variational_engine import Family, Method, Potential, variational_energy
@@ -112,9 +112,6 @@ def _write(text: str, out_path) -> None:
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-_MAX_N = ws._MAX_TERMS  # largest n of pi and sum, whose sweep costs O(max n)
 
 
 def _check_grid_size(text: str, count: float) -> None:
@@ -190,14 +187,15 @@ def _parse_float_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
-    """n -> fsum of terms 1..n for every n of the grid, from one sweep."""
+    """n -> fsum of terms 1..n for every n of the grid, from one sweep, whose
+    O(max n) cost limits --n to [1, 10⁷]."""
     grid = sorted(set(ns))
+    for n in grid[:1] + grid[-1:]:
+        _index(n, "--n", lo=1, hi=_MAX_TERMS)
     return dict(zip(grid, ws._prefix_fsums(chunk_terms, grid)))
 
 
 def _cmd_pi(args) -> tuple[str, int]:
-    _index(min(args.n, default=1), "--n", lo=1)
-    _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     log_products = _grid_sums(ws._wallis_log_terms, args.n)
     rows = []
     failures = 0
@@ -212,7 +210,6 @@ def _cmd_pi(args) -> tuple[str, int]:
 
 
 def _cmd_sum(args) -> tuple[str, int]:
-    _index(max(args.n, default=1), "--n", lo=1, hi=_MAX_N)
     if args.mode == "simple":
         label, partial_sum, terms = "a-sum", ws.sum_a_recurrence, ws._a_terms
     else:
@@ -227,8 +224,8 @@ def _cmd_sum(args) -> tuple[str, int]:
         def terms(lo, hi):
             return [ws.b_seq(params, i) for i in range(lo, hi)]
 
-    parts = [partial_sum(n) for n in args.n]
     directs = _grid_sums(terms, args.n)
+    parts = [partial_sum(n) for n in args.n]
     rows = []
     failures = 0
     for n, part in zip(args.n, parts):

@@ -28,12 +28,12 @@ scale: 2^{2l+2} times the Lorentz integrals, to about 1e-14 up to l = 508.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import _MAX_TERMS as _G_RATIONAL_L_MAX  # G_rational takes l steps
-from .errors import ConvergenceError, DomainError, _index, _real
+from .errors import _MAX_TERMS, ConvergenceError, DomainError, _index, _real
 from .gamma_kit import _SQRT_PI, _log_gamma_ratio, wallis_ratio
 
 __all__ = [
@@ -125,7 +125,7 @@ def G_rational(l: int) -> float:
     Equals (π/2)·W_l, the product of the same factors.  The recurrence
     takes l steps, so l is limited to 10⁷; DomainError beyond.
     """
-    l = _index(l, "G_rational", hi=_G_RATIONAL_L_MAX)
+    l = _index(l, "G_rational", hi=_MAX_TERMS)
     g = math.pi / 2.0
     for j in range(1, l + 1):
         g *= (2.0 * j - 1.0) / (2.0 * j)
@@ -204,30 +204,28 @@ class QuadraturePair:
 _T_MAX = 6.0       # exp(pi*sinh t) stays finite in doubles up to here
 _MAX_LEVEL = 10
 _TRUNC = 1e-18     # stop a level once terms fall this far below its peak
-_node_cache: dict[int, list[tuple[float, float, float, float]]] = {}
 
 
-def _nodes(level: int):
+@functools.cache
+def _nodes(level: int) -> list[tuple[float, float, float, float]]:
     """Nodes new at this refinement level, as (x, w, 1/x, w/x²) tuples.
 
     x = exp(π·sinh(kh)) covers (1, ∞); the mirrored point 1/x with weight
     w/x² covers (0, 1).  Level 0 takes every k at h = 1, deeper levels add
     the odd multiples of h = 2^-level.
     """
-    if level not in _node_cache:
-        h = 2.0 ** (-level)
-        ks = range(0, int(_T_MAX / h) + 1) if level == 0 else range(1, int(_T_MAX / h) + 1, 2)
-        table = []
-        for k in ks:
-            t = k * h
-            arg = math.pi * math.sinh(t)
-            if arg > 700.0:
-                break
-            x = math.exp(arg)
-            w = math.pi * math.cosh(t) * x
-            table.append((x, w, 1.0 / x, w / (x * x)))
-        _node_cache[level] = table
-    return _node_cache[level]
+    h = 2.0 ** (-level)
+    ks = range(0, int(_T_MAX / h) + 1) if level == 0 else range(1, int(_T_MAX / h) + 1, 2)
+    table = []
+    for k in ks:
+        t = k * h
+        arg = math.pi * math.sinh(t)
+        if arg > 700.0:
+            break
+        x = math.exp(arg)
+        w = math.pi * math.cosh(t) * x
+        table.append((x, w, 1.0 / x, w / (x * x)))
+    return table
 
 
 def quad_semiinfinite(f: Callable, tol: float, *,

@@ -44,8 +44,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import _MAX_GRID_POINTS as _MAX_LEVELS  # one level per l of ratio_sequence
-from .errors import ConvergenceError, DivergenceError, DomainError, _index, _real
+from .errors import _MAX_GRID_POINTS, ConvergenceError, DivergenceError, DomainError, _index, _real
 from .gamma_kit import _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -111,9 +110,12 @@ class TrialSpec:
 class EnergyEstimate:
     """A variational energy with its optimum, method tag, and reference.
 
-    The variational bound guarantees value >= exact_reference; the ratio is
-    in (0, 1] for Coulomb (both energies negative) and >= 1 for the
-    oscillator.
+    The variational bound guarantees value >= exact_reference; in exact
+    arithmetic the ratio is in (0, 1] for Coulomb (both energies negative)
+    and >= 1 for the oscillator.  In doubles the Coulomb ratio holds to 1
+    for l <= 10⁶, but once the true gap, about 1/(8l²), falls below the
+    closed form's rounding, it may exceed 1 by a few 1e-14 (Lorentz from
+    l ~ 10⁸, Gaussian from 10¹⁵).
     """
 
     value: float
@@ -264,16 +266,17 @@ def _closed_energy(family: Family, pot: Potential, l: int) -> float:
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+_XTOL = 1e-10  # absolute part of Brent's step tolerance, in log(scale)
 
 
-def _brent_min(fn, lo: float, hi: float, xtol: float = 1e-10) -> float:
+def _brent_min(fn, lo: float, hi: float) -> float:
     """Minimum of a unimodal fn on [lo, hi] by Brent's method (Brent 1973,
     *Algorithms for Minimization without Derivatives*, ch. 5).
 
     Each step is the vertex of the parabola through the three best points
     when that vertex lies inside the bracket and the step is under half the
     step before last; otherwise it is a golden-section step into the larger
-    side.  Steps are at least tol = √ε·|x| + xtol/3 long, parabolic steps
+    side.  Steps are at least tol = √ε·|x| + _XTOL/3 long, parabolic steps
     keep 2·tol clear of the bracket ends, fn is evaluated only inside
     [lo, hi], and the search stops once the bracket lies within 2·tol of the
     best point x, which it returns.
@@ -284,7 +287,7 @@ def _brent_min(fn, lo: float, hi: float, xtol: float = 1e-10) -> float:
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol = _SQRT_EPS * abs(x) + _XTOL / 3.0
         tol2 = 2.0 * tol
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return x
@@ -377,7 +380,7 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
     evaluation order.  One level per l, so l_max is limited to 10⁵, the
     CLI's grid cap; DomainError beyond.
     """
-    l_max = _index(l_max, "l_max", lo=1, hi=_MAX_LEVELS)
+    l_max = _index(l_max, "l_max", lo=1, hi=_MAX_GRID_POINTS)
     l_min = 1 if (family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR) else 0
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)

@@ -175,16 +175,10 @@ def _prefix_fsums(chunk_terms, ns: list[int]) -> list[float]:
             if pos == len(chunk):
                 chunk, pos = chunk_terms(done + 1, min(last, done + _SWEEP_CHUNK) + 1), 0
             take = min(n - done, len(chunk) - pos)
-            if not isinstance(chunk, list):  # an array: the slice is a view
-                part = chunk[pos:pos + take]
+            part = chunk[pos:pos + take]  # a copy of a list, a view of an array
+            if not isinstance(chunk, list):
                 part = _exact_parts(part) if take >= _EXTRACT_MIN else part.tolist()
-                pos += take
-            elif pos + take == len(chunk):  # the rest of the list: no copy
-                del chunk[:pos]
-                part, chunk, pos = chunk, [], 0
-            else:
-                part = chunk[pos:pos + take]
-                pos += take
+            pos += take
             done += take
             part += carry  # fsum is exact, so the order of its terms does not matter
             carry = [math.fsum(part)] if done == last else _exact_expansion(part)

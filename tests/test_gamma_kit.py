@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -219,6 +220,34 @@ class TestQuarticRootBounds:
         # the three doubles collide here, but the sandwich genuinely holds
         t = quartic_root_bounds(1e5)
         assert t.satisfied
+
+    @pytest.mark.parametrize("x", [1e13, 1e15, 1e100, 1e300, 1.7e308])
+    def test_certified_up_to_the_largest_double(self, x):
+        # the margins of value⁴ are about 1/(128x⁴) relative, below what a
+        # fixed 50 digits resolve from x ~ 3e12
+        t = quartic_root_bounds(x)
+        assert t.satisfied
+        assert math.isfinite(t.lower) and math.isfinite(t.upper)
+
+    def test_bounds_where_x_squared_overflows(self):
+        x = 1e154  # x² finite: the radicand expression, bit for bit
+        t = quartic_root_bounds(x)
+        assert t.upper == (x * x + 0.5 * x + 0.125) ** 0.25
+        assert t.lower == (x * x + 0.5 * x + 0.125 - 1.0 / (128.0 * x)) ** 0.25
+        x = 1e300  # x² overflows: √x, the 1/(8x) correction below an ulp
+        t = quartic_root_bounds(x)
+        assert t.lower == t.upper == math.sqrt(x)
+
+    @pytest.mark.parametrize("x", [10.0 ** random.Random(13 + i).uniform(5.0, 308.23)
+                                   for i in range(20)])
+    def test_verdict_holds_at_30_more_digits(self, x):
+        digits = max(50, math.floor(4.0 * math.log10(x)) + 20) + 30
+        with mp.workdps(digits):
+            X = mp.mpf(x)
+            value4 = (mp.gamma(X + 1) / mp.gamma(X + mp.mpf("0.5"))) ** 4
+            upper4 = X * X + X / 2 + mp.mpf("0.125")
+            assert upper4 - 1 / (128 * X) < value4 < upper4
+        assert quartic_root_bounds(x).satisfied
 
     @pytest.mark.parametrize("x", [-1.0, 0.0, 0.05, math.inf, math.nan])
     def test_domain_rejected(self, x):

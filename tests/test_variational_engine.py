@@ -354,6 +354,21 @@ class TestRatioSequence:
             ident = (n - 0.5) * (n + 0.5) ** 2 / n ** 3 * scaled_a(l + 1) ** 2
             assert ratio == pytest.approx(ident, abs=1e-12)
 
+    @pytest.mark.parametrize("family", [GAUSSIAN, LORENTZ])
+    def test_coulomb_ratio_at_most_one_up_to_a_million(self, family):
+        ls = sorted(set(range(1000)) | {round(10 ** (k / 100)) for k in range(301, 601)})
+        assert ls[-1] == 10**6
+        for l in ls:
+            assert variational_energy(family, COULOMB, l).ratio_to_exact <= 1.0, l
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LORENTZ])
+    def test_coulomb_ratio_within_rounding_of_one_to_the_l_limit(self, family):
+        # the true gap, about 1/(8l²), falls below the closed form's rounding:
+        # the double may exceed 1 (Lorentz from 10⁸), but by a few 1e-14 only
+        for k in range(77):
+            r = variational_energy(family, COULOMB, 10**k).ratio_to_exact
+            assert 0.0 < r <= 1.0 + 1e-13, k
+
     def test_oscillator_ratio_window(self):
         for l in range(2, 200):
             r2 = (l + 1.0) * (l + 0.5) / ((l + 1.5) * (l - 0.5))

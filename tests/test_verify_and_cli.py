@@ -434,6 +434,8 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("argv,expected", [
     (["bounds", "--kind", "kazarinoff", "--grid", "inf"], 1),
     (["bounds", "--kind", "quartic", "--grid", "inf"], 1),
+    # the verdict is certified with digits enough for the margin at every x
+    (["bounds", "--kind", "quartic", "--grid", "1e13,1e15,1e100,1e300"], 0),
     (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
     (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
     (["sum", "--mode", "general", "--m", "inf", "--k", "0", "--n", "1,2"], 2),

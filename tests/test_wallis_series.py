@@ -275,6 +275,19 @@ class TestPrefixSweep:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_list_sweep_memory_is_bounded_by_the_chunk(self):
+        # three list chunks and a piece: one chunk and its slice at a time,
+        # never the 49 157 terms at once (about 1.6 MB more)
+        n = 3 * ws._SWEEP_CHUNK + 5
+        sum_a_direct(10)
+        tracemalloc.start()
+        try:
+            sum_a_direct(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
 
 def _fsum_bits(terms):
     """math.fsum(terms) as hex, or the type of the error it raises."""
