@@ -102,8 +102,7 @@ class RationalMomentQuery:
 def rational_moment(q: RationalMomentQuery) -> float:
     """∫_0^∞ x^m/(1+x²)^n dx = Γ((m+1)/2)·Γ(n-(m+1)/2)/(2Γ(n))."""
     p = (q.m + 1.0) / 2.0
-    return 0.5 * math.exp(math.fsum([
-        math.lgamma(p), math.lgamma(q.n - p), -math.lgamma(q.n)]))
+    return beta_trig_integral(p, q.n - p)
 
 
 def beta_trig_integral(p: float, q: float) -> float:

@@ -125,8 +125,14 @@ class EnergyEstimate:
     ratio_to_exact: float
 
 
-def _require_lorentz_oscillator_valid(l: int) -> None:
-    if l == 0:
+def _l_min(family: Family, pot: Potential) -> int:
+    """The smallest orbital number with a finite ⟨H⟩: 1 for the Lorentz
+    oscillator, whose ⟨r²⟩ needs 2(2l+2) - (2l+4) > 1, and 0 otherwise."""
+    return 1 if family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR else 0
+
+
+def _require_l_domain(family: Family, pot: Potential, l: int) -> None:
+    if l < _l_min(family, pot):
         raise DivergenceError(
             "Lorentz trial function has divergent ⟨r²⟩ at l = 0 "
             "(needs 2(2l+2) - (2l+4) > 1, i.e. l >= 1)"
@@ -146,7 +152,7 @@ def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
     if pot is Potential.COULOMB:
         # ⟨1/r⟩ = coulomb/norm integral quotient = [Γ(l+1)/Γ(l+1/2)]²/((l+1/2)·a)
         return kinetic - coulomb_to_norm_ratio(l) / p
-    _require_lorentz_oscillator_valid(l)
+    _require_l_domain(spec.family, pot, l)
     # ⟨r²⟩ = a²·(l+3/2)/(l-1/2) from the rational moment ratio
     return kinetic + 0.5 * p * p * (l + 1.5) / (l - 0.5)
 
@@ -160,9 +166,11 @@ def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
     rational factor D(x) = (l - x²)² (Gaussian) or (l - (l+2)x²)²/(1+x²)²
     (Lorentz).  Each component is the same floating-point expression as a
     scalar integrand of its own would be, so a pair quadrature reproduces
-    two scalar ones bit for bit.  Where x⁴ overflows (x > 1e77) the
-    oscillator numerator is nan, which the quadrature takes as 0 for that
-    component only.
+    two scalar ones bit for bit.  Where x⁴ overflows (x > 1.16e77) the
+    oscillator integrand raises OverflowError, and the quadrature takes both
+    components as 0 at that node; both are 0 there anyway, since g is 0.0
+    for every profile with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with
+    l >= 1).
     """
     exp, log, log1p = math.exp, math.log, math.log1p
     L = float(l)
@@ -179,10 +187,7 @@ def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
             kin = 0.5 * g * (d * d + centrifugal)
             if coulomb:
                 return kin + v * g * x, g * x * x
-            try:
-                return kin + v * g * x ** 4, g * x * x
-            except OverflowError:
-                return math.nan, g * x * x
+            return kin + v * g * x ** 4, g * x * x
     else:
         L1, L2 = L + 1.0, L + 2.0
         xpk2 = L / L2
@@ -196,10 +201,7 @@ def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
             kin = 0.5 * g * (d * d / (w * w) + centrifugal)
             if coulomb:
                 return kin + v * g * x, g * x * x
-            try:
-                return kin + v * g * x ** 4, g * x * x
-            except OverflowError:
-                return math.nan, g * x * x
+            return kin + v * g * x ** 4, g * x * x
 
     return integrand
 
@@ -218,8 +220,7 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     ConvergenceError is raised when the norm integral is not positive: the
     nodes missed the profile's peak, which happens at large l.
     """
-    if spec.family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR:
-        _require_lorentz_oscillator_valid(spec.l)
+    _require_l_domain(spec.family, pot, spec.l)
     s = 1.0 / math.sqrt(2.0 * spec.param) if spec.family is Family.GAUSSIAN else spec.param
     num, den = quad_semiinfinite(_energy_integrand(spec.family, spec.l, pot, s), tol,
                                  pair=True).parts
@@ -228,18 +229,26 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     return num.value / (s * s * den.value)
 
 
-def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
-    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶."""
-    l = _index(l, "orbital number l", hi=_MAX_L)
+def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, float]:
+    """(p*, E*): the stationary scale parameter of ⟨H⟩ and the minimized
+    level, in closed form."""
     if family is Family.GAUSSIAN:
         if pot is Potential.COULOMB:
             g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
-            return g * g / (2.0 * (l + 1.5) ** 2)
-        return 0.5
+            return g * g / (2.0 * (l + 1.5) ** 2), -0.5 * g * g / (l + 1.5)
+        return 0.5, l + 1.5
     if pot is Potential.COULOMB:
-        return (l + 1.0) * (l + 0.5) / coulomb_to_norm_ratio(l)
-    _require_lorentz_oscillator_valid(l)
-    return ((l + 1.0) * (l + 0.5) * (l - 0.5) / (l + 1.5)) ** 0.25
+        g2 = math.exp(2.0 * _log_gamma_ratio(l, 1.0, 0.5))
+        return ((l + 1.0) * (l + 0.5) / coulomb_to_norm_ratio(l),
+                -0.5 * g2 * g2 / ((l + 1.0) * (l + 0.5) ** 3))
+    _require_l_domain(family, pot, l)
+    return (((l + 1.0) * (l + 0.5) * (l - 0.5) / (l + 1.5)) ** 0.25,
+            math.sqrt((l + 1.0) * (l + 0.5) * (l + 1.5) / (l - 0.5)))
+
+
+def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
+    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶."""
+    return _closed_optimum(family, pot, _index(l, "orbital number l", hi=_MAX_L))[0]
 
 
 def exact_energy(pot: Potential, l: int) -> float:
@@ -249,19 +258,6 @@ def exact_energy(pot: Potential, l: int) -> float:
     if pot is Potential.COULOMB:
         return -1.0 / (2.0 * (l + 1.0) ** 2)
     return l + 1.5
-
-
-def _closed_energy(family: Family, pot: Potential, l: int) -> float:
-    if family is Family.GAUSSIAN:
-        if pot is Potential.COULOMB:
-            g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
-            return -0.5 * g * g / (l + 1.5)
-        return l + 1.5
-    if pot is Potential.COULOMB:
-        g2 = math.exp(2.0 * _log_gamma_ratio(l, 1.0, 0.5))
-        return -0.5 * g2 * g2 / ((l + 1.0) * (l + 0.5) ** 3)
-    _require_lorentz_oscillator_valid(l)
-    return math.sqrt((l + 1.0) * (l + 0.5) * (l + 1.5) / (l - 0.5))
 
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
@@ -343,11 +339,10 @@ def variational_energy(family: Family, pot: Potential, l: int,
     DomainError beyond.
     """
     l = _index(l, "orbital number l", hi=_MAX_L)
-    p_star = optimal_param_closed(family, pot, l)
+    p_star, e_star = _closed_optimum(family, pot, l)
     reference = exact_energy(pot, l)
     if method is Method.CLOSED_FORM:
-        value = _closed_energy(family, pot, l)
-        param = p_star
+        value, param = e_star, p_star
     else:
         def objective(y: float) -> float:
             spec = TrialSpec(family, l, math.exp(y))
@@ -381,8 +376,7 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
     CLI's grid cap; DomainError beyond.
     """
     l_max = _index(l_max, "l_max", lo=1, hi=_MAX_GRID_POINTS)
-    l_min = 1 if (family is Family.LORENTZ and pot is Potential.HARMONIC_OSCILLATOR) else 0
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)
-        for l in range(l_min, l_max + 1)
+        for l in range(_l_min(family, pot), l_max + 1)
     ]

@@ -11,9 +11,9 @@ measured worst deviation and its tolerance.
 
 Paths resolve library functions through their modules at call time, so a
 deliberately perturbed function (mutation testing) is picked up.  The term
-tables a_1..a_10⁴, n²a_n (n <= 10⁴) and b_1..b_2000 per (m, k) are built
-once per :func:`run`, which clears them on entry and exit; they reach the
-paths as fields of the grid points.
+tables a_1..a_10⁴, n²a_n (n <= 10⁴), b_1..b_2000 per (m, k) and the Wallis
+products P_1..P_10001 are built once per :func:`run`, which clears them on
+entry and exit; they reach the paths as fields of the grid points.
 """
 
 from __future__ import annotations
@@ -86,20 +86,6 @@ class _Chain(tuple):
                    key=lambda r: r[0] if r[0] == r[0] else math.inf)
 
 
-def _wallis_products(n_max: int):
-    """Yield (n, P_n) with a Neumaier-compensated running log sum."""
-    s = c = 0.0
-    for n in range(1, n_max + 1):
-        t = math.log1p(1.0 / (4.0 * n * n - 1.0))
-        tmp = s + t
-        if abs(s) >= abs(t):
-            c += (s - tmp) + t
-        else:
-            c += (t - tmp) + s
-        s = tmp
-        yield n, math.exp(s + c)
-
-
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
     """count evenly spaced points from lo to hi, with numpy.linspace's flops."""
     step = (hi - lo) / (count - 1)
@@ -168,6 +154,19 @@ def _terms(name: str, *shifts: float) -> list[float]:
     return [seq(n) for n in range(1, (_B_TERMS if shifts else _A_TERMS) + 1)]
 
 
+def _wallis_log_terms(lo: int, hi: int) -> list[float]:
+    return [math.log1p(1.0 / (4.0 * j * j - 1.0)) for j in range(lo, hi)]
+
+
+@functools.cache
+def _wallis_products() -> list[float]:
+    """[P_1, ..., P_10001], each exp of the exact sum of its own math.log1p
+    terms, from one ws._prefix_fsums sweep: independent of numpy's log1p
+    and of the gamma path.  run() clears it with _terms."""
+    ns = list(range(1, _A_TERMS + 2))
+    return [math.exp(s) for s in ws._prefix_fsums(_wallis_log_terms, ns)]
+
+
 def _b_steps():
     """(n, m, k, 2(k-m)+1, b_(n-1), b_n) for n in [2, 2000] at each (m, k)."""
     for m, k in _MK_GRID:
@@ -197,7 +196,7 @@ def _partial_sum_sandwich() -> None:
 
 def _monotonicity() -> None:
     prev_p = 0.0
-    for n, pn in _wallis_products(2000):
+    for n, pn in zip(range(1, 2001), _wallis_products()):
         if not (prev_p < pn < math.pi / 2.0):
             raise _Violation(f"P_n not strictly increasing below π/2 at n = {n}")
         prev_p = pn
@@ -236,7 +235,7 @@ _RATIO_LS = (0, 1, 2, 3, 5, 8, 13, 20, 50, 100, 1000, 10_000)
 
 
 def _l_values(family, pot, ls):
-    return [l for l in ls if l >= 1 or (family, pot) != _LO]
+    return [l for l in ls if l >= ve._l_min(family, pot)]
 
 
 def _variational_upper_bound() -> None:
@@ -340,7 +339,7 @@ _CLAIMS = {c.name: c for c in [
           "max rel dev {0:.2e} for n <= 1e4 (tol {tol:.0e})", _Gap(
               lambda sa, pn: sa,
               lambda sa, pn: 2.0 / math.pi * pn,
-              lambda: zip(_terms("scaled_a"), (pn for _, pn in _wallis_products(_A_TERMS))))),
+              lambda: zip(_terms("scaled_a"), _wallis_products()))),
     Claim("partial-sum-sandwich", None, "strict on log grid n in [1, 1e6]", _partial_sum_sandwich),
     Claim("sequence-monotonicity", None, "P_n up, a_n down, n²a_n up for n <= 2000", _monotonicity),
     Claim("sum-b-recurrence-vs-direct", 1e-10, "max rel dev vs direct {0:.2e} (tol {tol:.0e})",
@@ -383,7 +382,7 @@ _CLAIMS = {c.name: c for c in [
           "max |ratio - (2/π)P_(l+1)| = {0:.2e} (tol {tol:.0e})", _Gap(
               lambda l, pn: ve.variational_energy(*_GC, l).ratio_to_exact,
               lambda l, pn: 2.0 / math.pi * pn,
-              lambda: [(n - 1, pn) for n, pn in _wallis_products(10_001) if n - 1 in _RATIO_LS],
+              lambda: [(l, _wallis_products()[l]) for l in _RATIO_LS],
               _abs)),
     Claim("lorentz-ratio-identity", 1e-12, "max identity dev {0:.2e} (tol {tol:.0e})", _Gap(
         lambda l: ve.variational_energy(*_LC, l).ratio_to_exact,
@@ -420,8 +419,13 @@ def _judge(claim: Claim, measure: Callable) -> CheckResult:
 
 def run() -> list[CheckResult]:
     """Run every claim of CHECKS; returns one result per claim."""
-    _terms.cache_clear()
+    _clear_tables()
     try:
         return [_judge(_CLAIMS[name], measure) for name, measure in CHECKS]
     finally:
-        _terms.cache_clear()
+        _clear_tables()
+
+
+def _clear_tables() -> None:
+    _terms.cache_clear()
+    _wallis_products.cache_clear()

@@ -161,9 +161,7 @@ def _prefix_fsums(chunk_terms, ns: list[int]) -> list[float]:
     bit-identical to one fsum over its own terms.  A piece of an array of
     at least _EXTRACT_MIN terms is reduced to a few floats by _exact_parts,
     with no Python float per term; a shorter one, where the kernel's fixed
-    cost of a dozen numpy calls would dominate, is listed.  The last piece
-    carries nothing on, so a single n costs one term pass per chunk and one
-    fsum at the end.
+    cost of a dozen numpy calls would dominate, is listed.
     """
     sums: list[float] = []
     carry: list[float] = []  # exact total of terms 1..done
@@ -181,7 +179,7 @@ def _prefix_fsums(chunk_terms, ns: list[int]) -> list[float]:
             pos += take
             done += take
             part += carry  # fsum is exact, so the order of its terms does not matter
-            carry = [math.fsum(part)] if done == last else _exact_expansion(part)
+            carry = _exact_expansion(part)
         sums.append(carry[0])
     return sums
 

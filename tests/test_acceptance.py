@@ -91,7 +91,7 @@ def test_criterion_05_lorentz_levels():
 
 def test_criterion_06_ratio_limits():
     with criterion(6, "energy ratios follow the Wallis product toward 1"):
-        products = dict(_wallis_products(10_001))
+        products = dict(enumerate(_wallis_products(), 1))  # n -> P_n, n <= 10001
         for l in range(0, 10_001):
             ratio = variational_energy(GAUSSIAN, COULOMB, l).ratio_to_exact
             assert abs(ratio - 2.0 / PI * products[l + 1]) <= 1e-12

@@ -199,6 +199,26 @@ class TestKazarinoff:
         with pytest.raises(DomainError):
             kazarinoff_bounds(0)
 
+    def test_doubles_alone_fail_past_a_million(self):
+        # the case the certified verdict exists for: the double triple ties
+        # or crosses, though the sandwich holds
+        for n in (10**7, 10**8, 10**9, 10**15):
+            t = kazarinoff_bounds(n)
+            assert not t.lower < t.value < t.upper
+            assert t.satisfied
+
+    @pytest.mark.parametrize("n", [10**7, 10**8, 10**9, 10**12, 10**15, 2**53, 10**300]
+                             + [int(10.0 ** random.Random(29 + i).uniform(7.0, 308.23))
+                                for i in range(20)], ids=lambda n: f"{n:.4g}")
+    def test_certified_up_to_the_largest_double(self, n):
+        # the quartic sandwich implies this one for n >= 1/8, and it is
+        # certified at every n; the reported doubles stay as they were
+        t = kazarinoff_bounds(n)
+        assert t.satisfied
+        assert (t.lower, t.value, t.upper) == (math.sqrt(n + 0.25),
+                                               math.exp(_log_gamma_ratio(n, 1.0, 0.5)),
+                                               math.sqrt(n + 0.5))
+
 
 class TestQuarticRootBounds:
     def test_x1_triple(self):

@@ -137,22 +137,26 @@ def test_fused_energy_matches_two_scalar_quadratures(fam, pot):
         assert failures > 0
 
 
-def test_oscillator_numerator_overflow_zeroes_that_component_only():
-    # beyond x ~ 1.2e77, x**4 overflows: the scalar numerator raises, the
-    # fused one reports nan, and the denominator is unaffected (l = 0, whose
-    # profile still has a nonzero x²·g there)
+def test_oscillator_overflow_only_where_the_profile_vanishes():
+    # beyond x ~ 1.16e77, x**4 overflows: the fused integrand raises exactly
+    # where the scalar numerator does, and the quadrature then zeroes both
+    # components.  The scalar denominator is 0.0 there for every profile
+    # with a finite ⟨r²⟩, so no nonzero term is lost.  (The l = 0 Lorentz
+    # oscillator integrand is never built: its ⟨r²⟩ diverges.)
     s = 1.0
-    numerator, denominator = scalar_integrands(Family.LORENTZ, 0,
-                                               Potential.HARMONIC_OSCILLATOR, s)
-    fused = _energy_integrand(Family.LORENTZ, 0, Potential.HARMONIC_OSCILLATOR, s)
-    x = 2e77
-    with pytest.raises(OverflowError):
-        numerator(x)
-    num, den = fused(x)
-    assert math.isnan(num)
-    assert den == denominator(x) and den > 0.0
-    for x in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e30, 1e70):
-        assert fused(x) == (numerator(x), denominator(x))
+    pot = Potential.HARMONIC_OSCILLATOR
+    for fam, l in ((Family.GAUSSIAN, 0), (Family.GAUSSIAN, 5),
+                   (Family.LORENTZ, 1), (Family.LORENTZ, 5)):
+        numerator, denominator = scalar_integrands(fam, l, pot, s)
+        fused = _energy_integrand(fam, l, pot, s)
+        x = 2e77
+        with pytest.raises(OverflowError):
+            numerator(x)
+        with pytest.raises(OverflowError):
+            fused(x)
+        assert denominator(x) == 0.0, (fam, l)
+        for x in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e30, 1e70):
+            assert fused(x) == (numerator(x), denominator(x)), (fam, l, x)
 
 
 def _one_raises(x):

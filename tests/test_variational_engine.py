@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallisqm import variational_engine
+from wallisqm import variational_engine, verify
 from wallisqm.errors import ConvergenceError, DivergenceError, DomainError
 from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
                                          Potential, TrialSpec, _brent_min,
@@ -319,6 +319,17 @@ class TestUpperBoundProperty:
 
 
 class TestRatioSequence:
+    @pytest.mark.parametrize("family,pot", ALL_COMBOS, ids=lambda v: v.value)
+    def test_sequences_start_at_the_one_l_domain_rule(self, family, pot, monkeypatch):
+        l_min = variational_engine._l_min(family, pot)
+        assert l_min == l_floor(family, pot)
+        assert ratio_sequence(family, pot, 3)[0][0] == l_min
+        assert verify._l_values(family, pot, [0, 1, 2, 3])[0] == l_min
+        # both read the rule at call time, so moving it moves them
+        monkeypatch.setattr(variational_engine, "_l_min", lambda family, pot: 2)
+        assert ratio_sequence(family, pot, 3)[0][0] == 2
+        assert verify._l_values(family, pot, [0, 1, 2, 3]) == [2, 3]
+
     def test_gaussian_coulomb_matches_scaled_a(self):
         for l, ratio in ratio_sequence(GAUSSIAN, COULOMB, 30):
             assert ratio == pytest.approx(scaled_a(l + 1), rel=1e-13)

@@ -55,6 +55,26 @@ class TestVerifySuites:
         assert counts["b_seq"] <= len(verify._MK_GRID) * 2000 + counts["sum_b_partial"]
         assert verify._terms.cache_info().currsize == 0  # the tables live only inside run()
 
+    def test_one_product_table_per_run(self, monkeypatch):
+        sweeps = []
+        prefix_fsums = wallis_series._prefix_fsums
+
+        def counted(chunk_terms, ns):
+            sweeps.append(chunk_terms)
+            return prefix_fsums(chunk_terms, ns)
+
+        monkeypatch.setattr(wallis_series, "_prefix_fsums", counted)
+        assert all(r.passed for r in verify.run())
+        assert sweeps.count(verify._wallis_log_terms) == 1
+        assert verify._wallis_products.cache_info().currsize == 0  # only inside run()
+
+    def test_products_are_exact_sums_of_their_log_terms(self):
+        terms = verify._wallis_log_terms(1, 10_001)
+        products = verify._wallis_products.__wrapped__()  # built afresh, not cached
+        assert len(products) == 10_001
+        for n in (1, 2, 1000, 10_000):
+            assert products[n - 1] == math.exp(math.fsum(terms[:n]))
+
     def test_detects_perturbed_b_seq_in_both_b_suites(self, monkeypatch):
         b_seq = wallis_series.b_seq
         monkeypatch.setattr(wallis_series, "b_seq",
@@ -436,6 +456,8 @@ class TestVerifyCommand:
     (["bounds", "--kind", "quartic", "--grid", "inf"], 1),
     # the verdict is certified with digits enough for the margin at every x
     (["bounds", "--kind", "quartic", "--grid", "1e13,1e15,1e100,1e300"], 0),
+    # where the doubles tie or cross, the quartic certificate decides
+    (["bounds", "--kind", "kazarinoff", "--grid", "1e7,1e8,1e9,1e12,1e15"], 0),
     (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
     (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
     (["sum", "--mode", "general", "--m", "inf", "--k", "0", "--n", "1,2"], 2),

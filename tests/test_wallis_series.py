@@ -35,7 +35,7 @@ class TestWallisPartialProduct:
 
     def test_strictly_increasing_below_half_pi(self):
         prev = 0.0
-        for n, p in _wallis_products(500):
+        for p in _wallis_products()[:500]:
             assert prev < p < PI / 2.0
             prev = p
 
@@ -75,7 +75,7 @@ class TestScaledA:
 
     def test_equals_scaled_product_up_to_1e4(self):
         worst = 0.0
-        for n, p in _wallis_products(10_000):
+        for n, p in enumerate(_wallis_products()[:10_000], 1):
             worst = max(worst, abs(scaled_a(n) - 2.0 / PI * p) / (2.0 / PI * p))
         assert worst <= 1e-13
 
