@@ -204,17 +204,18 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
     """√(n+1/4) < Γ(n+1)/Γ(n+1/2) < √(n+1/2), certified for every n >= 1.
 
     The verdict is lower < value < upper in doubles, which hold at every
-    n <= 10⁶.  The lower margin shrinks like 1/(64n²) relative, so past
-    that the doubles may tie or cross; the verdict is then the certified
-    quartic sandwich of :func:`quartic_root_bounds`, which implies this one
-    for n >= 1/8: (n+1/4)² <= n²+n/2+1/8-1/(128n) and n²+n/2+1/8 <= (n+1/2)².
+    n <= 10⁶, so there a failure is a fault of the value.  The lower margin
+    shrinks like 1/(64n²) relative, so past 10⁶ the doubles may tie or
+    cross; the verdict is then the certified quartic sandwich of
+    :func:`quartic_root_bounds`, which implies this one for n >= 1/8:
+    (n+1/4)² <= n²+n/2+1/8-1/(128n) and n²+n/2+1/8 <= (n+1/2)².
     """
     n = _index(n, "kazarinoff_bounds", lo=1)
     value = math.exp(_log_gamma_ratio(n, 1.0, 0.5))
     lower = math.sqrt(n + 0.25)
     upper = math.sqrt(n + 0.5)
     return BoundsTriple(lower, value, upper,
-                        lower < value < upper or _quartic_satisfied(n))
+                        lower < value < upper or (n > 10**6 and _quartic_satisfied(n)))
 
 
 def _quartic_satisfied(x: float) -> bool:

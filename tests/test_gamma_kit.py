@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wallisqm import gamma_kit
 from wallisqm.errors import DomainError
 from wallisqm.gamma_kit import (BoundsTriple, GammaRatioQuery, _lgamma_diff,
                                 _log_gamma_ratio, _two_sum,
@@ -199,13 +200,23 @@ class TestKazarinoff:
         with pytest.raises(DomainError):
             kazarinoff_bounds(0)
 
-    def test_doubles_alone_fail_past_a_million(self):
-        # the case the certified verdict exists for: the double triple ties
-        # or crosses, though the sandwich holds
-        for n in (10**7, 10**8, 10**9, 10**15):
-            t = kazarinoff_bounds(n)
-            assert not t.lower < t.value < t.upper
-            assert t.satisfied
+    def test_certificate_only_past_a_million(self, monkeypatch):
+        # doubles resolve the sandwich at every n <= 10⁶, so there a value
+        # outside the double bounds is a fault and is reported as violated;
+        # past 10⁶ the verdict falls back on the quartic certificate
+        calls = []
+
+        def certificate(x):
+            calls.append(x)
+            return True
+
+        monkeypatch.setattr(gamma_kit, "_quartic_satisfied", certificate)
+        monkeypatch.setattr(gamma_kit, "_log_gamma_ratio", lambda x, a, b: 0.25 * math.log(x))
+        assert not kazarinoff_bounds(10**6).satisfied
+        assert not kazarinoff_bounds(100).satisfied
+        assert calls == []
+        assert kazarinoff_bounds(10**6 + 1).satisfied
+        assert calls == [10**6 + 1]
 
     @pytest.mark.parametrize("n", [10**7, 10**8, 10**9, 10**12, 10**15, 2**53, 10**300]
                              + [int(10.0 ** random.Random(29 + i).uniform(7.0, 308.23))

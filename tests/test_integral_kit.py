@@ -101,8 +101,13 @@ class TestBetaTrig:
     def test_tangent_substitution_identity(self, m, n):
         if 2.0 * n - m <= 1.0:
             return
+        # rational_moment is beta_trig_integral; the reference is the trig
+        # integral itself, by 30-digit quadrature
         lhs = rational_moment(RationalMomentQuery(m, n))
-        rhs = beta_trig_integral((m + 1.0) / 2.0, n - (m + 1.0) / 2.0)
+        p, q = (m + 1.0) / 2.0, n - (m + 1.0) / 2.0
+        with mp.workdps(30):
+            rhs = float(mp.quad(lambda t: mp.sin(t) ** (2 * p - 1) * mp.cos(t) ** (2 * q - 1),
+                                [0, mp.pi / 2]))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_rejects_nonpositive(self):

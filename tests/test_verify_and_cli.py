@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from wallisqm import cli, integral_kit, variational_engine, verify, wallis_series
+from wallisqm import cli, gamma_kit, integral_kit, variational_engine, verify, wallis_series
 from wallisqm.cli import main
 from wallisqm.wallis_series import PartialSum, scaled_a
 
@@ -82,6 +82,15 @@ class TestVerifySuites:
         by_name = {r.name: r for r in verify.run()}
         assert not by_name["b-recurrence-identity"].passed
         assert not by_name["sum-b-recurrence-vs-direct"].passed
+
+    def test_detects_perturbed_gamma_kernel_in_kazarinoff_sandwich(self, monkeypatch):
+        # a 1e-6 relative error in the log pushes the value below √(n+1/4)
+        # from n = 84; on the grid, n <= 10⁶, the certificate must not mask it
+        kernel = gamma_kit._log_gamma_ratio
+        monkeypatch.setattr(gamma_kit, "_log_gamma_ratio",
+                            lambda x, a, b: kernel(x, a, b) * (1.0 - 1e-6))
+        by_name = {r.name: r for r in verify.run()}
+        assert not by_name["kazarinoff-sandwich"].passed
 
     def test_one_a_table_per_run(self, monkeypatch):
         counts = {"a_seq": 0, "scaled_a": 0}
