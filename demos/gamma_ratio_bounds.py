@@ -25,8 +25,8 @@ for x in (0.2, 1.0, 10.0, 100.0, 1e5):
     print(f"{x:>8g} {t.lower:>16.12f} {t.value:>16.12f} {t.upper:>16.12f} "
           f"{str(t.satisfied):>10}")
 # past x ~ 5e3 the three doubles above print identically; the satisfied
-# flag comes from an mpmath evaluation of the same inequality, at 50 digits
-# or, from x = 10^7.5 on, at floor(4·log10 x) + 20 digits.
+# flag then comes from a certificate of the same inequality in stdlib
+# decimal, at max(40, 4·floor(log10 x) + 25) digits.
 
 print("\nratio-drift deviation Gamma(x+s)/(x^s Gamma(x)) - 1 at s = 1/2:")
 for x in (10.0, 100.0, 1e3, 1e4, 1e5, 1e6):

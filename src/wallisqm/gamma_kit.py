@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 from .errors import DomainError, _index, _real
 
@@ -40,14 +41,13 @@ __all__ = [
     "duplication_residual",
 ]
 
-# Stirling tail coefficients B_{2j} / (2j(2j-1)): 1/12, -1/360, 1/1260, ...
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-)
+# Stirling tail coefficients B_{2k} / (2k(2k-1)), k = 1..9, as exact p/q:
+# 1/12, -1/360, 1/1260, ...  The double kernel uses the first five, each
+# rounded once by int true division; the quartic certificate uses eight and
+# bounds the remainder by the ninth.
+_STIRLING_PQ = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                (-691, 360360), (1, 156), (-3617, 122400), (43867, 244188))
+_STIRLING = tuple(p / q for p, q in _STIRLING_PQ[:5])
 _SHIFT_MIN = 16.0   # Stirling tail keeps full accuracy from here on
 _DIRECT_MAX = 32.0  # below this, plain lgamma differences stay under 3e-14
 
@@ -189,9 +189,10 @@ def wallis_ratio(n: int) -> float:
 class BoundsTriple:
     """A (lower, value, upper) sandwich with its strictness verdict.
 
-    ``satisfied`` records whether the strict sandwich holds.  Where the
-    three doubles cannot resolve it, each function certifies the verdict in
-    mpmath over its whole domain instead of reporting a tie as violated.
+    ``satisfied`` is lower < value < upper in doubles wherever the doubles
+    resolve the sandwich, so there a failure is a fault of the value.
+    Beyond that, where they may tie or cross, the verdict is certified in
+    decimal arithmetic instead of reporting a tie as violated.
     """
 
     lower: float
@@ -204,11 +205,10 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
     """√(n+1/4) < Γ(n+1)/Γ(n+1/2) < √(n+1/2), certified for every n >= 1.
 
     The verdict is lower < value < upper in doubles, which hold at every
-    n <= 10⁶, so there a failure is a fault of the value.  The lower margin
-    shrinks like 1/(64n²) relative, so past 10⁶ the doubles may tie or
-    cross; the verdict is then the certified quartic sandwich of
-    :func:`quartic_root_bounds`, which implies this one for n >= 1/8:
-    (n+1/4)² <= n²+n/2+1/8-1/(128n) and n²+n/2+1/8 <= (n+1/2)².
+    n <= 10⁶.  The lower margin shrinks like 1/(64n²) relative, so past 10⁶
+    the doubles may tie or cross; there a failure defers to the certified
+    quartic sandwich of :func:`quartic_root_bounds`, which implies this one
+    for n >= 1/8: (n+1/4)² <= n²+n/2+1/8-1/(128n) and n²+n/2+1/8 <= (n+1/2)².
     """
     n = _index(n, "kazarinoff_bounds", lo=1)
     value = math.exp(_log_gamma_ratio(n, 1.0, 0.5))
@@ -219,19 +219,47 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
 
 
 def _quartic_satisfied(x: float) -> bool:
-    # The true value approaches the upper bound like 2e-15·(1000/x)^3 on the
-    # value scale, so double comparisons tie for x beyond ~5e3; certify the
-    # strict sandwich in mpmath instead.  Both margins of value⁴ are about
-    # 1/(128x⁴) relative, so max(50, floor(4·log10 x) + 20) digits resolve
-    # them with about 17 to spare, up to the largest double; 50 for x <= 10^7.5.
-    import mpmath as mp
+    # The strict quartic sandwich of R(x) = Γ(x+1)/Γ(x+1/2), certified in
+    # decimal arithmetic.  Shift up to w = x + N >= 10, R(x) = ρ·R(w) with
+    # ρ = ∏ (x+1/2+j)/(x+1+j), and write ln R(w) = ln(w+1/2)/2 + E with
+    # E = Σ_{j>=1} (-t)^j/(2(j+1)) + S(w+1) - S(w+1/2), t = 1/(2w+1), so
+    # value⁴ = (w+1/2)²·exp(4E)·ρ⁴ and no large logarithm cancels.  S keeps
+    # eight terms; the ninth coefficient bounds each remainder by c₉/z¹⁷
+    # (DLMF 5.11(ii)), and 10^(3-prec) covers the rounding.  The upper
+    # margin of value⁴ is about 1/(128x⁴) relative and the lower 1/(128x³),
+    # so at max(40, 4·floor(log10 x) + 25) digits both exceed that slack by
+    # at least 15 digits, up to the largest double.
+    X = Decimal(x)  # exact
+    with localcontext() as ctx:
+        ctx.prec = prec = max(40, 4 * X.adjusted() + 25)
+        half = Decimal("0.5")
+        w, rho = X, Decimal(1)
+        while w < 10:
+            rho = rho * (w + half) / (w + 1)
+            w += 1
+        *c, c9 = [Decimal(p) / q for p, q in _STIRLING_PQ]
 
-    with mp.workdps(max(50, math.floor(4.0 * math.log10(x)) + 20)):
-        X = mp.mpf(x)
-        value4 = (mp.gamma(X + 1) / mp.gamma(X + mp.mpf("0.5"))) ** 4
-        upper4 = X * X + X / 2 + mp.mpf("0.125")
+        def tail(z):
+            r = 1 / z
+            r2, s = r * r, Decimal(0)
+            for ck in reversed(c):
+                s = s * r2 + ck
+            return s * r
+
+        t = 1 / (2 * w + 1)
+        e, term, k = tail(w + 1) - tail(w + half), -t, 2
+        eps = Decimal(1).scaleb(-prec)
+        while abs(term) > eps:
+            e += term / (2 * k)
+            term *= -t
+            k += 1
+        # both remainders lie below c₉/w¹⁷ <= c₉·10^(-17·floor(log10 w)), and
+        # exp(4δ) - 1 <= 5δ for an error δ of E this small
+        slack = 10 * c9 * Decimal(1).scaleb(-17 * w.adjusted()) + eps.scaleb(3)
+        value4 = (w + half) ** 2 * (4 * e).exp() * rho ** 4
+        upper4 = X * X + X / 2 + Decimal("0.125")
         lower4 = upper4 - 1 / (128 * X)
-        return bool(lower4 < value4 < upper4)
+        return lower4 < value4 * (1 - slack) and value4 * (1 + slack) < upper4
 
 
 def quartic_root_bounds(x: float) -> BoundsTriple:
@@ -239,12 +267,15 @@ def quartic_root_bounds(x: float) -> BoundsTriple:
 
     The lower radicand is positive only for x above ~0.05102366 (the real
     root of 128x³+64x²+16x = 1); smaller x, x = inf and nan are rejected.
-    The reported triple is double precision, but the strictness verdict is
-    certified in mpmath at max(50, floor(4·log10 x) + 20) digits, which
-    resolve its margins of about 1/(128x⁴) relative at every finite x: from
-    x ~ 5e3 the three double values collide even though the sandwich
-    genuinely holds.  Where x² overflows, from x ~ 1.34e154, both bounds
-    are reported as √x: their 1/(8x) correction is below an ulp.
+    The verdict is lower < value < upper in doubles, which resolve the
+    sandwich at every x <= 300: the value's upper margin, about 1/(512x⁴)
+    relative, is still above the 1e-13 accuracy of :func:`gamma_ratio`
+    there.  Beyond 300 a failure defers to a certificate in decimal
+    arithmetic at max(40, 4·floor(log10 x) + 25) digits, which resolves the
+    margins at every finite x: from x ~ 5e3 the three doubles collide even
+    though the sandwich genuinely holds.  Where x² overflows, from
+    x ~ 1.34e154, both bounds are reported as √x: their 1/(8x) correction
+    is below an ulp.
     """
     if not _real(x, "quartic_root_bounds x") > 0.0:
         raise DomainError(f"quartic_root_bounds requires x > 0, got {x}")
@@ -257,9 +288,11 @@ def quartic_root_bounds(x: float) -> BoundsTriple:
         )
     value = math.exp(_log_gamma_ratio(x, 1.0, 0.5))
     if upper_rad == math.inf:  # x² overflowed
-        return BoundsTriple(math.sqrt(x), value, math.sqrt(x), _quartic_satisfied(x))
-    return BoundsTriple(lower_rad ** 0.25, value, upper_rad ** 0.25,
-                        _quartic_satisfied(x))
+        lower = upper = math.sqrt(x)
+    else:
+        lower, upper = lower_rad ** 0.25, upper_rad ** 0.25
+    return BoundsTriple(lower, value, upper,
+                        lower < value < upper or (x > 300 and _quartic_satisfied(x)))
 
 
 def wendel_deviation(x: float, s: float) -> float:

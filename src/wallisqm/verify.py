@@ -297,10 +297,12 @@ _CLAIMS = {c.name: c for c in [
         lambda: _linspace(0.05, 1.0, 20) + _linspace(1.5, 100.0, 198))),
     Claim("wallis-ratio-gamma-identity", 1e-12,
           "max |W_n·√π·Γ(n+1)/Γ(n+1/2) - 1| = {0:.2e} (tol {tol:.0e})", _Gap(
-              lambda n: gk.wallis_ratio(n) * math.sqrt(math.pi) * gk.gamma_ratio(
-                  gk.GammaRatioQuery(float(n), 1.0, 0.5)),
-              lambda n: 1.0,
-              lambda: range(0, 10_001), _abs)),
+              # W_n = 1/√((2n+1)·P_n), since P_n·W_n² = 1/(2n+1): the product
+              # path at every n, independent of the gamma kernel
+              lambda n, pn: math.sqrt(math.pi) * gk.gamma_ratio(
+                  gk.GammaRatioQuery(float(n), 1.0, 0.5)) / math.sqrt((2.0 * n + 1.0) * pn),
+              lambda n, pn: 1.0,
+              lambda: zip(range(0, 10_001), [1.0] + _wallis_products()), _abs)),
     Claim("wallis-ratio-path-overlap", 1e-13,
           "max product/gamma path dev {0:.2e} (tol {tol:.0e})", _Gap(
               lambda n: gk.wallis_ratio(n),

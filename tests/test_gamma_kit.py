@@ -269,16 +269,59 @@ class TestQuarticRootBounds:
         t = quartic_root_bounds(x)
         assert t.lower == t.upper == math.sqrt(x)
 
-    @pytest.mark.parametrize("x", [10.0 ** random.Random(13 + i).uniform(5.0, 308.23)
-                                   for i in range(20)])
+    @pytest.mark.parametrize("x", [0.0510237, 9.99, 10.0, 10.01]
+                             + [10.0 ** random.Random(13 + i).uniform(5.0, 308.23)
+                                for i in range(20)])
     def test_verdict_holds_at_30_more_digits(self, x):
-        digits = max(50, math.floor(4.0 * math.log10(x)) + 20) + 30
+        # the domain edge, the shift to w >= 10 on either side of 10, and
+        # log-uniform x up to the largest double
+        digits = max(40, 4 * math.floor(math.log10(x)) + 25) + 30
         with mp.workdps(digits):
             X = mp.mpf(x)
             value4 = (mp.gamma(X + 1) / mp.gamma(X + mp.mpf("0.5"))) ** 4
             upper4 = X * X + X / 2 + mp.mpf("0.125")
             assert upper4 - 1 / (128 * X) < value4 < upper4
         assert quartic_root_bounds(x).satisfied
+        assert gamma_kit._quartic_satisfied(x)
+
+    def test_certificate_only_past_300(self, monkeypatch):
+        # doubles resolve the sandwich at every x <= 300, so there a value
+        # outside the double bounds is a fault and is reported as violated;
+        # past 300 the verdict falls back on the certificate
+        calls = []
+
+        def certificate(x):
+            calls.append(x)
+            return True
+
+        monkeypatch.setattr(gamma_kit, "_quartic_satisfied", certificate)
+        assert all(quartic_root_bounds(x).satisfied for x in (0.06, 1.0, 300.0))
+        assert calls == []
+        monkeypatch.setattr(gamma_kit, "_log_gamma_ratio", lambda x, a, b: 0.25 * math.log(x))
+        assert not quartic_root_bounds(300.0).satisfied
+        assert not quartic_root_bounds(1.0).satisfied
+        assert calls == []
+        assert quartic_root_bounds(300.5).satisfied
+        assert calls == [300.5]
+
+    @pytest.mark.parametrize("x", [0.0510237, 10.0, 1e5, 1e15, 1e300])
+    def test_certificate_refuses_a_perturbed_stirling_table(self, monkeypatch, x):
+        # the certified value⁴ is the value's own: 1 % off in the leading
+        # coefficient moves it outside a margin of 1/(128x⁴) from x ~ 10
+        (p, q), *rest = gamma_kit._STIRLING_PQ
+        monkeypatch.setattr(gamma_kit, "_STIRLING_PQ", ((101 * p, 100 * q), *rest))
+        assert gamma_kit._quartic_satisfied(x) is (x < 1.0)
+
+    def test_stirling_table_is_exact(self):
+        # B_2k/(2k(2k-1)) from the Bernoulli recurrence, and the double
+        # kernel's coefficients are its first five, each rounded once
+        bernoulli = [Fraction(1)]
+        for m in range(1, 19):
+            bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+        assert [Fraction(p, q) for p, q in gamma_kit._STIRLING_PQ] == [
+            bernoulli[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 10)]
+        assert gamma_kit._STIRLING == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0,
+                                       -1.0 / 1680.0, 1.0 / 1188.0)
 
     @pytest.mark.parametrize("x", [-1.0, 0.0, 0.05, math.inf, math.nan])
     def test_domain_rejected(self, x):

@@ -92,6 +92,31 @@ class TestVerifySuites:
         by_name = {r.name: r for r in verify.run()}
         assert not by_name["kazarinoff-sandwich"].passed
 
+    def test_detects_perturbed_gamma_kernel_in_quartic_sandwich(self, monkeypatch):
+        # the same error pushes the value below its quartic lower bound from
+        # x ~ 10; on the grid's x <= 300 the certificate must not mask it
+        kernel = gamma_kit._log_gamma_ratio
+        monkeypatch.setattr(gamma_kit, "_log_gamma_ratio",
+                            lambda x, a, b: kernel(x, a, b) * (1.0 - 1e-6))
+        by_name = {r.name: r for r in verify.run()}
+        assert not by_name["quartic-root-sandwich"].passed
+
+    def test_detects_perturbed_stirling_tail_beyond_the_product_crossover(self, monkeypatch):
+        # beyond n = 150 wallis_ratio is the gamma path, so only the product
+        # P_n can tell a fault of the kernel's Stirling tail
+        claim = verify._CLAIMS["wallis-ratio-gamma-identity"]
+        beyond = dataclasses.replace(
+            claim.measure, grid=lambda: [(n, pn) for n, pn in claim.measure.grid() if n > 150])
+        c0, *rest = gamma_kit._STIRLING
+        try:
+            assert beyond()[0] < 1e-14
+            monkeypatch.setattr(gamma_kit, "_STIRLING", (c0 * 1.001, *rest))
+            assert beyond()[0] > 1e-9
+        finally:
+            verify._clear_tables()
+        by_name = {r.name: r for r in verify.run()}
+        assert not by_name["wallis-ratio-gamma-identity"].passed
+
     def test_one_a_table_per_run(self, monkeypatch):
         counts = {"a_seq": 0, "scaled_a": 0}
 
@@ -511,6 +536,17 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 2:
         assert out == "" and ("domain error" in err or "unrecognized arguments" in err)
+
+
+def test_certified_bounds_need_no_mpmath(capsys, monkeypatch):
+    # the library runs on the standard library and numpy alone: with mpmath
+    # blocked, any import of it raises, and both certificates still decide
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    for argv in (["bounds", "--kind", "quartic", "--grid", "0.2,1e5,1e300"],
+                 ["bounds", "--kind", "kazarinoff", "--grid", "1e7,1e300"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert "false" not in out
 
 
 def test_out_to_missing_directory_exits_2(capsys, tmp_path):
