@@ -34,6 +34,7 @@ import argparse
 import decimal
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -91,6 +92,10 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+# the %-spec of a column whose cells all have one of these exact types
+_COLUMN_SPECS = {float: "%.17g", int: "%d", str: "%s"}
+
+
 def _emit_table(rows, fields, fmt: str) -> str:
     if fmt == "json":
         payload = [
@@ -100,9 +105,22 @@ def _emit_table(rows, fields, fmt: str) -> str:
         return json.dumps(payload, indent=2) + "\n"
     # no cell can hold a comma, quote, CR or LF (labels are fixed identifiers
     # or option choices, the rest numbers, flags or empty), so a plain join
-    # gives the bytes csv.writer would
+    # gives the bytes csv.writer would.  A column of one plain type is
+    # formatted by its %-spec in one row template (the bytes of _fmt_cell:
+    # '%.17g' % x == format(x, '.17g')); any other column is rendered cell
+    # by cell first, and enters the template as text.
+    columns, specs = [], []
+    for f in fields:
+        column = list(map(operator.attrgetter(f), rows))
+        kinds = set(map(type, column))
+        spec = _COLUMN_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            column, spec = list(map(_fmt_cell, column)), "%s"
+        columns.append(column)
+        specs.append(spec)
+    template = ",".join(specs)
     lines = [",".join(fields)]
-    lines += [",".join([_fmt_cell(getattr(r, f)) for f in fields]) for r in rows]
+    lines += [template % cells for cells in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

@@ -209,7 +209,12 @@ def a_seq(n: int) -> float:
     (about 6.7e153); DomainError beyond, where it would lose bits and
     then round to 0.
     """
-    n = _index(n, "a_seq", lo=1, hi=_A_MAX_N)
+    return _a_term(float(_index(n, "a_seq", lo=1, hi=_A_MAX_N)))
+
+
+def _a_term(n: float) -> float:
+    # a_n for a validated index; float n spares the kernel int/float mixed
+    # arithmetic, and rounds exactly as an int operand would
     return math.exp(2.0 * _log_gamma_ratio(n, 0.0, 0.5) - math.log(n + 0.5))
 
 
@@ -218,7 +223,7 @@ def scaled_a(n: int) -> float:
 
     Equals (2/π)·wallis_partial_product(n) exactly.
     """
-    n = _index(n, "scaled_a", lo=1)
+    n = float(_index(n, "scaled_a", lo=1))
     return math.exp(2.0 * _log_gamma_ratio(n, 1.0, 0.5) - math.log(n + 0.5))
 
 
@@ -248,7 +253,8 @@ def sum_a_direct(n: int) -> float:
 
 
 def _a_terms(lo: int, hi: int) -> list[float]:
-    return [a_seq(i) for i in range(lo, hi)]
+    # the sweep's callers have bounded the indices, to 10⁷
+    return [_a_term(n) for n in map(float, range(lo, hi))]
 
 
 def b_seq(p: GeneralizedParams, n: int) -> float:
@@ -258,7 +264,7 @@ def b_seq(p: GeneralizedParams, n: int) -> float:
     and n + 3/2 are exact doubles; DomainError beyond, where they would be
     rounded before the exact-offset kernel sees them.
     """
-    n = _index(n, "b_seq", lo=1, hi=_B_MAX_N)
+    n = float(_index(n, "b_seq", lo=1, hi=_B_MAX_N))
     # the real shifts m, k take the kernel's x slot, so the exact offsets
     # n, n+1/2, n+3/2 keep n+m+1/2 and n+k+3/2 exact through its two-sums
     return math.exp(_log_gamma_ratio(p.m, n, n + 0.5) + _log_gamma_ratio(p.k, n, n + 1.5))

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,11 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallisqm import gamma_kit
+from wallisqm import wallis_series as ws
 from wallisqm.errors import DomainError
-from wallisqm.gamma_kit import (BoundsTriple, GammaRatioQuery, _lgamma_diff,
-                                _log_gamma_ratio, _two_sum,
-                                duplication_residual, gamma_ratio,
-                                kazarinoff_bounds, log_gamma,
+from wallisqm.gamma_kit import (_DIRECT_MAX, _SHIFT_MIN, BoundsTriple,
+                                GammaRatioQuery, _log_gamma_ratio,
+                                _stirling_tail, duplication_residual,
+                                gamma_ratio, kazarinoff_bounds, log_gamma,
                                 quartic_root_bounds, wallis_ratio,
                                 wendel_deviation)
 
@@ -54,6 +56,30 @@ class TestLogGamma:
     @pytest.mark.parametrize("x,ref", _LGAMMA_REFS)
     def test_accuracy_grid(self, x, ref):
         assert log_gamma(x) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-6, 1.0 - 1e-9, 2.0 + 1e-10])
+    def test_error_near_the_roots_is_absolute(self, x):
+        # ln Γ vanishes at 1 and 2, so libm's error there is small only in
+        # absolute terms: the docstring's 2e-15 holds, a relative 1e-14 not
+        with mp.workdps(50):
+            ref = mp.loggamma(mp.mpf(x))
+            err = abs(mp.mpf(log_gamma(x)) - ref)
+            assert err < 2e-15
+            assert err > 1e-14 * abs(ref)
+
+    @given(st.one_of(st.floats(0.5, 2.5), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)))
+    @example(1.0 + 2.0**-52)
+    @example(2.5)
+    @example(0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_documented_error_over_the_domain(self, x):
+        with mp.workdps(50):
+            ref = mp.loggamma(mp.mpf(x))
+            err = float(abs(mp.mpf(log_gamma(x)) - ref))
+            if 0.5 <= x <= 2.5:
+                assert err < 2e-15
+            else:
+                assert err <= 1e-14 * float(abs(ref))
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_rejects_nonpositive(self, x):
@@ -106,6 +132,110 @@ def _mp_rel_err(value, ref):
     return float(abs(mp.mpf(value) / ref - 1))
 
 
+# The kernel as a composition of three helpers, the form it had before its
+# two-sums and lgamma difference were written out inline.  The kernel must
+# return the same double as this reference for every argument, compared with
+# ==; the sequence terms built on it likewise.
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth two-sum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _lgamma_diff(u: float, v: float) -> float:
+    """lnΓ(u) - lnΓ(v) for u, v > 0, without the cancellation that a plain
+    lgamma difference suffers at large arguments."""
+    if max(u, v) <= _DIRECT_MAX:
+        return math.lgamma(u) - math.lgamma(v)
+    parts = []
+    while u < _SHIFT_MIN:
+        parts.append(-math.log(u))
+        u += 1.0
+    while v < _SHIFT_MIN:
+        parts.append(math.log(v))
+        v += 1.0
+    d = u - v  # exact: u, v on a common scale here (Sterbenz) or far apart
+    parts += [
+        d * math.log(v),
+        (u - 0.5) * math.log1p(d / v),
+        -d,
+        _stirling_tail(u),
+        -_stirling_tail(v),
+    ]
+    return math.fsum(parts)
+
+
+def _reference(x: float, a: float, b: float) -> float:
+    """lnΓ(x+a) - lnΓ(x+b) for x+a, x+b > 0, the sums taken exactly.
+
+    The shifted arguments are rounded to u = fl(x+a) and v = fl(x+b); their
+    two-sum residues are folded back in to first order as ψ(w)·(u_lo - v_lo),
+    w = max(u, v).  Equal residues (integer or half-integer offsets of an
+    integer x) leave exactly _lgamma_diff(u, v).
+    """
+    u, u_lo = _two_sum(x, a)
+    v, v_lo = _two_sum(x, b)
+    d = _lgamma_diff(u, v)
+    if u_lo != v_lo:
+        w = max(u, v)
+        d += (math.log(w) - 0.5 / w) * (u_lo - v_lo)
+    return d
+
+
+def _reference_a(n: int) -> float:
+    return math.exp(2.0 * _reference(n, 0.0, 0.5) - math.log(n + 0.5))
+
+
+def _reference_scaled_a(n: int) -> float:
+    return math.exp(2.0 * _reference(n, 1.0, 0.5) - math.log(n + 0.5))
+
+
+def _reference_b(p, n: int) -> float:
+    return math.exp(_reference(p.m, n, n + 0.5) + _reference(p.k, n, n + 1.5))
+
+
+# integral x up to 2^511, as int and as double; real x in [1e-3, 1e12], and
+# in [1e-3, 40] for the shift loop (< 16) and the direct branch (<= 32)
+_KERNEL_X = st.one_of(
+    st.integers(1, 2**511),
+    st.integers(1, 2**511).map(float),
+    st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e),
+    st.floats(1e-3, 40.0),
+)
+# the dyadic table offsets, real offsets in (-0.9, 3), and integer or
+# half-integer offsets up to 2^52
+_KERNEL_OFFSET = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+    st.integers(0, 2**52).map(float),
+    st.integers(0, 2**51).map(lambda k: k + 0.5),
+)
+
+
+def _kernel_draw(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = rng.randrange(1, 2 ** rng.randrange(1, 512) + 1)
+        x = float(x) if rng.random() < 0.5 else x
+    elif kind == 1:
+        x = 10.0 ** rng.uniform(-3.0, 12.0)
+    else:
+        x = rng.uniform(1e-3, 40.0)
+
+    def offset():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([0.0, 0.5, 1.0, 1.5])
+        if kind == 1:
+            return rng.uniform(-0.9, 3.0)
+        k = float(rng.randrange(0, 2 ** rng.randrange(1, 52)))
+        return k if kind == 2 else k + 0.5
+
+    return x, offset(), offset()
+
+
 class TestLogGammaRatioKernel:
     @given(st.one_of(st.integers(0, 2**53).map(float), st.floats(-1e300, 1e300)),
            st.floats(-1e300, 1e300))
@@ -123,6 +253,55 @@ class TestLogGammaRatioKernel:
         # no residue to fold: integer and half-integer tables keep their bits
         assume(n + a > 0.0 and n + b > 0.0)
         assert _log_gamma_ratio(n, a, b) == _lgamma_diff(n + a, n + b)
+
+    @given(_KERNEL_X, _KERNEL_OFFSET, _KERNEL_OFFSET)
+    @example(500, 0.0, 0.5)  # a_seq(500) before its index became a double
+    @example(2**511 - 1, 0.0, 0.5)
+    @example(3.0, 30.0, 0.5)  # the shift loop of u's partner v
+    @example(7.3, 1.0, 0.5)  # the direct branch, with a residue to fold
+    @example(1e10, 1.0 / 3.0, 2.0 / 3.0)  # the fold past the direct branch
+    @example(0.3, 2.0**52, 2.0**52 + 0.5)  # b_seq's slots at its largest n
+    @settings(max_examples=500, deadline=None)
+    def test_kernel_bits_match_the_composed_reference(self, x, a, b):
+        assume(x + a > 0.0 and x + b > 0.0)
+        assert _log_gamma_ratio(x, a, b) == _reference(x, a, b)
+
+    def test_kernel_bits_match_on_a_seeded_sweep_of_every_branch(self):
+        rng = random.Random(16)
+        hits = Counter()
+        while len(hits) < 4 or min(hits.values()) < 300:
+            x, a, b = _kernel_draw(rng)
+            if not (x + a > 0.0 and x + b > 0.0):
+                continue
+            assert _log_gamma_ratio(x, a, b) == _reference(x, a, b), (x, a, b)
+            u, u_lo = _two_sum(x, a)
+            v, v_lo = _two_sum(x, b)
+            if max(u, v) <= _DIRECT_MAX:
+                hits["direct"] += 1
+            elif min(u, v) < _SHIFT_MIN:
+                hits["shift loop"] += 1
+            else:
+                hits["stirling"] += 1
+            if u_lo != v_lo:
+                hits["fold"] += 1
+            assert hits.total() < 200_000, hits
+
+    def test_sequence_terms_match_their_composed_references(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            n = rng.randrange(1, 2 ** rng.randrange(1, 512))
+            assert ws.a_seq(n) == _reference_a(n), n
+            assert ws.scaled_a(n) == _reference_scaled_a(n), n
+        params = [ws.GeneralizedParams(0.5, 0.5), ws.GeneralizedParams(0.5, 1.0),
+                  ws.GeneralizedParams(-0.4, 2.3), ws.GeneralizedParams(0.0, -0.75)]
+        for _ in range(2000):
+            n = rng.randrange(1, 2 ** rng.randrange(2, 53) - 1)
+            p = rng.choice(params)
+            assert ws.b_seq(p, n) == _reference_b(p, n), (p, n)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3000), (10**7 - 500, 10**7 + 1)])
+    def test_a_terms_are_the_public_terms(self, lo, hi):
+        assert ws._a_terms(lo, hi) == [ws.a_seq(i) for i in range(lo, hi)]
 
     @given(st.floats(-3.0, 12.0), st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
     @example(6.0, 0.3, 0.0)
@@ -144,7 +323,7 @@ class TestLogGammaRatioKernel:
     @settings(max_examples=150, deadline=None)
     def test_offsets_far_apart_take_the_shift_loops(self, x, near, far, swap):
         # x + far exceeds _DIRECT_MAX while x + near is below _SHIFT_MIN, so
-        # _lgamma_diff shifts the small argument up: u's loop, or v's if swapped
+        # the kernel shifts the small argument up: u's loop, or v's if swapped
         assume(x + near > 0.0)
         a, b = (far, near) if swap else (near, far)
         with mp.workdps(50):

@@ -44,6 +44,9 @@ GOLDEN = {
                          "--n", "2000"], 0),
     "sum_general_grid.csv": (["sum", "--mode", "general", "--m", "0.5", "--k", "1",
                               "--n", "1,10,100"], 0),
+    # real shifts: the kernel folds the two-sum residues of n + m and n + k
+    "sum_general_real.csv": (["sum", "--mode", "general", "--m", "-0.4", "--k", "2.3",
+                              "--n", "1:2000:37"], 0),
     "variational_lorentz_coulomb.csv": (["variational", "--family", "lorentz",
                                          "--potential", "coulomb", "--l-max", "20"], 0),
     "variational_lorentz_oscillator.csv": (["variational", "--family", "lorentz",

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from wallisqm.errors import ConvergenceError, DomainError
-from wallisqm.gamma_kit import _lgamma_diff, wallis_ratio
+from wallisqm.gamma_kit import wallis_ratio
 from wallisqm.integral_kit import (G_rational, QuadratureResult,
                                    RationalMomentQuery, beta_trig_integral,
                                    coulomb_to_norm_ratio, gaussian_moment,
@@ -153,9 +153,10 @@ class TestLorentzIntegrals:
 
     @pytest.mark.parametrize("l", list(range(0, 85)))
     def test_coulomb_duplication_form(self, l):
-        dup = math.ldexp(SQRT_PI * math.exp(_lgamma_diff(l + 1.0, l + 1.5)),
-                         -(2 * l + 2))
-        assert lorentz_coulomb_integral(l) == pytest.approx(dup, rel=1e-13)
+        with mp.workdps(30):
+            dup = mp.ldexp(mp.sqrt(mp.pi) * mp.gamma(l + 1) / mp.gamma(l + mp.mpf(1.5)),
+                           -(2 * l + 2))
+        assert lorentz_coulomb_integral(l) == pytest.approx(float(dup), rel=1e-13)
 
     def test_coulomb_lgamma_branch(self):
         # l = 100 exceeds the exact-factorial range; cross-check against the
