@@ -82,18 +82,19 @@ _BOUNDS_FIELDS = ("label", "x", "lower", "value", "upper", "satisfied")
 _VERIFY_FIELDS = ("name", "passed", "measured", "tolerance", "detail")
 
 
+# the %-spec of a cell of each plain type, and of a column whose cells all
+# have one exact type of these
+_COLUMN_SPECS = {float: "%.17g", int: "%d", str: "%s"}
+
+
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format(v, ".17g")
+        return _COLUMN_SPECS[float] % v
     return str(v)
-
-
-# the %-spec of a column whose cells all have one of these exact types
-_COLUMN_SPECS = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _emit_table(rows, fields, fmt: str) -> str:
@@ -106,9 +107,8 @@ def _emit_table(rows, fields, fmt: str) -> str:
     # no cell can hold a comma, quote, CR or LF (labels are fixed identifiers
     # or option choices, the rest numbers, flags or empty), so a plain join
     # gives the bytes csv.writer would.  A column of one plain type is
-    # formatted by its %-spec in one row template (the bytes of _fmt_cell:
-    # '%.17g' % x == format(x, '.17g')); any other column is rendered cell
-    # by cell first, and enters the template as text.
+    # formatted by its %-spec in one row template; any other column is
+    # rendered cell by cell first, and enters the template as text.
     columns, specs = [], []
     for f in fields:
         column = list(map(operator.attrgetter(f), rows))

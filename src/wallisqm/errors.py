@@ -45,9 +45,9 @@ def _index(n, name: str, lo: int = 0, hi: int = _DOUBLE_MAX) -> int:
     """n as an int; DomainError unless n is an integer or an integral float
     (never a bool, nan or inf) with lo <= n <= hi, where hi defaults to the
     largest double: the library computes with n as a double."""
-    if type(n) is int and lo <= n <= hi:  # the common case, decided at once
-        return n
-    if isinstance(n, float):
+    if type(n) is int:  # the common case, spared the generic checks
+        k = n
+    elif isinstance(n, float):
         k = int(n) if n.is_integer() else None
     elif isinstance(n, bool):
         k = None

@@ -23,7 +23,7 @@ from wallisqm import integral_kit as ik
 from wallisqm import variational_engine as ve
 from wallisqm import wallis_series as ws
 from wallisqm.cli import main
-from wallisqm.errors import _DOUBLE_MAX, DomainError, _index
+from wallisqm.errors import DomainError
 
 _P = ws.GeneralizedParams(0.5, 0.5)
 _G, _C = ve.Family.GAUSSIAN, ve.Potential.COULOMB
@@ -127,40 +127,6 @@ def test_results_at_the_value_limits_are_sound():
         est = ve.variational_energy(family, pot, l)
         assert all(math.isfinite(v) and v != 0.0
                    for v in (est.value, est.optimal_param, est.exact_reference))
-
-
-class _Int(int):
-    """An int subclass, which _index's exact-int fast path leaves to the full
-    checks."""
-
-
-_LIMITS = [(0, _DOUBLE_MAX), (1, _DOUBLE_MAX), (1, 10**7), (1, 2**511 - 1), (1, 2**52 - 2)]
-
-
-@given(st.sampled_from(_LIMITS), st.integers(-3, 3),
-       st.one_of(st.integers(-2**1100, 2**1100), st.sampled_from(["lo", "hi"])))
-@example((1, 10**7), 1, "hi")
-@example((0, _DOUBLE_MAX), 1, "hi")
-@example((1, 2**52 - 2), -1, "lo")
-@settings(max_examples=300, deadline=None)
-def test_index_fast_path_accepts_what_the_full_checks_accept(limits, shift, n):
-    lo, hi = limits
-    if isinstance(n, str):  # a value at a limit, or just beside it
-        n = (lo if n == "lo" else hi) + shift
-
-    def outcome(v):
-        try:
-            k = _index(v, "n", lo=lo, hi=hi)
-        except DomainError:
-            return None
-        assert type(k) is int
-        return k
-
-    fast = outcome(n)
-    assert fast == outcome(_Int(n))
-    assert fast == (n if lo <= n <= hi else None)
-    if abs(n) < 2**53:  # an integral float takes the full checks too
-        assert fast == outcome(float(n))
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [pytest.param(10**400, id="10**400")], ids=repr)

@@ -9,10 +9,7 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wallisqm import cli, gamma_kit, integral_kit, variational_engine, verify, wallis_series
 from wallisqm.cli import main
@@ -286,20 +283,6 @@ def test_csv_rows_need_no_quoting():
         assert '"' not in text and len(text.splitlines()) == len(rows) + 1
     assert {"true", "false", "", "inf", "-inf", "nan", "-0"} <= set(
         _csv_writer_table(bounds, cli._BOUNDS_FIELDS).replace("\n", ",").split(","))
-
-
-@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.floats(), st.floats(),
-                          st.one_of(st.none(), st.floats())), max_size=12),
-       st.sampled_from([float, np.float64]), st.sampled_from([int, np.int64, bool]))
-@settings(max_examples=100, deadline=None)
-def test_column_templates_give_the_bytes_of_the_cell_formatter(cells, real, index):
-    # a column of one exact type goes through a %-template, any other (a
-    # bound column holding None, a numpy scalar, a bool) cell by cell
-    rows = [cli.ReportRow("wallis-pi", index(n % 2**62 if index is np.int64 else n),
-                          real(v), real(r), b)
-            for n, v, r, b in cells]
-    assert cli._emit_table(rows, cli._REPORT_FIELDS, "csv") == \
-        _csv_writer_table(rows, cli._REPORT_FIELDS)
 
 
 def run_cli(capsys, *argv):
