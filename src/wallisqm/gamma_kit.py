@@ -10,11 +10,13 @@ from Stirling's expansion with the divergent pieces cancelled analytically:
     d = u - v,
     S(w) = 1/(12w) - 1/(360w³) + 1/(1260w⁵) - 1/(1680w⁷) + 1/(1188w⁹).
 
-Arguments below 16 are first shifted up through Γ(w) = Γ(w+1)/w.  The
-rounding of x+a and x+b, which at x = 1e10 loses all but five digits of a
-non-dyadic offset, is carried as exact two-sum residues and folded back in;
-against 50-digit arithmetic the ratio stays within 1e-13 relative for x in
-[1e-3, 1e12] and real offsets a, b in (-0.9, 3).
+It needs both arguments at 16 or more.  Up to 32, and where one argument is
+below 16 and the other above 32 (nothing cancels there), the difference is
+plain lgamma, with no recurrence shift.  The rounding of x+a and x+b, which
+at x = 1e10 loses all but five digits of a non-dyadic offset, is carried as
+exact two-sum residues and folded back in; against 50-digit arithmetic the
+ratio stays within 1e-13 relative for x in [1e-3, 1e12] and real offsets
+a, b in (-0.9, 3).
 
 The Wallis ratio W_n = (2n-1)!!/(2n)!! doubles as the running-product
 definition and the gamma form Γ(n+1/2)/(√π Γ(n+1)); both paths are exposed
@@ -32,7 +34,6 @@ from .errors import DomainError, _index, _real
 __all__ = [
     "GammaRatioQuery",
     "BoundsTriple",
-    "log_gamma",
     "gamma_ratio",
     "wallis_ratio",
     "kazarinoff_bounds",
@@ -68,9 +69,9 @@ def _log_gamma_ratio(x: float, a: float, b: float) -> float:
 
     The shifted arguments are rounded to u = fl(x+a) and v = fl(x+b), with
     Knuth two-sum residues u_lo, v_lo: u + u_lo = x + a exactly.  Up to
-    _DIRECT_MAX the difference is plain lgamma; beyond, it is Stirling's form
-    with the divergent pieces cancelled, after any argument below _SHIFT_MIN
-    is shifted up through Γ(w) = Γ(w+1)/w.  The residues are folded back in
+    _DIRECT_MAX, or with one argument below _SHIFT_MIN, the difference is
+    plain lgamma, with no recurrence shift; beyond, it is Stirling's form
+    with the divergent pieces cancelled.  The residues are folded back in
     to first order as ψ(w)·(u_lo - v_lo), w = max(u, v); equal residues
     (integer or half-integer offsets of an integer x) leave the difference
     of u and v alone.  The two-sums are written out: this is the hot path
@@ -82,20 +83,12 @@ def _log_gamma_ratio(x: float, a: float, b: float) -> float:
     v = x + b
     t = v - x
     v_lo = (x - (v - t)) + (b - t)
-    if u <= _DIRECT_MAX and v <= _DIRECT_MAX:
+    if (u <= _DIRECT_MAX and v <= _DIRECT_MAX) or u < _SHIFT_MIN or v < _SHIFT_MIN:
         d = math.lgamma(u) - math.lgamma(v)
     else:
-        shift = []
-        p, q = u, v
-        while p < _SHIFT_MIN:
-            shift.append(-math.log(p))
-            p += 1.0
-        while q < _SHIFT_MIN:
-            shift.append(math.log(q))
-            q += 1.0
-        e = p - q  # exact: p, q on a common scale here (Sterbenz) or far apart
-        d = math.fsum([e * math.log(q), (p - 0.5) * math.log1p(e / q), -e,
-                       _stirling_tail(p), -_stirling_tail(q), *shift])
+        e = u - v  # exact within a factor 2 (Sterbenz); farther apart, nothing cancels
+        d = math.fsum([e * math.log(v), (u - 0.5) * math.log1p(e / v), -e,
+                       _stirling_tail(u), -_stirling_tail(v)])
     if u_lo != v_lo:
         w = u if u >= v else v
         d += (math.log(w) - 0.5 / w) * (u_lo - v_lo)
@@ -111,19 +104,6 @@ def _log1p_minus_linear(t: float) -> float:
     for k in range(11, 1, -1):
         p = 1.0 / k - t * p
     return -t * t * p
-
-
-def log_gamma(x: float) -> float:
-    """ln Γ(x) for x > 0 (libm lgamma).
-
-    On [0.5, 2.5], around the roots of ln Γ at 1 and 2, the error is
-    absolute, below 2e-15; a relative bound fails there, since the value
-    itself vanishes (relative error 2.3e-10 at 1 + 1e-6, 1.1e-5 at
-    2 + 1e-10).  Elsewhere on [1e-3, 1e8] the relative error is below 1e-14.
-    """
-    if not _real(x, "log_gamma x") > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 @dataclass(frozen=True)
@@ -155,7 +135,8 @@ def gamma_ratio(q: GammaRatioQuery) -> float:
     exact reals: relative error within 1e-13 (checked against 50-digit
     arithmetic) for x in [1e-3, 1e12] and a, b in (-0.9, 3), and within
     1e-12 for x in [1e-3, 16] with one offset in (-0.9, 3) and the other in
-    [17, 150], where the smaller argument is shifted up by recurrence.
+    [17, 150], where the log-ratio is the plain lgamma difference, not a
+    recurrence shift.
     """
     delta = _log_gamma_ratio(q.x, q.a, q.b)
     try:
@@ -215,23 +196,19 @@ def kazarinoff_bounds(n: int) -> BoundsTriple:
 
 def _quartic_satisfied(x: float) -> bool:
     # The strict quartic sandwich of R(x) = Γ(x+1)/Γ(x+1/2), certified in
-    # decimal arithmetic.  Shift up to w = x + N >= 10, R(x) = ρ·R(w) with
-    # ρ = ∏ (x+1/2+j)/(x+1+j), and write ln R(w) = ln(w+1/2)/2 + E with
-    # E = Σ_{j>=1} (-t)^j/(2(j+1)) + S(w+1) - S(w+1/2), t = 1/(2w+1), so
-    # value⁴ = (w+1/2)²·exp(4E)·ρ⁴ and no large logarithm cancels.  S keeps
-    # eight terms; the ninth coefficient bounds each remainder by c₉/z¹⁷
-    # (DLMF 5.11(ii)), and 10^(3-prec) covers the rounding.  The upper
-    # margin of value⁴ is about 1/(128x⁴) relative and the lower 1/(128x³),
-    # so at max(40, 4·floor(log10 x) + 25) digits both exceed that slack by
-    # at least 15 digits, up to the largest double.
+    # decimal arithmetic for x > 300, the only x either caller consults it
+    # at.  Write ln R(x) = ln(x+1/2)/2 + E with E = Σ_{j>=1} (-t)^j/(2(j+1))
+    # + S(x+1) - S(x+1/2), t = 1/(2x+1), so value⁴ = (x+1/2)²·exp(4E) and
+    # no large logarithm cancels.  S keeps eight terms; the ninth
+    # coefficient bounds each remainder by c₉/z¹⁷ (DLMF 5.11(ii)), and
+    # 10^(3-prec) covers the rounding.  The upper margin of value⁴ is about
+    # 1/(128x⁴) relative and the lower 1/(128x³), so at
+    # max(40, 4·floor(log10 x) + 25) digits both exceed that slack by at
+    # least 15 digits, up to the largest double.
     X = Decimal(x)  # exact
     with localcontext() as ctx:
         ctx.prec = prec = max(40, 4 * X.adjusted() + 25)
         half = Decimal("0.5")
-        w, rho = X, Decimal(1)
-        while w < 10:
-            rho = rho * (w + half) / (w + 1)
-            w += 1
         *c, c9 = [Decimal(p) / q for p, q in _STIRLING_PQ]
 
         def tail(z):
@@ -241,17 +218,17 @@ def _quartic_satisfied(x: float) -> bool:
                 s = s * r2 + ck
             return s * r
 
-        t = 1 / (2 * w + 1)
-        e, term, k = tail(w + 1) - tail(w + half), -t, 2
+        t = 1 / (2 * X + 1)
+        e, term, k = tail(X + 1) - tail(X + half), -t, 2
         eps = Decimal(1).scaleb(-prec)
         while abs(term) > eps:
             e += term / (2 * k)
             term *= -t
             k += 1
-        # both remainders lie below c₉/w¹⁷ <= c₉·10^(-17·floor(log10 w)), and
+        # both remainders lie below c₉/x¹⁷ <= c₉·10^(-17·floor(log10 x)), and
         # exp(4δ) - 1 <= 5δ for an error δ of E this small
-        slack = 10 * c9 * Decimal(1).scaleb(-17 * w.adjusted()) + eps.scaleb(3)
-        value4 = (w + half) ** 2 * (4 * e).exp() * rho ** 4
+        slack = 10 * c9 * Decimal(1).scaleb(-17 * X.adjusted()) + eps.scaleb(3)
+        value4 = (X + half) ** 2 * (4 * e).exp()
         upper4 = X * X + X / 2 + Decimal("0.125")
         lower4 = upper4 - 1 / (128 * X)
         return lower4 < value4 * (1 - slack) and value4 * (1 + slack) < upper4

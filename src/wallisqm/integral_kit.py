@@ -200,7 +200,7 @@ class QuadraturePair:
     levels: int
 
 
-_T_MAX = 6.0       # exp(pi*sinh t) stays finite in doubles up to here
+_T_MAX = 6.0       # exp(pi*sinh t) <= exp(633.7) stays finite in doubles up to here
 _MAX_LEVEL = 10
 _TRUNC = 1e-18     # stop a level once terms fall this far below its peak
 
@@ -218,10 +218,7 @@ def _nodes(level: int) -> list[tuple[float, float, float, float]]:
     table = []
     for k in ks:
         t = k * h
-        arg = math.pi * math.sinh(t)
-        if arg > 700.0:
-            break
-        x = math.exp(arg)
+        x = math.exp(math.pi * math.sinh(t))
         w = math.pi * math.cosh(t) * x
         table.append((x, w, 1.0 / x, w / (x * x)))
     return table

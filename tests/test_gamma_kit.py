@@ -14,78 +14,11 @@ from wallisqm.errors import DomainError
 from wallisqm.gamma_kit import (_DIRECT_MAX, _SHIFT_MIN, BoundsTriple,
                                 GammaRatioQuery, _log_gamma_ratio,
                                 _stirling_tail, duplication_residual,
-                                gamma_ratio, kazarinoff_bounds, log_gamma,
+                                gamma_ratio, kazarinoff_bounds,
                                 quartic_root_bounds, wallis_ratio,
                                 wendel_deviation)
 
 SQRT_PI = math.sqrt(math.pi)
-
-# reference: mpmath loggamma at 40 digits
-_LGAMMA_REFS = [
-    (0.001, 6.907178885383853661684),
-    (0.01, 4.599479878042021701581),
-    (0.1, 2.252712651734205902006),
-    (0.25, 1.288022524698077457371),
-    (0.5, 0.5723649429247000870717),
-    (0.75, 0.2032809514312953714814),
-    (3.5, 1.200973602347074224816),
-    (10.0, 12.80182748008146961121),
-    (30.0, 71.25703896716800901007),
-    (100.0, 359.134205369575398776),
-    (1000.0, 5905.220423209181211826),
-    (10000.0, 82099.71749644237727265),
-    (100000.0, 1051287.708973656894901),
-    (1000000.0, 12815504.56914761165998),
-    (10000000.0, 151180949.3694739139401),
-    (100000000.0, 1742068066.103834709276),
-]
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_at_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(math.log(SQRT_PI), rel=1e-15)
-
-    def test_at_ten(self):
-        # Gamma(10) = 9!, an exact integer
-        assert log_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), rel=1e-15)
-
-    @pytest.mark.parametrize("x,ref", _LGAMMA_REFS)
-    def test_accuracy_grid(self, x, ref):
-        assert log_gamma(x) == pytest.approx(ref, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [1.0 + 1e-6, 1.0 - 1e-9, 2.0 + 1e-10])
-    def test_error_near_the_roots_is_absolute(self, x):
-        # ln Γ vanishes at 1 and 2, so libm's error there is small only in
-        # absolute terms: the docstring's 2e-15 holds, a relative 1e-14 not
-        with mp.workdps(50):
-            ref = mp.loggamma(mp.mpf(x))
-            err = abs(mp.mpf(log_gamma(x)) - ref)
-            assert err < 2e-15
-            assert err > 1e-14 * abs(ref)
-
-    @given(st.one_of(st.floats(0.5, 2.5), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)))
-    @example(1.0 + 2.0**-52)
-    @example(2.5)
-    @example(0.5)
-    @settings(max_examples=200, deadline=None)
-    def test_documented_error_over_the_domain(self, x):
-        with mp.workdps(50):
-            ref = mp.loggamma(mp.mpf(x))
-            err = float(abs(mp.mpf(log_gamma(x)) - ref))
-            if 0.5 <= x <= 2.5:
-                assert err < 2e-15
-            else:
-                assert err <= 1e-14 * float(abs(ref))
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
-
 
 class TestGammaRatio:
     def test_two_over_three_halves(self):
@@ -133,9 +66,11 @@ def _mp_rel_err(value, ref):
 
 
 # The kernel as a composition of three helpers, the form it had before its
-# two-sums and lgamma difference were written out inline.  The kernel must
-# return the same double as this reference for every argument, compared with
-# ==; the sequence terms built on it likewise.
+# two-sums and lgamma difference were written out inline, with the mixed case
+# (one argument below _SHIFT_MIN, the other above _DIRECT_MAX) taken as the
+# plain lgamma difference.  The kernel must return the same double as this
+# reference for every argument, compared with ==; the sequence terms built on
+# it likewise.
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth two-sum)."""
@@ -146,25 +81,17 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 def _lgamma_diff(u: float, v: float) -> float:
     """lnΓ(u) - lnΓ(v) for u, v > 0, without the cancellation that a plain
-    lgamma difference suffers at large arguments."""
-    if max(u, v) <= _DIRECT_MAX:
+    lgamma difference suffers at large, near-equal arguments."""
+    if max(u, v) <= _DIRECT_MAX or min(u, v) < _SHIFT_MIN:
         return math.lgamma(u) - math.lgamma(v)
-    parts = []
-    while u < _SHIFT_MIN:
-        parts.append(-math.log(u))
-        u += 1.0
-    while v < _SHIFT_MIN:
-        parts.append(math.log(v))
-        v += 1.0
-    d = u - v  # exact: u, v on a common scale here (Sterbenz) or far apart
-    parts += [
+    d = u - v
+    return math.fsum([
         d * math.log(v),
         (u - 0.5) * math.log1p(d / v),
         -d,
         _stirling_tail(u),
         -_stirling_tail(v),
-    ]
-    return math.fsum(parts)
+    ])
 
 
 def _reference(x: float, a: float, b: float) -> float:
@@ -197,7 +124,7 @@ def _reference_b(p, n: int) -> float:
 
 
 # integral x up to 2^511, as int and as double; real x in [1e-3, 1e12], and
-# in [1e-3, 40] for the shift loop (< 16) and the direct branch (<= 32)
+# in [1e-3, 40] for the mixed case (< 16) and the direct branch (<= 32)
 _KERNEL_X = st.one_of(
     st.integers(1, 2**511),
     st.integers(1, 2**511).map(float),
@@ -257,7 +184,9 @@ class TestLogGammaRatioKernel:
     @given(_KERNEL_X, _KERNEL_OFFSET, _KERNEL_OFFSET)
     @example(500, 0.0, 0.5)  # a_seq(500) before its index became a double
     @example(2**511 - 1, 0.0, 0.5)
-    @example(3.0, 30.0, 0.5)  # the shift loop of u's partner v
+    @example(3.0, 30.0, 0.5)  # the mixed case, u above 32 and v below 16
+    @example(8.0, 8.0 - 2.0**-49, 24.0 + 2.0**-47)  # u just below 16, v just above 32
+    @example(8.0, 24.0 + 2.0**-47, 8.0 - 2.0**-49)  # the same, swapped
     @example(7.3, 1.0, 0.5)  # the direct branch, with a residue to fold
     @example(1e10, 1.0 / 3.0, 2.0 / 3.0)  # the fold past the direct branch
     @example(0.3, 2.0**52, 2.0**52 + 0.5)  # b_seq's slots at its largest n
@@ -279,7 +208,7 @@ class TestLogGammaRatioKernel:
             if max(u, v) <= _DIRECT_MAX:
                 hits["direct"] += 1
             elif min(u, v) < _SHIFT_MIN:
-                hits["shift loop"] += 1
+                hits["mixed direct"] += 1
             else:
                 hits["stirling"] += 1
             if u_lo != v_lo:
@@ -298,6 +227,29 @@ class TestLogGammaRatioKernel:
             n = rng.randrange(1, 2 ** rng.randrange(2, 53) - 1)
             p = rng.choice(params)
             assert ws.b_seq(p, n) == _reference_b(p, n), (p, n)
+
+    def test_stirling_tail_is_only_called_from_its_threshold(self, monkeypatch):
+        # every caller of the Stirling tail (the kernel, wendel_deviation and
+        # duplication_residual) passes w >= _SHIFT_MIN, where five terms keep
+        # full accuracy; smaller arguments take plain lgamma differences
+        calls = []
+
+        def tail(w):
+            calls.append(w)
+            return _stirling_tail(w)
+
+        monkeypatch.setattr(gamma_kit, "_stirling_tail", tail)
+        rng = random.Random(18)
+        for _ in range(20_000):
+            x, a, b = _kernel_draw(rng)
+            if x + a > 0.0 and x + b > 0.0:
+                _log_gamma_ratio(x, a, b)
+        for _ in range(2000):
+            wendel_deviation(10.0 ** rng.uniform(-3.0, 12.0), rng.uniform(1e-3, 40.0))
+        for l in range(200):
+            duplication_residual(l)
+        assert len(calls) > 10_000
+        assert min(calls) >= _SHIFT_MIN
 
     @pytest.mark.parametrize("lo,hi", [(1, 3000), (10**7 - 500, 10**7 + 1)])
     def test_a_terms_are_the_public_terms(self, lo, hi):
@@ -320,10 +272,13 @@ class TestLogGammaRatioKernel:
            st.floats(17.0, 150.0), st.booleans())
     @example(2.0, 0.0, 38.0, False)  # wendel_deviation(2.0, 40.0)'s ratio
     @example(16.0, 2.999, 150.0, True)
+    @example(16.0, -2.0**-48, 16.0 + 2.0**-47, False)  # u just below 16, v just above 32
+    @example(16.0, -2.0**-48, 16.0 + 2.0**-47, True)
     @settings(max_examples=150, deadline=None)
     def test_offsets_far_apart_take_the_shift_loops(self, x, near, far, swap):
-        # x + far exceeds _DIRECT_MAX while x + near is below _SHIFT_MIN, so
-        # the kernel shifts the small argument up: u's loop, or v's if swapped
+        # where x + far exceeds _DIRECT_MAX while x + near is below
+        # _SHIFT_MIN, the kernel takes the plain lgamma difference, with no
+        # recurrence shift of the small argument, in either order
         assume(x + near > 0.0)
         a, b = (far, near) if swap else (near, far)
         with mp.workdps(50):
@@ -448,12 +403,14 @@ class TestQuarticRootBounds:
         t = quartic_root_bounds(x)
         assert t.lower == t.upper == math.sqrt(x)
 
-    @pytest.mark.parametrize("x", [0.0510237, 9.99, 10.0, 10.01]
+    @pytest.mark.parametrize("x", [0.0510237, 9.99, 10.0, 10.01, 300.0 + 1e-10, 1325.03]
                              + [10.0 ** random.Random(13 + i).uniform(5.0, 308.23)
                                 for i in range(20)])
     def test_verdict_holds_at_30_more_digits(self, x):
-        # the domain edge, the shift to w >= 10 on either side of 10, and
-        # log-uniform x up to the largest double
+        # the domain edge, either side of 10, just past 300 where the
+        # certificate takes over, 1325.03 where the doubles first fail, and
+        # log-uniform x up to the largest double; the certificate is called
+        # directly only past 300, the one range where the verdict consults it
         digits = max(40, 4 * math.floor(math.log10(x)) + 25) + 30
         with mp.workdps(digits):
             X = mp.mpf(x)
@@ -461,7 +418,8 @@ class TestQuarticRootBounds:
             upper4 = X * X + X / 2 + mp.mpf("0.125")
             assert upper4 - 1 / (128 * X) < value4 < upper4
         assert quartic_root_bounds(x).satisfied
-        assert gamma_kit._quartic_satisfied(x)
+        if x > 300.0:
+            assert gamma_kit._quartic_satisfied(x)
 
     def test_certificate_only_past_300(self, monkeypatch):
         # doubles resolve the sandwich at every x <= 300, so there a value
@@ -483,13 +441,14 @@ class TestQuarticRootBounds:
         assert quartic_root_bounds(300.5).satisfied
         assert calls == [300.5]
 
-    @pytest.mark.parametrize("x", [0.0510237, 10.0, 1e5, 1e15, 1e300])
+    @pytest.mark.parametrize("x", [300.0 + 1e-10, 300.5, 1e3, 1325.03, 1e5, 1e15, 1e300])
     def test_certificate_refuses_a_perturbed_stirling_table(self, monkeypatch, x):
         # the certified value⁴ is the value's own: 1 % off in the leading
-        # coefficient moves it outside a margin of 1/(128x⁴) from x ~ 10
+        # coefficient moves it outside a margin of 1/(128x⁴) at every x past
+        # 300, where the certificate is consulted
         (p, q), *rest = gamma_kit._STIRLING_PQ
         monkeypatch.setattr(gamma_kit, "_STIRLING_PQ", ((101 * p, 100 * q), *rest))
-        assert gamma_kit._quartic_satisfied(x) is (x < 1.0)
+        assert gamma_kit._quartic_satisfied(x) is False
 
     def test_stirling_table_is_exact(self):
         # B_2k/(2k(2k-1)) from the Bernoulli recurrence, and the double

@@ -12,6 +12,7 @@ from wallisqm.integral_kit import (G_rational, QuadratureResult,
                                    lorentz_coulomb_integral,
                                    lorentz_norm_integral, quad_semiinfinite,
                                    rational_moment)
+from wallisqm.integral_kit import _MAX_LEVEL, _nodes
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -239,6 +240,14 @@ class TestQuadrature:
         # a looser tolerance stops no deeper, and never before level 2
         loose = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-2)
         assert 2 <= loose.levels <= res.levels
+
+    @pytest.mark.parametrize("level", range(_MAX_LEVEL + 1))
+    def test_nodes_are_finite_at_every_level(self, level):
+        # t <= _T_MAX = 6 keeps π·sinh t <= 633.7, so exp stays finite and
+        # every node is kept; w/x² underflows to 0 at the far tail
+        nodes = _nodes(level)
+        assert len(nodes) == (7 if level == 0 else 3 * 2 ** level)
+        assert all(math.isfinite(v) for node in nodes for v in node)
 
     def test_result_is_frozen_record(self):
         res = QuadratureResult(1.0, 1e-12, 42, 3)

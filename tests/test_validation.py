@@ -54,7 +54,6 @@ INDEX_SLOTS = {
 }
 
 REAL_SLOTS = {
-    "log_gamma": gk.log_gamma,
     "GammaRatioQuery.x": lambda v: gk.GammaRatioQuery(v, 0.0, 0.5),
     "GammaRatioQuery.a": lambda v: gk.GammaRatioQuery(3.0, v, 0.5),
     "GammaRatioQuery.b": lambda v: gk.GammaRatioQuery(3.0, 0.5, v),
