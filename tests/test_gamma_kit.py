@@ -39,6 +39,35 @@ class TestGammaRatio:
         with pytest.raises(DomainError):
             GammaRatioQuery(x=1.0, a=0.0, b=-1.0)
 
+    @pytest.mark.parametrize("u", [0.0, -1.0, -0.5])
+    def test_rejects_nonpositive_argument(self, u):
+        # Γ(-1/2) is finite, but the kernel takes logs: x+a and x+b must be > 0
+        with pytest.raises(DomainError):
+            GammaRatioQuery(x=2.0, a=u - 2.0, b=0.5)
+        with pytest.raises(DomainError):
+            GammaRatioQuery(x=2.0, a=0.5, b=u - 2.0)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 3.5, 10.0, 30.0, 100.0,
+                                   1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_accuracy_grid(self, x):
+        # Γ(x+1)/Γ(x+1/2), the paper's ratio, through the direct branch up
+        # to 31 and the Stirling branch beyond, within the documented 1e-13
+        with mp.workdps(50):
+            X = mp.mpf(x)
+            ref = mp.gamma(X + 1) / mp.gamma(X + mp.mpf(0.5))
+            assert _mp_rel_err(gamma_ratio(GammaRatioQuery(x, 1.0, 0.5)), ref) < 1e-13
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-6, 1.0 - 1e-9, 2.0 + 1e-10])
+    def test_mixed_case_near_the_roots_of_lgamma(self, x):
+        # lnΓ(x) vanishes at 1 and 2, where libm's lgamma is accurate only in
+        # absolute terms; against lnΓ(x+40) ≈ 110 that is still far inside
+        # the documented 1e-12 of the plain difference in the mixed case
+        with mp.workdps(50):
+            X = mp.mpf(x)
+            for a, b, ref in [(0.0, 40.0, mp.gamma(X) / mp.gamma(X + 40)),
+                              (40.0, 0.0, mp.gamma(X + 40) / mp.gamma(X))]:
+                assert _mp_rel_err(gamma_ratio(GammaRatioQuery(x, a, b)), ref) < 1e-12
+
     @pytest.mark.parametrize("x,a,b", [
         (math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5),
         (2.0, math.inf, 0.5), (2.0, 1.0, math.nan),
