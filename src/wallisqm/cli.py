@@ -26,6 +26,11 @@ choices, numbers are ``.17g`` floats or ints, flags are ``true``/``false``,
 and an absent value is empty.
 
 Exit status: 0 success, 1 verification failure, 2 usage or domain error.
+
+Each subcommand imports only the modules it runs: ``verify``,
+``integral_kit`` and ``variational_engine`` are imported inside the
+commands that call them, so ``pi``, ``sum`` and ``bounds`` never load them,
+as ``import wallisqm`` itself loads only ``errors``.
 """
 
 from __future__ import annotations
@@ -38,12 +43,9 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from . import verify as verify_mod
 from . import wallis_series as ws
 from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, _MAX_TERMS, ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
-from .integral_kit import _certified_integrals
-from .variational_engine import Family, Method, Potential, variational_energy
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -257,6 +259,8 @@ def _cmd_sum(args) -> tuple[str, int]:
 
 
 def _cmd_variational(args) -> tuple[str, int]:
+    from .variational_engine import Family, Method, Potential, variational_energy
+
     family = Family(args.family)
     pot = Potential(args.potential)
     method = Method(args.method)
@@ -304,7 +308,10 @@ def _cmd_bounds(args) -> tuple[str, int]:
 
 
 def _cmd_integrals(args) -> tuple[str, int]:
-    _index(args.l_max, "--l-max")
+    from .integral_kit import _LORENTZ_L_MAX, _certified_integrals
+
+    # checked before the first quadrature, and named as the option it came from
+    _index(args.l_max, "--l-max", hi=_LORENTZ_L_MAX)
     cases = list(_certified_integrals(args.l_max, args.tol))
     rows = [ReportRow(label, idx, closed, quad, bound)
             for label, idx, closed, quad, bound, _, _ in cases]
@@ -313,7 +320,9 @@ def _cmd_integrals(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    results = verify_mod.run()
+    from . import verify
+
+    results = verify.run()
     n_fail = sum(not r.passed for r in results)
     if args.format == "json":
         text = _emit_table(results, _VERIFY_FIELDS, "json")
@@ -355,12 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sum)
 
     p = sub.add_parser("variational", help="variational energy levels")
-    p.add_argument("--family", choices=[v.value for v in Family], required=True)
-    p.add_argument("--potential", choices=[v.value for v in Potential], required=True)
+    # the values of Family, Potential and Method, spelled out so that the
+    # parser is built without importing variational_engine
+    p.add_argument("--family", choices=("gaussian", "lorentz"), required=True)
+    p.add_argument("--potential", choices=("coulomb", "oscillator"), required=True)
     p.add_argument("--l-max", type=_parse_int_spec, default=[10],
                    help="single value (range from --l-min), comma list, or start:stop:step")
     p.add_argument("--l-min", type=int, default=0)
-    p.add_argument("--method", choices=[v.value for v in Method], default="closed")
+    p.add_argument("--method", choices=("closed", "numeric"), default="closed")
     p.set_defaults(handler=_cmd_variational)
 
     p = sub.add_parser("bounds", help="gamma-ratio double inequalities")

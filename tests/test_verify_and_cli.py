@@ -456,6 +456,21 @@ class TestIntegralsCommand:
             value, reference = float(r["value"]), float(r["reference"])
             assert abs(value - reference) <= 1e-13 * value, r
 
+    @pytest.mark.parametrize("l_max", [509, 600])
+    def test_l_max_past_508_is_refused_before_any_quadrature(self, capsys, monkeypatch, l_max):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return quad(*args)
+
+        quad = integral_kit.quad_semiinfinite
+        monkeypatch.setattr(integral_kit, "quad_semiinfinite", counted)
+        code, out, err = run_cli(capsys, "integrals", "--l-max", str(l_max))
+        assert code == 2 and out == ""
+        assert f"--l-max requires an integer in [0, 508], got {l_max}" in err
+        assert calls == []
+
 
 class TestVerifyCommand:
     def test_strict_passes(self, capsys):
