@@ -26,8 +26,9 @@ print("  gaussian:", variational_energy(Family.GAUSSIAN, Potential.COULOMB, 0).v
 print("  lorentz :", variational_energy(Family.LORENTZ, Potential.COULOMB, 0).value,
       "=", -4.0 / math.pi**2)
 
-# the independent numeric pipeline (quadrature + Brent's 1973 parabolic
-# minimizer) lands on the same minimum
+# the independent numeric pipeline lands on the same minimum: it integrates
+# the scale-free moments of <H> by quadrature once and minimizes their
+# combination over the scale with Brent's 1973 parabolic method
 est = variational_energy(Family.LORENTZ, Potential.COULOMB, 0, Method.NUMERIC)
 print("\nnumeric minimization at l = 0:", est.value,
       " optimal scale:", est.optimal_param, "(pi/4 =", math.pi / 4.0, ")")

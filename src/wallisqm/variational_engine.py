@@ -29,12 +29,16 @@ in the integrated-by-parts form
 
 (boundary terms vanish for both families) and minimizes it over
 log(parameter) by Brent's parabolic method (Brent 1973).  The radial
-variable is rescaled by the trial length and the profile normalized by its
-peak in log space, so every quadrature sees O(1) integrands at any l.
-Numerator and denominator come from one quadrature sweep: a single
-integrand evaluates the squared profile once per node and returns both,
-and each of the two integrals converges exactly as a quadrature of its own
-would, bit for bit.
+variable is rescaled by the trial length s and the profile normalized by
+its peak in log space, so every quadrature sees O(1) integrands at any l.
+The rescaled profile does not depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with
+three scale-free moments K (kinetic and centrifugal), P (potential) and N
+(norm), and v = -s (Coulomb) or s⁴/2 (oscillator).  K and N come from one
+pair quadrature sweep that evaluates the squared profile once per node for
+both, each converging exactly as a quadrature of its own would, bit for
+bit; P is a scalar sweep.  A numeric level integrates the moments once and
+searches their closed combination, so each Brent step costs only
+arithmetic.
 """
 
 from __future__ import annotations
@@ -157,76 +161,101 @@ def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
     return kinetic + 0.5 * p * p * (l + 1.5) / (l - 0.5)
 
 
-def _energy_integrand(family: Family, l: int, pot: Potential, s: float):
-    """The pair integrand x -> (numerator, denominator) of ⟨H⟩ after
-    rescaling r = s·x.
+def _moment_integrands(family: Family, l: int, pot: Potential):
+    """The moment integrands of ⟨H⟩ after rescaling r = s·x, which do not
+    depend on s: a pair x -> (k, n) and a scalar x -> p, whose integrals are
 
-    The squared profile g(x) = [R(sx)/peak]² is evaluated once per node, in
-    log space; the derivative enters through x²·R'² = g(x)·D(x) with the
-    rational factor D(x) = (l - x²)² (Gaussian) or (l - (l+2)x²)²/(1+x²)²
-    (Lorentz).  Each component is the same floating-point expression as a
-    scalar integrand of its own would be, so a pair quadrature reproduces
-    two scalar ones bit for bit.  Where x⁴ overflows (x > 1.16e77) the
-    oscillator integrand raises OverflowError, and the quadrature takes both
-    components as 0 at that node; both are 0 there anyway, since g is 0.0
-    for every profile with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with
-    l >= 1).
+        K = ∫ ½·g·(D(x) + l(l+1)) dx,   N = ∫ g·x² dx,
+        P = ∫ g·x dx (Coulomb) or ∫ g·x⁴ dx (oscillator).
+
+    The squared profile g(x) = [R(sx)/peak]² is evaluated in log space; the
+    derivative enters through x²·R'² = g(x)·D(x) with the rational factor
+    D(x) = (l - x²)² (Gaussian) or (l - (l+2)x²)²/(1+x²)² (Lorentz).  Each
+    component of the pair is the same floating-point expression as a scalar
+    integrand of its own would be, so the pair quadrature reproduces two
+    scalar ones bit for bit.  Where x⁴ overflows (x > 1.16e77) the
+    oscillator's p raises OverflowError, and the quadrature takes it as 0
+    at that node; it is 0 there anyway, since g is 0.0 for every profile
+    with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with l >= 1).
     """
     exp, log, log1p = math.exp, math.log, math.log1p
     L = float(l)
     centrifugal = L * (L + 1.0)
-    coulomb = pot is Potential.COULOMB
-    v = -s if coulomb else 0.5 * s ** 4
     if family is Family.GAUSSIAN:
         ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
 
-        def integrand(x: float) -> tuple[float, float]:
-            xx = x * x
-            g = exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
-            d = L - xx
-            kin = 0.5 * g * (d * d + centrifugal)
-            if coulomb:
-                return kin + v * g * x, g * x * x
-            return kin + v * g * x ** 4, g * x * x
+        def profile(x: float) -> float:
+            return exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
+
+        def kn(x: float) -> tuple[float, float]:
+            g = profile(x)
+            d = L - x * x
+            return 0.5 * g * (d * d + centrifugal), g * x * x
     else:
         L1, L2 = L + 1.0, L + 2.0
         xpk2 = L / L2
         ln_peak = 0.5 * L * math.log(xpk2) - L1 * math.log1p(xpk2) if l else 0.0
 
-        def integrand(x: float) -> tuple[float, float]:
-            xx = x * x
-            g = exp(2.0 * (L * log(x) - L1 * log1p(xx) - ln_peak))
-            w = 1.0 + xx
-            d = L - L2 * x * x
-            kin = 0.5 * g * (d * d / (w * w) + centrifugal)
-            if coulomb:
-                return kin + v * g * x, g * x * x
-            return kin + v * g * x ** 4, g * x * x
+        def profile(x: float) -> float:
+            return exp(2.0 * (L * log(x) - L1 * log1p(x * x) - ln_peak))
 
-    return integrand
+        def kn(x: float) -> tuple[float, float]:
+            g = profile(x)
+            w = 1.0 + x * x
+            d = L - L2 * x * x
+            return 0.5 * g * (d * d / (w * w) + centrifugal), g * x * x
+
+    if pot is Potential.COULOMB:
+        def p(x: float) -> float:
+            return profile(x) * x
+    else:
+        def p(x: float) -> float:
+            return profile(x) * x ** 4
+
+    return kn, p
+
+
+def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float, float, float]:
+    """(K, P, N), the scale-free moments of ⟨H⟩, by quadrature at ``tol``:
+    one pair sweep for K and N, one scalar sweep for P."""
+    kn, p = _moment_integrands(family, l, pot)
+    k, n = quad_semiinfinite(kn, tol, pair=True).parts
+    if not n.value > 0.0:
+        raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {l}")
+    return k.value, quad_semiinfinite(p, tol).value, n.value
+
+
+def _energy_from_moments(moments: tuple[float, float, float], family: Family,
+                         pot: Potential, param: float) -> float:
+    """⟨H⟩ = (K + v·P)/(s²·N) at scale parameter ``param``, with trial length
+    s and v = -s (Coulomb) or s⁴/2 (oscillator)."""
+    k, p, n = moments
+    s = 1.0 / math.sqrt(2.0 * param) if family is Family.GAUSSIAN else param
+    v = -s if pot is Potential.COULOMB else 0.5 * s ** 4
+    return (k + v * p) / (s * s * n)
 
 
 def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> float:
     """⟨H⟩ by radial quadrature; the independent oracle for the closed forms.
 
-    ``tol`` is the absolute quadrature tolerance on the rescaled O(1)
-    integrals, passed to quad_semiinfinite as it is: DomainError below
-    1e-12.  Numerator and denominator are one pair quadrature, a single
-    sweep that evaluates the trial profile once per node for both; each
-    converges on its own, with the value, error estimate and evaluation
-    count that a separate scalar quadrature of it would give.  Agreement
-    with expectation_energy_closed is ~1e-14 relative, far inside the 1e-8
-    contract, for l <= 20 and parameters within a factor 100 of optimal.
-    ConvergenceError is raised when the norm integral is not positive: the
-    nodes missed the profile's peak, which happens at large l.
+    The scale parameter only multiplies the moments K, P and N of the
+    rescaled profile by powers of the trial length s, so they are
+    integrated at ``tol`` and combined at ``spec.param`` as
+    (K + v·P)/(s²·N).  ``tol`` is the absolute quadrature tolerance on these
+    O(1) integrals, passed to quad_semiinfinite as it is: DomainError below
+    1e-12.  K and N are one pair quadrature, a single sweep that evaluates
+    the trial profile once per node for both, each with the value, error
+    estimate and evaluation count that a separate scalar quadrature of it
+    would give; P is a scalar quadrature.  At tol = 1e-11, agreement with
+    expectation_energy_closed is ~1e-14 relative to the larger of the
+    kinetic and potential terms, far inside the 1e-8 contract, for l <= 20
+    and every parameter in [1e-75, 1e75].  ConvergenceError is raised when
+    the norm integral N is not positive: the nodes missed the profile's
+    peak, which happens at large l.
     """
     _require_l_domain(spec.family, pot, spec.l)
-    s = 1.0 / math.sqrt(2.0 * spec.param) if spec.family is Family.GAUSSIAN else spec.param
-    num, den = quad_semiinfinite(_energy_integrand(spec.family, spec.l, pot, s), tol,
-                                 pair=True).parts
-    if not den.value > 0.0:
-        raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {spec.l}")
-    return num.value / (s * s * den.value)
+    return _energy_from_moments(_moments(spec.family, pot, spec.l, tol), spec.family, pot,
+                                spec.param)
 
 
 def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, float]:
@@ -263,6 +292,7 @@ def exact_energy(pot: Potential, l: int) -> float:
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 _XTOL = 1e-10  # absolute part of Brent's step tolerance, in log(scale)
+_SEARCH_TOL = 3e-9  # quadrature tolerance of the moments that Brent's search combines
 
 
 def _brent_min(fn, lo: float, hi: float) -> float:
@@ -330,12 +360,15 @@ def variational_energy(family: Family, pot: Potential, l: int,
     """The minimized variational energy at orbital number l.
 
     CLOSED_FORM plugs the stationary parameter into the closed level
-    formulas; NUMERIC minimizes the quadrature expectation value over
+    formulas.  NUMERIC integrates the scale-free moments of ⟨H⟩ once, at a
+    3e-9 quadrature tolerance, minimizes their closed combination over
     log(param) by Brent's method (Brent 1973), bracketed a factor 10 around
-    the closed optimum, and evaluates it once more at the optimum with a
-    1e-11 quadrature tolerance; a bracket that leaves the parameter domain
-    [1e-75, 1e75] raises ConvergenceError.  The energies agree to ~1e-13
-    relative, the optimal parameters to ~1e-7.  l is at most 10⁷⁶;
+    the closed optimum, so that each search step costs only arithmetic, and
+    takes the level from one expectation_energy_numeric call at the
+    optimum, with a 1e-11 quadrature tolerance; a bracket that leaves the
+    parameter domain [1e-75, 1e75] raises ConvergenceError before any
+    quadrature.  For l <= 20 the energies agree with the closed levels to
+    3e-14 relative, the optimal parameters to 5e-8.  l is at most 10⁷⁶;
     DomainError beyond.
     """
     l = _index(l, "orbital number l", hi=_MAX_L)
@@ -344,19 +377,18 @@ def variational_energy(family: Family, pot: Potential, l: int,
     if method is Method.CLOSED_FORM:
         value, param = e_star, p_star
     else:
-        def objective(y: float) -> float:
-            spec = TrialSpec(family, l, math.exp(y))
-            return expectation_energy_numeric(spec, pot, tol=3e-9)
-
         lo, hi = p_star / 10.0, p_star * 10.0
         if not (_PARAM_MIN <= lo and hi <= _PARAM_MAX):
             raise ConvergenceError(
                 f"the numeric search bracket [{lo:.6g}, {hi:.6g}] at l = {l} "
                 f"leaves the scale parameter domain [{_PARAM_MIN}, {_PARAM_MAX}]")
-        y_best = _brent_min(objective, math.log(lo), math.log(hi))
-        param = math.exp(y_best)
-        value = expectation_energy_numeric(TrialSpec(family, l, param), pot,
-                                           tol=1e-11)
+        moments = _moments(family, pot, l, _SEARCH_TOL)
+
+        def objective(y: float) -> float:
+            return _energy_from_moments(moments, family, pot, math.exp(y))
+
+        param = math.exp(_brent_min(objective, math.log(lo), math.log(hi)))
+        value = expectation_energy_numeric(TrialSpec(family, l, param), pot, tol=1e-11)
     return EnergyEstimate(
         value=value,
         optimal_param=param,

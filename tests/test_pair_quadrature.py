@@ -1,12 +1,12 @@
-"""The one-sweep ⟨H⟩ quadrature against two scalar quadratures.
+"""The ⟨H⟩ moment quadratures against scalar quadratures.
 
-``expectation_energy_numeric`` integrates numerator and denominator in one
-pair sweep.  Each component must come out exactly as a scalar
-``quad_semiinfinite`` call on it alone would: value, error estimate,
-evaluation count and level, bit for bit, with ConvergenceError in the same
-cases.  The scalar integrands here are written out independently of the
-engine's fused one, one closure per component, as the engine had them
-before the sweep was fused.
+``expectation_energy_numeric`` integrates the scale-free moments K and N of
+the rescaled trial profile in one pair sweep and P in a scalar one, then
+combines them at the scale parameter as (K + v·P)/(s²·N).  Each pair
+component must come out exactly as a scalar ``quad_semiinfinite`` call on
+it alone would: value, error estimate, evaluation count and level, bit for
+bit.  The scalar integrands here are written out independently of the
+engine's, one closure per moment.
 """
 
 import math
@@ -15,12 +15,12 @@ import pytest
 
 from wallisqm.errors import ConvergenceError
 from wallisqm.integral_kit import QuadraturePair, quad_semiinfinite
-from wallisqm.variational_engine import (Family, Potential, TrialSpec, _energy_integrand,
+from wallisqm.variational_engine import (Family, Potential, TrialSpec, _moment_integrands,
                                          expectation_energy_numeric, optimal_param_closed)
 
 
-def scalar_integrands(family, l, pot, s):
-    """Numerator and denominator of ⟨H⟩ as two separate scalar integrands."""
+def scalar_integrands(family, l, pot):
+    """The moments K, P and N of ⟨H⟩ as three separate scalar integrands."""
     L = float(l)
     if family is Family.GAUSSIAN:
         ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
@@ -49,36 +49,25 @@ def scalar_integrands(family, l, pot, s):
             d = L - (L + 2.0) * x * x
             return d * d / (w * w)
 
-    if pot is Potential.COULOMB:
-        def vterm(x, g):
-            return -s * g * x
-    else:
-        half_s4 = 0.5 * s ** 4
-
-        def vterm(x, g):
-            return half_s4 * g * x ** 4
-
-    def numerator(x):
+    def kinetic(x):
         g = g2(x)
-        return 0.5 * g * (deriv_factor(x) + L * (L + 1.0)) + vterm(x, g)
+        return 0.5 * g * (deriv_factor(x) + L * (L + 1.0))
 
-    def denominator(x):
+    if pot is Potential.COULOMB:
+        def potential(x):
+            return g2(x) * x
+    else:
+        def potential(x):
+            return g2(x) * x ** 4
+
+    def norm(x):
         return g2(x) * x * x
 
-    return numerator, denominator
+    return kinetic, potential, norm
 
 
 def length_scale(family, param):
     return 1.0 / math.sqrt(2.0 * param) if family is Family.GAUSSIAN else param
-
-
-def outcome(f, tol, **kw):
-    """A quadrature's result, or the fields of the ConvergenceError it raised."""
-    try:
-        return quad_semiinfinite(f, tol, **kw)
-    except ConvergenceError as exc:
-        return ("ConvergenceError", str(exc), exc.best_estimate, exc.error_estimate,
-                exc.evaluations)
 
 
 def counted(f):
@@ -98,65 +87,73 @@ COMBOS = [(Family.GAUSSIAN, Potential.COULOMB),
 LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30)
 FACTORS = (0.01, 0.1, 1.0, 10.0, 100.0)
 TOLS = (1e-6, 3e-9, 1e-11)
-GRID = [(fam, pot, l, factor) for fam, pot in COMBOS for l in LS for factor in FACTORS
-        if l >= 1 or (fam, pot) != (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR)]
 
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
-def test_fused_energy_matches_two_scalar_quadratures(fam, pot):
-    """Family × potential × l <= 30 × parameter 0.01–100× the optimum × tol."""
-    failures = 0
-    for f_, p_, l, factor in GRID:
-        if (f_, p_) != (fam, pot):
+def test_moments_match_scalar_quadratures(fam, pot):
+    """Family × potential × l <= 30 × tol; ⟨H⟩ at 0.01–100× the optimum."""
+    for l in LS:
+        if l == 0 and (fam, pot) == (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR):
             continue
-        param = factor * optimal_param_closed(fam, pot, l)
-        s = length_scale(fam, param)
-        numerator, denominator = scalar_integrands(fam, l, pot, s)
+        kinetic, potential, norm = scalar_integrands(fam, l, pot)
+        kn, p = _moment_integrands(fam, l, pot)
         for tol in TOLS:
-            case = (fam.value, pot.value, l, factor, tol)
-            num, den = outcome(numerator, tol), outcome(denominator, tol)
-            integrand, calls = counted(_energy_integrand(fam, l, pot, s))
-            pair = outcome(integrand, tol, pair=True)
-            if isinstance(num, tuple) or isinstance(den, tuple):
-                failures += 1
-                # the first component that fails raises, as the scalar one did
-                assert pair == (num if isinstance(num, tuple) else den), case
-                with pytest.raises(ConvergenceError):
-                    expectation_energy_numeric(TrialSpec(fam, l, param), pot, tol)
-                continue
+            case = (fam.value, pot.value, l, tol)
+            # every moment converges, far from the optimum too: the scale
+            # only enters after the quadratures
+            k_res, n_res = quad_semiinfinite(kinetic, tol), quad_semiinfinite(norm, tol)
+            p_res = quad_semiinfinite(potential, tol)
+            integrand, calls = counted(kn)
+            pair = quad_semiinfinite(integrand, tol, pair=True)
             assert isinstance(pair, QuadraturePair), case
-            assert pair.parts == (num, den), case
+            assert pair.parts == (k_res, n_res), case
             assert pair.evaluations == calls[0], case
-            assert pair.evaluations <= num.evaluations + den.evaluations, case
-            assert pair.levels == max(num.levels, den.levels), case
-            energy = expectation_energy_numeric(TrialSpec(fam, l, param), pot, tol)
-            assert energy == num.value / (s * s * den.value), case
-    # at l = 30 far from the optimum the oscillator numerator exhausts the
-    # refinement budget, so the raising path is exercised too
-    if pot is Potential.HARMONIC_OSCILLATOR:
-        assert failures > 0
+            assert pair.evaluations <= k_res.evaluations + n_res.evaluations, case
+            assert pair.levels == max(k_res.levels, n_res.levels), case
+            assert quad_semiinfinite(p, tol) == p_res, case
+            K, P, N = k_res.value, p_res.value, n_res.value
+            for factor in FACTORS:
+                param = factor * optimal_param_closed(fam, pot, l)
+                s = length_scale(fam, param)
+                v = -s if pot is Potential.COULOMB else 0.5 * s ** 4
+                energy = expectation_energy_numeric(TrialSpec(fam, l, param), pot, tol)
+                assert energy == (K + v * P) / (s * s * N), case + (factor,)
+
+
+def test_missed_peak_raises_where_the_norm_integral_is_zero():
+    # at l = 10⁴ the nodes miss the narrow Gaussian peak: the norm integral
+    # comes out 0, as the scalar quadrature has it, and ⟨H⟩ refuses it
+    fam, pot, l = Family.GAUSSIAN, Potential.COULOMB, 10**4
+    kinetic, _, norm = scalar_integrands(fam, l, pot)
+    kn, _ = _moment_integrands(fam, l, pot)
+    pair = quad_semiinfinite(kn, 1e-11, pair=True)
+    assert pair.parts == (quad_semiinfinite(kinetic, 1e-11), quad_semiinfinite(norm, 1e-11))
+    assert pair.parts[1].value == 0.0
+    with pytest.raises(ConvergenceError, match="missed the trial profile's peak"):
+        expectation_energy_numeric(TrialSpec(fam, l, optimal_param_closed(fam, pot, l)),
+                                   pot, 1e-11)
 
 
 def test_oscillator_overflow_only_where_the_profile_vanishes():
-    # beyond x ~ 1.16e77, x**4 overflows: the fused integrand raises exactly
-    # where the scalar numerator does, and the quadrature then zeroes both
-    # components.  The scalar denominator is 0.0 there for every profile
-    # with a finite ⟨r²⟩, so no nonzero term is lost.  (The l = 0 Lorentz
-    # oscillator integrand is never built: its ⟨r²⟩ diverges.)
-    s = 1.0
+    # beyond x ~ 1.16e77, x**4 overflows: the engine's P integrand raises
+    # exactly where the scalar one does, and the quadrature then takes it
+    # as 0.  The profile is 0.0 there for every family with a finite ⟨r²⟩,
+    # so no nonzero term is lost.  (The l = 0 Lorentz oscillator integrand
+    # is never built: its ⟨r²⟩ diverges.)
     pot = Potential.HARMONIC_OSCILLATOR
     for fam, l in ((Family.GAUSSIAN, 0), (Family.GAUSSIAN, 5),
                    (Family.LORENTZ, 1), (Family.LORENTZ, 5)):
-        numerator, denominator = scalar_integrands(fam, l, pot, s)
-        fused = _energy_integrand(fam, l, pot, s)
+        kinetic, potential, norm = scalar_integrands(fam, l, pot)
+        kn, p = _moment_integrands(fam, l, pot)
         x = 2e77
         with pytest.raises(OverflowError):
-            numerator(x)
+            potential(x)
         with pytest.raises(OverflowError):
-            fused(x)
-        assert denominator(x) == 0.0, (fam, l)
+            p(x)
+        assert norm(x) == 0.0, (fam, l)
         for x in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e30, 1e70):
-            assert fused(x) == (numerator(x), denominator(x)), (fam, l, x)
+            assert kn(x) == (kinetic(x), norm(x)), (fam, l, x)
+            assert p(x) == potential(x), (fam, l, x)
 
 
 def _one_raises(x):

@@ -124,14 +124,40 @@ class TestExpectationNumeric:
         with pytest.raises(DomainError):
             expectation_energy_numeric(TrialSpec(GAUSSIAN, 2, 0.1), COULOMB, 1e-13)
 
+    @given(st.sampled_from(ALL_COMBOS), st.integers(min_value=0, max_value=20),
+           st.floats(min_value=-75.0, max_value=75.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closed_form_over_the_whole_parameter_domain(self, combo, l, log_param):
+        # l <= 20 and every parameter in [1e-75, 1e75]: the moments do not
+        # depend on the parameter, so none is too far from the optimum
+        family, pot = combo
+        l = max(l, l_floor(family, pot))
+        param = min(max(10.0 ** log_param, 1e-75), 1e75)
+        spec = TrialSpec(family, l, param)
+        numeric = expectation_energy_numeric(spec, pot, tol=1e-11)
+        closed = expectation_energy_closed(spec, pot)
+        # relative to the size of the kinetic and potential terms, so that a
+        # Coulomb parameter near the zero of ⟨H⟩ is judged by the terms that
+        # cancel there
+        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
+        terms = sum(abs(variational_engine._energy_from_moments(m, family, pot, param))
+                    for m in ((k, 0.0, n), (0.0, p, n)))
+        assert abs(numeric - closed) <= 1e-12 * terms
+
     def test_missed_peak_is_a_convergence_error(self):
         # the nodes miss the narrow Gaussian peak, so the norm integral is 0
         with pytest.raises(ConvergenceError):
             variational_energy(GAUSSIAN, OSC, 10**4, Method.NUMERIC)
 
     @pytest.mark.parametrize("family,l", [(GAUSSIAN, 10**25), (LORENTZ, 10**38)])
-    def test_bracket_outside_the_parameter_domain_is_a_convergence_error(self, family, l):
-        # p*/10 falls below 1e-75 (Gaussian) or 10·p* above 1e75 (Lorentz)
+    def test_bracket_outside_the_parameter_domain_is_a_convergence_error(self, family, l,
+                                                                          monkeypatch):
+        # p*/10 falls below 1e-75 (Gaussian) or 10·p* above 1e75 (Lorentz);
+        # the bracket is checked before any quadrature
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature before the bracket check")
+
+        monkeypatch.setattr(variational_engine, "quad_semiinfinite", no_quadrature)
         with pytest.raises(ConvergenceError, match=rf"bracket .* at l = {l} "):
             variational_energy(family, COULOMB, l, Method.NUMERIC)
 
@@ -277,21 +303,40 @@ NUMERIC_LEVELS = [
 
 class TestNumericLevels:
     @pytest.mark.parametrize("family,pot,l", NUMERIC_LEVELS)
-    def test_objective_calls_and_optimum(self, monkeypatch, family, pot, l):
-        calls = []
+    def test_one_moment_search_and_one_value_per_level(self, monkeypatch, family, pot, l):
+        quad = variational_engine.quad_semiinfinite
         numeric = variational_engine.expectation_energy_numeric
+        brent = variational_engine._brent_min
+        quads, values, steps = [], [], []
 
-        def counting(spec, pot_, tol):
-            calls.append(spec.param)
+        def counting_quad(f, tol, **kw):
+            quads.append(tol)
+            return quad(f, tol, **kw)
+
+        def counting_numeric(spec, pot_, tol):
+            values.append((spec.param, tol))
             return numeric(spec, pot_, tol)
 
-        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", counting)
+        def counting_brent(fn, lo, hi):
+            def step(y):
+                steps.append(y)
+                return fn(y)
+
+            return brent(step, lo, hi)
+
+        monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
+        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", counting_numeric)
+        monkeypatch.setattr(variational_engine, "_brent_min", counting_brent)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
-        # at most 30 <H> evaluations, the final one at the optimum included
-        assert len(calls) <= 30
-        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-6)
-        assert est.value == pytest.approx(closed.value, rel=1e-6)
+        # the search integrates the moments once (a pair sweep and a scalar
+        # one) and the value at the optimum once more, whatever number of
+        # steps Brent takes: a step costs no quadrature
+        assert len(steps) > 1
+        assert quads == [3e-9, 3e-9, 1e-11, 1e-11]
+        assert values == [(est.optimal_param, 1e-11)]
+        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-7)
+        assert est.value == pytest.approx(closed.value, rel=5e-14)
 
 
 class TestUpperBoundProperty:
