@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", choices=("coulomb", "oscillator"), required=True)
     p.add_argument("--l-max", type=_parse_int_spec, default=[10],
                    help="single value (range from --l-min), comma list, or start:stop:step")
-    p.add_argument("--l-min", type=int, default=0)
+    p.add_argument("--l-min", type=_parse_int, default=0)
     p.add_argument("--method", choices=("closed", "numeric"), default="closed")
     p.set_defaults(handler=_cmd_variational)
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("integrals", help="closed forms vs quadrature residuals")
-    p.add_argument("--l-max", type=int, default=15)
+    p.add_argument("--l-max", type=_parse_int, default=15)
     p.set_defaults(handler=_cmd_integrals)
 
     p = sub.add_parser("verify", help="run every invariant suite")

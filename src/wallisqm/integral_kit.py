@@ -19,9 +19,9 @@ The quadrature engine maps [0, ∞) onto itself double-exponentially
 (the rational map of a tanh-sinh rule composes to x = exp(π·sinh t)) and
 doubles the trapezoidal density until two refinements differ by less than
 the requested tolerance; that last difference is the error estimate.  It
-also integrates a pair-valued integrand in the same sweep, one call per
-node for both components, each component converging exactly as it would
-alone.  One table of cases, shared by ``wallisqm integrals`` and verify,
+also integrates a tuple-valued integrand in one sweep, one call per node
+for all components, each component converging exactly as it would alone.
+One table of cases, shared by ``wallisqm integrals`` and verify,
 certifies the closed forms by quadrature relative to each integrand's peak
 scale: 2^{2l+2} times the Lorentz integrals, to about 1e-14 up to l = 508.
 """
@@ -38,7 +38,7 @@ from .gamma_kit import _SQRT_PI, _log_gamma_ratio, wallis_ratio
 
 __all__ = [
     "QuadratureResult",
-    "QuadraturePair",
+    "QuadratureParts",
     "RationalMomentQuery",
     "gaussian_moment",
     "rational_moment",
@@ -185,17 +185,17 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class QuadraturePair:
-    """Two integrals from one sweep, ``quad_semiinfinite(f, tol, pair=True)``.
+class QuadratureParts:
+    """The integrals of a tuple-valued f from one sweep of quad_semiinfinite.
 
-    ``parts`` holds one QuadratureResult per component, each bit-identical to
-    a scalar quad_semiinfinite call on that component alone: its own value,
-    error estimate, evaluation count and convergence level.  ``evaluations``
-    counts the calls of the pair integrand, and ``levels`` is the deepest
+    ``parts`` holds one QuadratureResult per component, each bit-identical
+    to a scalar quad_semiinfinite call on that component alone: its own
+    value, error estimate, evaluation count and convergence level.
+    ``evaluations`` counts the calls of f, and ``levels`` is the deepest
     component's level.
     """
 
-    parts: tuple[QuadratureResult, QuadratureResult]
+    parts: tuple[QuadratureResult, ...]
     evaluations: int
     levels: int
 
@@ -224,8 +224,7 @@ def _nodes(level: int) -> list[tuple[float, float, float, float]]:
     return table
 
 
-def quad_semiinfinite(f: Callable, tol: float, *,
-                      pair: bool = False) -> QuadratureResult | QuadraturePair:
+def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureParts:
     """∫_0^∞ f(x) dx for continuous, absolutely integrable, decaying f.
 
     Doubles the node density until two successive refinements differ by at
@@ -235,107 +234,95 @@ def quad_semiinfinite(f: Callable, tol: float, *,
     exponentially remote tail nodes) and OverflowError or ZeroDivisionError
     raised by f are treated as the decayed limit 0.
 
-    With ``pair=True``, f returns two values per node and both integrals
-    come from one sweep, returned as a QuadraturePair: f is called once per
-    node for both components, while each component keeps its own terms,
-    peak, truncation index, convergence level and fsum, so each part is
-    bit-identical to a scalar call on that component.  The nodes of a level
-    run until every component still converging has truncated, and a
-    converged component is frozen.  A non-finite component is 0 for that
-    component only; an exception raised by f zeroes both.  A scalar call is
-    the one-component case of the same loop.
+    A float-valued f gives a QuadratureResult.  A tuple-valued f gives a
+    QuadratureParts, all its components integrated in one sweep: f is
+    called once per node for all of them, while each component keeps its
+    own terms, peak, truncation index, convergence level and fsum, so each
+    part is bit-identical to a scalar call on that component.  The nodes of
+    a level run until every component still converging has truncated, and
+    a converged component is frozen.  A non-finite component is 0 for that
+    component only; an exception raised by f zeroes them all.  The width is
+    read from f(1.0), the first node, whose value is reused; an exception
+    there makes f a scalar 0 at that node, so a tuple-valued f must return
+    a value at x = 1.
 
     Raises ConvergenceError, carrying the best estimate, if the refinement
-    budget is exhausted (for a pair, that of the first component that did
+    budget is exhausted (for a tuple, that of the first component that did
     not converge, as the scalar call on it would).
     """
     if not _real(tol, "tolerance") >= 1e-12:
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     isfinite = math.isfinite
-    width = 2 if pair else 1
+    try:
+        first = f(1.0)
+    except (OverflowError, ZeroDivisionError):
+        first = 0.0
+    scalar = not isinstance(first, tuple)
+    width = 1 if scalar else len(first)
+    zero = 0.0 if scalar else (0.0,) * width
     done: list[QuadratureResult | None] = [None] * width
-    prev = [0.0] * width
     current = [0.0] * width
     diff = [math.inf] * width
     evals = [0] * width
     calls = 0
     for level in range(_MAX_LEVEL + 1):
         h = 2.0 ** (-level)
-        open0 = done[0] is None
-        open1 = pair and done[1] is None
-        terms0: list[float] = []
-        terms1: list[float] = []
-        peak0 = peak1 = 0.0
-        n0 = n1 = 0  # nodes each component took at this level
-        for i, (x, w, xm, wm) in enumerate(_nodes(level)):
-            try:
-                if pair:
-                    y0, y1 = f(x)
-                else:
-                    y0 = f(x)
-            except (OverflowError, ZeroDivisionError):
-                y0 = y1 = 0.0
-            if level or i:
-                try:
-                    if pair:
-                        z0, z1 = f(xm)
-                    else:
-                        z0 = f(xm)
-                except (OverflowError, ZeroDivisionError):
-                    z0 = z1 = 0.0
-            else:
-                z0 = z1 = 0.0  # x = 1 is its own mirror
-            if open0:
-                t_hi = w * y0 if isfinite(y0) else 0.0
-                t_lo = wm * z0 if isfinite(z0) else 0.0
-                terms0.append(t_hi + t_lo)
-                a_hi = abs(t_hi)
-                a_lo = abs(t_lo)
-                size = a_lo if a_lo > a_hi else a_hi
-                if size > peak0:
-                    peak0 = size
-                if i > 3 and size <= _TRUNC * peak0:
-                    open0 = False
-                    n0 = i + 1
-                    if not open1:
-                        break
-            if open1:
-                t_hi = w * y1 if isfinite(y1) else 0.0
-                t_lo = wm * z1 if isfinite(z1) else 0.0
-                terms1.append(t_hi + t_lo)
-                a_hi = abs(t_hi)
-                a_lo = abs(t_lo)
-                size = a_lo if a_lo > a_hi else a_hi
-                if size > peak1:
-                    peak1 = size
-                if i > 3 and size <= _TRUNC * peak1:
-                    open1 = False
-                    n1 = i + 1
-                    if not open0:
-                        break
-        nodes = i + 1  # a component still open used every node of the level
-        calls += 2 * nodes - (level == 0)
-        for c, terms, n in ((0, terms0, n0), (1, terms1, n1))[:width]:
+        nodes = _nodes(level)
+        # f at the level's nodes x and 1/x, shared by the components; level 0
+        # starts at x = 1, its own mirror, where f was called for the width
+        ys, zs = ([first], [zero]) if level == 0 else ([], [])
+        for c in range(width):
             if done[c] is not None:
                 continue
-            evals[c] += 2 * (n or nodes) - (level == 0)
+            terms: list[float] = []
+            peak = 0.0
+            n = len(nodes)
+            cached = len(ys)
+            for i, (x, w, xm, wm) in enumerate(nodes):
+                if i < cached:
+                    y, z = ys[i], zs[i]
+                else:
+                    try:
+                        y = f(x)
+                    except (OverflowError, ZeroDivisionError):
+                        y = zero
+                    try:
+                        z = f(xm)
+                    except (OverflowError, ZeroDivisionError):
+                        z = zero
+                    ys.append(y)
+                    zs.append(z)
+                if not scalar:
+                    y, z = y[c], z[c]
+                t_hi = w * y if isfinite(y) else 0.0
+                t_lo = wm * z if isfinite(z) else 0.0
+                terms.append(t_hi + t_lo)
+                a_hi = abs(t_hi)
+                a_lo = abs(t_lo)
+                size = a_lo if a_lo > a_hi else a_hi
+                if size > peak:
+                    peak = size
+                if i > 3 and size <= _TRUNC * peak:
+                    n = i + 1
+                    break
+            evals[c] += 2 * n - (level == 0)
             block = h * math.fsum(terms)
-            current[c] = block if level == 0 else prev[c] / 2.0 + block
+            value = block if level == 0 else current[c] / 2.0 + block
             if level >= 2:
-                diff[c] = abs(current[c] - prev[c])
+                diff[c] = abs(value - current[c])
                 if diff[c] <= tol:
                     done[c] = QuadratureResult(
-                        value=current[c],
-                        abs_error_estimate=max(diff[c], 4e-16 * abs(current[c])),
+                        value=value,
+                        abs_error_estimate=max(diff[c], 4e-16 * abs(value)),
                         evaluations=evals[c],
                         levels=level,
                     )
-            prev[c] = current[c]
+            current[c] = value
+        calls += 2 * len(ys) - (level == 0)
         if None not in done:
-            if not pair:
+            if scalar:
                 return done[0]
-            return QuadraturePair(parts=(done[0], done[1]), evaluations=calls,
-                                  levels=level)
+            return QuadratureParts(parts=tuple(done), evaluations=calls, levels=level)
     c = done.index(None)
     raise ConvergenceError(
         f"quadrature did not reach tol = {tol} within {_MAX_LEVEL} refinements "

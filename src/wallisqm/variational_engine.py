@@ -33,12 +33,11 @@ variable is rescaled by the trial length s and the profile normalized by
 its peak in log space, so every quadrature sees O(1) integrands at any l.
 The rescaled profile does not depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with
 three scale-free moments K (kinetic and centrifugal), P (potential) and N
-(norm), and v = -s (Coulomb) or s⁴/2 (oscillator).  K and N come from one
-pair quadrature sweep that evaluates the squared profile once per node for
-both, each converging exactly as a quadrature of its own would, bit for
-bit; P is a scalar sweep.  A numeric level integrates the moments once and
-searches their closed combination, so each Brent step costs only
-arithmetic.
+(norm), and v = -s (Coulomb) or s⁴/2 (oscillator).  All three come from
+one quadrature sweep that evaluates the squared profile once per node, each
+moment converging exactly as a quadrature of its own would, bit for bit.
+A numeric level integrates the moments once and searches their closed
+combination, so each Brent step costs only arithmetic.
 """
 
 from __future__ import annotations
@@ -162,67 +161,58 @@ def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
 
 
 def _moment_integrands(family: Family, l: int, pot: Potential):
-    """The moment integrands of ⟨H⟩ after rescaling r = s·x, which do not
-    depend on s: a pair x -> (k, n) and a scalar x -> p, whose integrals are
+    """The moment integrand of ⟨H⟩ after rescaling r = s·x, which does not
+    depend on s: x -> (k, n, p), whose integrals are
 
         K = ∫ ½·g·(D(x) + l(l+1)) dx,   N = ∫ g·x² dx,
         P = ∫ g·x dx (Coulomb) or ∫ g·x⁴ dx (oscillator).
 
-    The squared profile g(x) = [R(sx)/peak]² is evaluated in log space; the
-    derivative enters through x²·R'² = g(x)·D(x) with the rational factor
-    D(x) = (l - x²)² (Gaussian) or (l - (l+2)x²)²/(1+x²)² (Lorentz).  Each
-    component of the pair is the same floating-point expression as a scalar
-    integrand of its own would be, so the pair quadrature reproduces two
-    scalar ones bit for bit.  Where x⁴ overflows (x > 1.16e77) the
-    oscillator's p raises OverflowError, and the quadrature takes it as 0
-    at that node; it is 0 there anyway, since g is 0.0 for every profile
-    with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with l >= 1).
+    The squared profile g(x) = [R(sx)/peak]² is evaluated in log space, once
+    per node for all three; the derivative enters through x²·R'² = g(x)·D(x)
+    with the rational factor D(x) = (l - x²)² (Gaussian) or
+    (l - (l+2)x²)²/(1+x²)² (Lorentz).  Each component is the same
+    floating-point expression as a scalar integrand of its own would be, so
+    the quadrature reproduces three scalar ones bit for bit.  Where x⁴
+    overflows (x > 1.16e77) the oscillator integrand raises OverflowError,
+    and the quadrature takes all three as 0 at that node; they are 0 there
+    anyway, since g is 0.0 for every profile with a finite ⟨r²⟩ (e^{-x²},
+    or about x^{-2l-4} with l >= 1).
     """
     exp, log, log1p = math.exp, math.log, math.log1p
     L = float(l)
     centrifugal = L * (L + 1.0)
+    coulomb = pot is Potential.COULOMB
     if family is Family.GAUSSIAN:
         ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
 
-        def profile(x: float) -> float:
-            return exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
-
-        def kn(x: float) -> tuple[float, float]:
-            g = profile(x)
+        def knp(x: float) -> tuple[float, float, float]:
+            g = exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
             d = L - x * x
-            return 0.5 * g * (d * d + centrifugal), g * x * x
+            return (0.5 * g * (d * d + centrifugal), g * x * x,
+                    g * x if coulomb else g * x ** 4)
     else:
         L1, L2 = L + 1.0, L + 2.0
         xpk2 = L / L2
         ln_peak = 0.5 * L * math.log(xpk2) - L1 * math.log1p(xpk2) if l else 0.0
 
-        def profile(x: float) -> float:
-            return exp(2.0 * (L * log(x) - L1 * log1p(x * x) - ln_peak))
-
-        def kn(x: float) -> tuple[float, float]:
-            g = profile(x)
+        def knp(x: float) -> tuple[float, float, float]:
+            g = exp(2.0 * (L * log(x) - L1 * log1p(x * x) - ln_peak))
             w = 1.0 + x * x
             d = L - L2 * x * x
-            return 0.5 * g * (d * d / (w * w) + centrifugal), g * x * x
+            return (0.5 * g * (d * d / (w * w) + centrifugal), g * x * x,
+                    g * x if coulomb else g * x ** 4)
 
-    if pot is Potential.COULOMB:
-        def p(x: float) -> float:
-            return profile(x) * x
-    else:
-        def p(x: float) -> float:
-            return profile(x) * x ** 4
-
-    return kn, p
+    return knp
 
 
 def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float, float, float]:
-    """(K, P, N), the scale-free moments of ⟨H⟩, by quadrature at ``tol``:
-    one pair sweep for K and N, one scalar sweep for P."""
-    kn, p = _moment_integrands(family, l, pot)
-    k, n = quad_semiinfinite(kn, tol, pair=True).parts
+    """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
+    at ``tol``.  The sweep's order (K, N, P) makes a ConvergenceError name a
+    failing K or N before P, and the norm is checked before P is used."""
+    k, n, p = quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts
     if not n.value > 0.0:
         raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {l}")
-    return k.value, quad_semiinfinite(p, tol).value, n.value
+    return k.value, p.value, n.value
 
 
 def _energy_from_moments(moments: tuple[float, float, float], family: Family,
@@ -243,15 +233,14 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     integrated at ``tol`` and combined at ``spec.param`` as
     (K + v·P)/(s²·N).  ``tol`` is the absolute quadrature tolerance on these
     O(1) integrals, passed to quad_semiinfinite as it is: DomainError below
-    1e-12.  K and N are one pair quadrature, a single sweep that evaluates
-    the trial profile once per node for both, each with the value, error
-    estimate and evaluation count that a separate scalar quadrature of it
-    would give; P is a scalar quadrature.  At tol = 1e-11, agreement with
-    expectation_energy_closed is ~1e-14 relative to the larger of the
-    kinetic and potential terms, far inside the 1e-8 contract, for l <= 20
-    and every parameter in [1e-75, 1e75].  ConvergenceError is raised when
-    the norm integral N is not positive: the nodes missed the profile's
-    peak, which happens at large l.
+    1e-12.  The three moments are one quadrature sweep that evaluates the
+    trial profile once per node, each with the value, error estimate and
+    evaluation count that a separate scalar quadrature of it would give.
+    At tol = 1e-11, agreement with expectation_energy_closed is ~1e-14
+    relative to the larger of the kinetic and potential terms, far inside
+    the 1e-8 contract, for l <= 20 and every parameter in [1e-75, 1e75].
+    ConvergenceError is raised when the norm integral N is not positive:
+    the nodes missed the profile's peak, which happens at large l.
     """
     _require_l_domain(spec.family, pot, spec.l)
     return _energy_from_moments(_moments(spec.family, pot, spec.l, tol), spec.family, pot,

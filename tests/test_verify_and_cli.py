@@ -401,6 +401,13 @@ class TestVariationalCommand:
         assert code == 0
         assert [r["n_or_l"] for r in csv.DictReader(io.StringIO(out))] == [str(l)] * 2
 
+    def test_l_min_takes_the_same_integer_tokens(self, capsys):
+        argv = ("variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "3")
+        code, out, _ = run_cli(capsys, *argv, "--l-min", "1e0")
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--l-min", "1")[1]
+        assert [r["n_or_l"] for r in csv.DictReader(io.StringIO(out))] == ["1", "2", "3"]
+
 
 class TestBoundsCommand:
     def test_kazarinoff_all_satisfied(self, capsys):
@@ -455,6 +462,12 @@ class TestIntegralsCommand:
         for r in rows:
             value, reference = float(r["value"]), float(r["reference"])
             assert abs(value - reference) <= 1e-13 * value, r
+
+    def test_l_max_takes_the_same_integer_tokens(self, capsys):
+        code, out, _ = run_cli(capsys, "integrals", "--l-max", "1e2")
+        assert code == 0
+        assert out == run_cli(capsys, "integrals", "--l-max", "100")[1]
+        assert max(int(r["n_or_l"]) for r in csv.DictReader(io.StringIO(out))) == 100
 
     @pytest.mark.parametrize("l_max", [509, 600])
     def test_l_max_past_508_is_refused_before_any_quadrature(self, capsys, monkeypatch, l_max):
