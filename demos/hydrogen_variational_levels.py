@@ -27,8 +27,8 @@ print("  lorentz :", variational_energy(Family.LORENTZ, Potential.COULOMB, 0).va
       "=", -4.0 / math.pi**2)
 
 # the independent numeric pipeline lands on the same minimum: it integrates
-# the scale-free moments of <H> by quadrature once and minimizes their
-# combination over the scale with Brent's 1973 parabolic method
+# the scale-free moments K, P, N of <H> by quadrature and takes the optimal
+# scale from them by the virial relation, a = 2K/P for the Coulomb potential
 est = variational_energy(Family.LORENTZ, Potential.COULOMB, 0, Method.NUMERIC)
 print("\nnumeric minimization at l = 0:", est.value,
       " optimal scale:", est.optimal_param, "(pi/4 =", math.pi / 4.0, ")")

@@ -15,7 +15,7 @@ Subcommands:
                  measured worst deviation and tolerance.
 
 Global flags (before the subcommand): ``--format {csv,json}``,
-``--tol <real>`` (quadrature tolerance for ``integrals``, at least 1e-12),
+``--tol <real>`` (quadrature tolerance for ``integrals``, in [1e-12, 1e-10]),
 ``--out <path>``.  Numeric cells are emitted with 17 significant digits so
 parsing them back reproduces the doubles bit-for-bit; identical invocations
 produce byte-identical output.
@@ -312,6 +312,10 @@ def _cmd_integrals(args) -> tuple[str, int]:
 
     # checked before the first quadrature, and named as the option it came from
     _index(args.l_max, "--l-max", hi=_LORENTZ_L_MAX)
+    # a larger tolerance would widen the certificate's bound max(1e-9, 10·error
+    # estimate) with it, and a row could pass with any error
+    if not args.tol <= 1e-10:
+        raise DomainError(f"--tol must be at most 1e-10, got {args.tol}")
     cases = list(_certified_integrals(args.l_max, args.tol))
     rows = [ReportRow(label, idx, closed, quad, bound)
             for label, idx, closed, quad, bound, _, _ in cases]
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table output format (default csv)")
     parser.add_argument("--tol", type=float, default=1e-10,
-                        help="quadrature tolerance for the integrals command")
+                        help="quadrature tolerance for the integrals command, in [1e-12, 1e-10]")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

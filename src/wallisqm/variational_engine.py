@@ -27,23 +27,21 @@ in the integrated-by-parts form
 
     ⟨H⟩ = [∫ (R'²r² + l(l+1)R²)/2 + V R² r² dr] / ∫ R² r² dr
 
-(boundary terms vanish for both families) and minimizes it over
-log(parameter) by Brent's parabolic method (Brent 1973).  The radial
-variable is rescaled by the trial length s and the profile normalized by
-its peak in log space, so every quadrature sees O(1) integrands at any l.
-The rescaled profile does not depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with
-three scale-free moments K (kinetic and centrifugal), P (potential) and N
-(norm), and v = -s (Coulomb) or s⁴/2 (oscillator).  All three come from
-one quadrature sweep that evaluates the squared profile once per node, each
-moment converging exactly as a quadrature of its own would, bit for bit.
-A numeric level integrates the moments once and searches their closed
-combination, so each Brent step costs only arithmetic.
+(boundary terms vanish for both families).  The radial variable is
+rescaled by the trial length s and the profile normalized by its peak in
+log space, so every quadrature sees O(1) integrands at any l.  The rescaled
+profile does not depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free
+moments K (kinetic and centrifugal), P (potential) and N (norm), and v = -s
+(Coulomb) or s⁴/2 (oscillator).  All three come from one quadrature sweep
+that evaluates the squared profile once per node, each moment converging
+exactly as a quadrature of its own would, bit for bit.  A numeric level
+takes its optimum from the moments in closed form, by the virial relation
+of the same minimization: s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -278,70 +276,7 @@ def exact_energy(pot: Potential, l: int) -> float:
     return l + 1.5
 
 
-_GOLD = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
-_XTOL = 1e-10  # absolute part of Brent's step tolerance, in log(scale)
-_SEARCH_TOL = 3e-9  # quadrature tolerance of the moments that Brent's search combines
-
-
-def _brent_min(fn, lo: float, hi: float) -> float:
-    """Minimum of a unimodal fn on [lo, hi] by Brent's method (Brent 1973,
-    *Algorithms for Minimization without Derivatives*, ch. 5).
-
-    Each step is the vertex of the parabola through the three best points
-    when that vertex lies inside the bracket and the step is under half the
-    step before last; otherwise it is a golden-section step into the larger
-    side.  Steps are at least tol = √ε·|x| + _XTOL/3 long, parabolic steps
-    keep 2·tol clear of the bracket ends, fn is evaluated only inside
-    [lo, hi], and the search stops once the bracket lies within 2·tol of the
-    best point x, which it returns.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLD * (b - a)
-    fx = fw = fv = fn(x)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + _XTOL / 3.0
-        tol2 = 2.0 * tol
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol if m >= x else -tol
-        if not parabolic:
-            e = (a if x >= m else b) - x
-            d = _GOLD * e
-        u = x + d if abs(d) >= tol else x + (tol if d >= 0.0 else -tol)
-        fu = fn(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+_OPTIMUM_TOL = 3e-9  # quadrature tolerance of the moments that locate the optimum
 
 
 def variational_energy(family: Family, pot: Potential, l: int,
@@ -349,34 +284,29 @@ def variational_energy(family: Family, pot: Potential, l: int,
     """The minimized variational energy at orbital number l.
 
     CLOSED_FORM plugs the stationary parameter into the closed level
-    formulas.  NUMERIC integrates the scale-free moments of ⟨H⟩ once, at a
-    3e-9 quadrature tolerance, minimizes their closed combination over
-    log(param) by Brent's method (Brent 1973), bracketed a factor 10 around
-    the closed optimum, so that each search step costs only arithmetic, and
-    takes the level from one expectation_energy_numeric call at the
-    optimum, with a 1e-11 quadrature tolerance; a bracket that leaves the
-    parameter domain [1e-75, 1e75] raises ConvergenceError before any
-    quadrature.  For l <= 20 the energies agree with the closed levels to
-    3e-14 relative, the optimal parameters to 5e-8.  l is at most 10⁷⁶;
-    DomainError beyond.
+    formulas.  NUMERIC integrates the scale-free moments K, P and N of ⟨H⟩
+    once, at a 3e-9 quadrature tolerance, and takes the optimum from them
+    by the virial relation: (K + v·P)/(s²·N) is stationary at trial length
+    s = 2K/P (Coulomb) or s⁴ = 2K/P (oscillator), that is at α = 1/(2s²)
+    (Gaussian) or a = s (Lorentz).  The level is one
+    expectation_energy_numeric call at that optimum, with a 1e-11
+    quadrature tolerance; the numeric path never reads the closed optimum.
+    For l <= 20 the energies agree with the closed levels to 3e-14
+    relative, the optimal parameters to 2e-14.  At large l the quadrature
+    loses the narrow trial profile: the sweep raises ConvergenceError, or,
+    for the Gaussian family at l = 500 to 2000, returns a wrong level.  l
+    is at most 10⁷⁶; DomainError beyond.
     """
     l = _index(l, "orbital number l", hi=_MAX_L)
-    p_star, e_star = _closed_optimum(family, pot, l)
     reference = exact_energy(pot, l)
     if method is Method.CLOSED_FORM:
-        value, param = e_star, p_star
+        param, value = _closed_optimum(family, pot, l)
     else:
-        lo, hi = p_star / 10.0, p_star * 10.0
-        if not (_PARAM_MIN <= lo and hi <= _PARAM_MAX):
-            raise ConvergenceError(
-                f"the numeric search bracket [{lo:.6g}, {hi:.6g}] at l = {l} "
-                f"leaves the scale parameter domain [{_PARAM_MIN}, {_PARAM_MAX}]")
-        moments = _moments(family, pot, l, _SEARCH_TOL)
-
-        def objective(y: float) -> float:
-            return _energy_from_moments(moments, family, pot, math.exp(y))
-
-        param = math.exp(_brent_min(objective, math.log(lo), math.log(hi)))
+        # the Lorentz oscillator at l = 0 diverges before its P is integrated
+        _require_l_domain(family, pot, l)
+        k, p, _ = _moments(family, pot, l, _OPTIMUM_TOL)
+        s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
+        param = 0.5 / (s * s) if family is Family.GAUSSIAN else s
         value = expectation_energy_numeric(TrialSpec(family, l, param), pot, tol=1e-11)
     return EnergyEstimate(
         value=value,

@@ -225,7 +225,7 @@ def test_exception_at_the_first_node_is_a_scalar_zero():
 WIDTHS = (2, 3)
 
 
-class TestPairSweep:
+class TestTupleSweep:
     """Tuple-valued integrands of width 2 and 3; a third component, where
     there is one, is a slowly decaying x·e^{-x}."""
 

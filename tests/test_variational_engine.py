@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from wallisqm import variational_engine, verify
 from wallisqm.errors import ConvergenceError, DivergenceError, DomainError
 from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
-                                         Potential, TrialSpec, _brent_min,
-                                         exact_energy,
+                                         Potential, TrialSpec, exact_energy,
                                          expectation_energy_closed,
                                          expectation_energy_numeric,
                                          optimal_param_closed, ratio_sequence,
@@ -150,15 +149,15 @@ class TestExpectationNumeric:
             variational_energy(GAUSSIAN, OSC, 10**4, Method.NUMERIC)
 
     @pytest.mark.parametrize("family,l", [(GAUSSIAN, 10**25), (LORENTZ, 10**38)])
-    def test_bracket_outside_the_parameter_domain_is_a_convergence_error(self, family, l,
-                                                                          monkeypatch):
-        # p*/10 falls below 1e-75 (Gaussian) or 10·p* above 1e75 (Lorentz);
-        # the bracket is checked before any quadrature
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature before the bracket check")
+    def test_far_levels_are_a_convergence_error(self, family, l, monkeypatch):
+        # the closed optimum lies within a factor 10 of the parameter
+        # domain's ends here; the moment sweep raises before an optimum is
+        # taken from it, so no parameter outside the domain reaches TrialSpec
+        def no_value(*args, **kwargs):
+            raise AssertionError("a value call after the moment sweep")
 
-        monkeypatch.setattr(variational_engine, "quad_semiinfinite", no_quadrature)
-        with pytest.raises(ConvergenceError, match=rf"bracket .* at l = {l} "):
+        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", no_value)
+        with pytest.raises(ConvergenceError):
             variational_energy(family, COULOMB, l, Method.NUMERIC)
 
 
@@ -227,8 +226,10 @@ class TestVariationalEnergy:
         assert est.exact_reference == 2.5
 
     def test_lorentz_oscillator_l0_diverges(self):
-        with pytest.raises(DivergenceError):
-            variational_energy(LORENTZ, OSC, 0)
+        # the numeric path checks l before its moment sweep, where P diverges
+        for method in Method:
+            with pytest.raises(DivergenceError):
+                variational_energy(LORENTZ, OSC, 0, method)
 
     @pytest.mark.parametrize("family,pot,l", [
         (GAUSSIAN, COULOMB, 0),
@@ -250,50 +251,6 @@ class TestVariationalEnergy:
         assert est.value >= est.exact_reference
 
 
-def brent_tol(x, xtol=1e-10):
-    # the documented stopping width: the bracket lies within 2·tol of x
-    return 2.0 * (math.sqrt(2.0 ** -52) * abs(x) + xtol / 3.0)
-
-
-class TestBrentMin:
-    @pytest.mark.parametrize("c", [-2.5, 0.0, 0.3, 1.2345, 3.9])
-    def test_shifted_parabola(self, c):
-        x = _brent_min(lambda t: (t - c) ** 2, -3.0, 4.0)
-        assert abs(x - c) <= brent_tol(c)
-
-    @pytest.mark.parametrize("c", [-0.7, 0.25, 2.0])
-    def test_quartic(self, c):
-        # a flat minimum: the parabolic steps lose their edge here
-        x = _brent_min(lambda t: (t - c) ** 4, -3.0, 4.0)
-        assert abs(x - c) <= brent_tol(c)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_monotone_returns_bracket_end(self, sign):
-        lo, hi = -1.0, 2.0
-        x = _brent_min(lambda t: sign * t, lo, hi)
-        end = lo if sign > 0 else hi
-        assert abs(x - end) <= 2.0 * brent_tol(end)
-
-    @pytest.mark.parametrize("fn", [
-        lambda t: (t - 0.1) ** 2,
-        lambda t: t,
-        lambda t: -t,
-        lambda t: math.cos(3.0 * t),
-        lambda t: abs(t - 1.999),
-    ])
-    def test_never_leaves_bracket(self, fn):
-        lo, hi = -2.0, 2.0
-        seen = []
-
-        def probe(t):
-            seen.append(t)
-            return fn(t)
-
-        x = _brent_min(probe, lo, hi)
-        assert seen and all(lo <= t <= hi for t in seen)
-        assert lo <= x <= hi
-
-
 NUMERIC_LEVELS = [
     (family, pot, l)
     for family, pot in ALL_COMBOS
@@ -306,8 +263,7 @@ class TestNumericLevels:
     def test_one_moment_search_and_one_value_per_level(self, monkeypatch, family, pot, l):
         quad = variational_engine.quad_semiinfinite
         numeric = variational_engine.expectation_energy_numeric
-        brent = variational_engine._brent_min
-        quads, values, steps = [], [], []
+        quads, values = [], []
 
         def counting_quad(f, tol):
             quads.append(tol)
@@ -317,26 +273,43 @@ class TestNumericLevels:
             values.append((spec.param, tol))
             return numeric(spec, pot_, tol)
 
-        def counting_brent(fn, lo, hi):
-            def step(y):
-                steps.append(y)
-                return fn(y)
-
-            return brent(step, lo, hi)
-
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
         monkeypatch.setattr(variational_engine, "expectation_energy_numeric", counting_numeric)
-        monkeypatch.setattr(variational_engine, "_brent_min", counting_brent)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
-        # the search integrates the moments once (one sweep for K, N and P)
-        # and the value at the optimum once more, whatever number of steps
-        # Brent takes: a step costs no quadrature
-        assert len(steps) > 1
+        # one sweep for K, N and P locates the optimum, and one more at the
+        # optimum gives the value
         assert quads == [3e-9, 1e-11]
         assert values == [(est.optimal_param, 1e-11)]
-        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-7)
+        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         assert est.value == pytest.approx(closed.value, rel=5e-14)
+
+    def test_numeric_levels_never_read_the_closed_optimum(self, monkeypatch):
+        closed = {(family, pot, l): variational_energy(family, pot, l)
+                  for family, pot, l in NUMERIC_LEVELS}
+
+        def closed_optimum(*args):
+            raise AssertionError("the numeric path read the closed optimum")
+
+        monkeypatch.setattr(variational_engine, "_closed_optimum", closed_optimum)
+        monkeypatch.setattr(variational_engine, "optimal_param_closed", closed_optimum)
+        for key, ref in closed.items():
+            est = variational_energy(*key, Method.NUMERIC)
+            assert est.value == pytest.approx(ref.value, rel=5e-14), key
+            assert est.optimal_param == pytest.approx(ref.optimal_param, rel=1e-12), key
+
+    @pytest.mark.parametrize("family,pot,l", NUMERIC_LEVELS)
+    def test_virial_relation_at_the_numeric_optimum(self, family, pot, l):
+        # 2T = -V (Coulomb, V ~ 1/r) and T = V (oscillator, V ~ r²), with T
+        # and V from the moments that located the optimum
+        param = variational_energy(family, pot, l, Method.NUMERIC).optimal_param
+        k, p, n = variational_engine._moments(family, pot, l, 3e-9)
+        t = variational_engine._energy_from_moments((k, 0.0, n), family, pot, param)
+        v = variational_engine._energy_from_moments((0.0, p, n), family, pot, param)
+        if pot is COULOMB:
+            assert 2.0 * t == pytest.approx(-v, rel=1e-12)
+        else:
+            assert t == pytest.approx(v, rel=1e-12)
 
 
 class TestUpperBoundProperty:

@@ -236,7 +236,7 @@ def test_claims_table_names_and_tolerances():
         ("lorentz-norm-reduction-chain", 1e-13), ("lorentz-coulomb-duplication-chain", 1e-13),
         ("variational-upper-bound", None), ("stationarity-at-optimum", 1e-6),
         ("gaussian-ratio-wallis-linkage", 1e-12), ("lorentz-ratio-identity", 1e-12),
-        ("oscillator-ratio-window", None), ("numeric-path-agreement", 1e-6),
+        ("oscillator-ratio-window", None), ("numeric-path-agreement", 1e-12),
     ]
     assert [name for name, _ in verify.CHECKS] == list(verify._CLAIMS)
     assert len({name for name, _ in _two_path_links()}) == 17
@@ -535,6 +535,8 @@ class TestVerifyCommand:
     (["--tol", "-1", "integrals"], 2),
     (["--tol", "0", "integrals"], 2),
     (["--tol", "1e-300", "integrals"], 2),
+    # nor one above 1e-10, where the certificate's bound would grow with it
+    (["--tol", "1e308", "integrals", "--l-max", "2"], 2),
     # a nan partial sum is a failed comparison, not a pass
     (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
     # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
@@ -547,10 +549,13 @@ class TestVerifyCommand:
       "--l-max", "10000,10000", "--method", "numeric"], 1),
     # verify has one set of tolerances and no profile flag
     (["verify", "--tol-profile", "relaxed"], 2),
-    # the numeric search bracket leaves the scale parameter domain: the
-    # method fails to converge, the caller gave no bad parameter
+    # levels whose closed optimum lies near the ends of the scale parameter
+    # domain: the moment sweep fails to converge, the caller gave no bad
+    # parameter
     (["variational", "--family", "gaussian", "--potential", "coulomb",
       "--l-max", "1e25,1e25", "--method", "numeric"], 1),
+    (["variational", "--family", "lorentz", "--potential", "coulomb",
+      "--l-max", "1e38,1e38", "--method", "numeric"], 1),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising, except
