@@ -363,35 +363,163 @@ class TestKazarinoff:
         with pytest.raises(DomainError):
             kazarinoff_bounds(0)
 
-    def test_certificate_only_past_a_million(self, monkeypatch):
+    def test_proven_rule_only_past_a_million(self, monkeypatch):
         # doubles resolve the sandwich at every n <= 10⁶, so there a value
         # outside the double bounds is a fault and is reported as violated;
-        # past 10⁶ the verdict falls back on the quartic certificate
-        calls = []
-
-        def certificate(x):
-            calls.append(x)
-            return True
-
-        monkeypatch.setattr(gamma_kit, "_quartic_satisfied", certificate)
+        # past 10⁶ the verdict is the proven sandwich, whatever the value
         monkeypatch.setattr(gamma_kit, "_log_gamma_ratio", lambda x, a, b: 0.25 * math.log(x))
-        assert not kazarinoff_bounds(10**6).satisfied
         assert not kazarinoff_bounds(100).satisfied
-        assert calls == []
+        assert not kazarinoff_bounds(10**6).satisfied
         assert kazarinoff_bounds(10**6 + 1).satisfied
-        assert calls == [10**6 + 1]
+
+    @given(st.floats(min_value=0.0, max_value=308.0).map(
+        lambda u: min(max(int(10.0 ** u), 1), 10**308)))
+    @example(1)
+    @example(10**6)
+    @example(10**6 + 1)
+    @example(10**308)
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_holds_at_30_more_digits(self, n):
+        # n log-uniform in [1, 10³⁰⁸]: the lower margin is about 1/(64n²)
+        # relative, so 2·log10(n) + 30 digits resolve both sides
+        with mp.workdps(int(2 * math.log10(n)) + 30):
+            N = mp.mpf(n)
+            value = mp.gamma(N + 1) / mp.gamma(N + mp.mpf("0.5"))
+            assert mp.sqrt(N + mp.mpf("0.25")) < value < mp.sqrt(N + mp.mpf("0.5"))
+        assert kazarinoff_bounds(n).satisfied
 
     @pytest.mark.parametrize("n", [10**7, 10**8, 10**9, 10**12, 10**15, 2**53, 10**300]
                              + [int(10.0 ** random.Random(29 + i).uniform(7.0, 308.23))
                                 for i in range(20)], ids=lambda n: f"{n:.4g}")
     def test_certified_up_to_the_largest_double(self, n):
         # the quartic sandwich implies this one for n >= 1/8, and it is
-        # certified at every n; the reported doubles stay as they were
+        # proven at every x > 300; the reported doubles stay as they were
         t = kazarinoff_bounds(n)
         assert t.satisfied
         assert (t.lower, t.value, t.upper) == (math.sqrt(n + 0.25),
                                                math.exp(_log_gamma_ratio(n, 1.0, 0.5)),
                                                math.sqrt(n + 0.5))
+
+
+def _stirling_coefficients(k_max):
+    """c_k = B_2k/(2k(2k-1)), k = 1..k_max, from the Bernoulli recurrence."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * k_max + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    return [bernoulli[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, k_max + 1)]
+
+
+# The quartic sandwich past x = 300, proven in exact arithmetic.  A function
+# f of t = 1/(2x+1) on (0, T], T = 1/601, is held as a polynomial of degree
+# <= N with Fraction coefficients c and a remainder bound r:
+# |f(t) - Σ c_i·t^i| <= r·t^(N+1) at every t in (0, T].
+_T = Fraction(1, 601)
+_N = 10
+
+
+def _sup(c, k=0):
+    """Σ_{i>=k} |c_i|·T^(i-k), which bounds |Σ_{i>=k} c_i·t^(i-k)| on (0, T]."""
+    return sum(abs(a) * _T ** (i - k) for i, a in enumerate(c) if i >= k)
+
+
+class _Series:
+    def __init__(self, coeffs, r=Fraction(0)):
+        c = [Fraction(a) for a in coeffs]
+        # a term past degree N joins the remainder: |a·t^i| <= |a|·T^(i-N-1)·t^(N+1)
+        self.c = (c + [Fraction(0)] * _N)[:_N + 1]
+        self.r = r + _sup(c, _N + 1)
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Series) else _Series([other])
+        return _Series([a + b for a, b in zip(self.c, other.c)], self.r + other.r)
+
+    def __neg__(self):
+        return _Series([-a for a in self.c], self.r)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series([a * other for a in self.c], self.r * abs(other))
+        prod = [Fraction(0)] * (2 * _N + 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                prod[i + j] += a * b
+        return _Series(prod, self.r * _sup(other.c) + other.r * _sup(self.c)
+                       + self.r * other.r * _T ** (_N + 1))
+
+    __rmul__ = __mul__
+
+
+_t = _Series([0, 1])
+
+
+def _compose(a, tail, u):
+    """Σ_j a_j·u^j for a series u with u(0) = 0, from a_0..a_N.
+
+    With |u(t)| <= b·t, the dropped terms are at most
+    (b·t)^(N+1)·Σ_{j>N} |a_j|·y^(j-N-1) at y = b·T: their majorant, whose
+    coefficients are nonnegative, so it grows with y.  tail(y) bounds it.
+    """
+    assert u.c[0] == 0
+    b = _sup(u.c, 1) + u.r * _T ** _N
+    assert b * _T < 1
+    out = _Series([a[_N]])
+    for aj in reversed(a[:_N]):
+        out = out * u + aj
+    return out + _Series([], b ** (_N + 1) * tail(b * _T))
+
+
+_GEOMETRIC = ([1] * (_N + 1), lambda y: 1 / (1 - y))                  # 1/(1-u)
+_EXP = ([Fraction(1, math.factorial(j)) for j in range(_N + 1)],
+        lambda y: Fraction(1, math.factorial(_N + 1)) / (1 - y))       # exp(u)
+
+
+def _quartic_excess(c):
+    """Upper and lower series of F = R(x)⁴/(x+1/2)² - (1 - t + t²/2).
+
+    R(x) = Γ(x+1)/Γ(x+1/2) and c = [c_1, ..., c_M] are the Stirling
+    coefficients.  With S(z) = lnΓ(z) - (z-1/2)·ln z + z - ln√(2π),
+    ln R = ln(x+1/2)/2 + E, E = (ln(1+t) - t)/(2t) + S(x+1) - S(x+1/2),
+    so R⁴/(x+1/2)² = exp(4E); 1/(x+1/2) = 2t and 1/(x+1) = 2t/(1+t).  For
+    real z > 0, S(z) - P_{M-1}(z), P_k its k-term partial sum, has the sign
+    of c_M and is at most |c_M|/z^(2M-1) in size (DLMF §5.11(ii)): S lies
+    between P_{M-1} and P_M.  exp(4E) grows with E, so the largest E
+    bounds F from above and the smallest from below.
+    """
+    # (ln(1+t) - t)/(2t) = Σ_{j>=1} (-t)^j/(2(j+1)), the log series shifted
+    log_part = _compose([0] + [Fraction((-1) ** j, 2 * (j + 1)) for j in range(1, _N + 1)],
+                        lambda y: Fraction(1, 2 * (_N + 2)) / (1 - y), _t)
+    w_one = 2 * _t * _compose(*_GEOMETRIC, -_t)
+    w_half = 2 * _t
+
+    def partial(w, k):
+        s, power, w2 = _Series([]), w, w * w
+        for ck in c[:k]:
+            s, power = s + ck * power, power * w2
+        return s
+
+    below, above = (len(c) - 1, len(c)) if c[-1] > 0 else (len(c), len(c) - 1)
+    e_hi = log_part + partial(w_one, above) - partial(w_half, below)
+    e_lo = log_part + partial(w_one, below) - partial(w_half, above)
+    quadratic = _Series([1, -1, Fraction(1, 2)])
+    return _compose(*_EXP, 4 * e_hi) - quadratic, _compose(*_EXP, 4 * e_lo) - quadratic
+
+
+def _positive(f):
+    """Whether the series proves f(t) > 0 at every t in (0, T]."""
+    k = next((i for i, a in enumerate(f.c) if a), None)
+    return k is not None and f.c[k] > _T * _sup(f.c, k + 1) + f.r * _T ** (_N + 1 - k)
+
+
+def _proves_quartic_sandwich(c):
+    """-t³/(16(1-t)) < F < 0 on (0, T]: the radicands x²+x/2+1/8-1/(128x)
+    and x²+x/2+1/8 divided by (x+1/2)² are 1 - t + t²/2 less that and
+    1 - t + t²/2 itself."""
+    f_hi, f_lo = _quartic_excess(c)
+    margin = Fraction(1, 16) * _t * _t * _t * _compose(*_GEOMETRIC, _t)
+    return _positive(-f_hi) and _positive(f_lo + margin)
 
 
 class TestQuarticRootBounds:
@@ -436,10 +564,22 @@ class TestQuarticRootBounds:
                              + [10.0 ** random.Random(13 + i).uniform(5.0, 308.23)
                                 for i in range(20)])
     def test_verdict_holds_at_30_more_digits(self, x):
-        # the domain edge, either side of 10, just past 300 where the
-        # certificate takes over, 1325.03 where the doubles first fail, and
-        # log-uniform x up to the largest double; the certificate is called
-        # directly only past 300, the one range where the verdict consults it
+        # the domain edge, either side of 10, just past 300 where the proven
+        # rule takes over, 1325.03 where the doubles first fail, and
+        # log-uniform x up to the largest double
+        self._check_verdict(x)
+
+    @given(st.floats(min_value=math.log10(0.0510237), max_value=math.log10(1.7e308))
+           .map(lambda u: 10.0 ** u).filter(lambda x: 0.0510237 < x < 1.7e308))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_holds_at_30_more_digits_log_uniform(self, x):
+        # x log-uniform over the whole domain
+        self._check_verdict(x)
+
+    @staticmethod
+    def _check_verdict(x):
+        # the upper margin of value⁴ is about 1/(128x⁴) relative, so these
+        # digits resolve both sides
         digits = max(40, 4 * math.floor(math.log10(x)) + 25) + 30
         with mp.workdps(digits):
             X = mp.mpf(x)
@@ -447,46 +587,46 @@ class TestQuarticRootBounds:
             upper4 = X * X + X / 2 + mp.mpf("0.125")
             assert upper4 - 1 / (128 * X) < value4 < upper4
         assert quartic_root_bounds(x).satisfied
-        if x > 300.0:
-            assert gamma_kit._quartic_satisfied(x)
 
-    def test_certificate_only_past_300(self, monkeypatch):
+    def test_proven_rule_only_past_300(self, monkeypatch):
         # doubles resolve the sandwich at every x <= 300, so there a value
         # outside the double bounds is a fault and is reported as violated;
-        # past 300 the verdict falls back on the certificate
-        calls = []
-
-        def certificate(x):
-            calls.append(x)
-            return True
-
-        monkeypatch.setattr(gamma_kit, "_quartic_satisfied", certificate)
+        # past 300 the verdict is the proven sandwich, whatever the value
         assert all(quartic_root_bounds(x).satisfied for x in (0.06, 1.0, 300.0))
-        assert calls == []
         monkeypatch.setattr(gamma_kit, "_log_gamma_ratio", lambda x, a, b: 0.25 * math.log(x))
-        assert not quartic_root_bounds(300.0).satisfied
         assert not quartic_root_bounds(1.0).satisfied
-        assert calls == []
+        assert not quartic_root_bounds(300.0).satisfied
         assert quartic_root_bounds(300.5).satisfied
-        assert calls == [300.5]
 
-    @pytest.mark.parametrize("x", [300.0 + 1e-10, 300.5, 1e3, 1325.03, 1e5, 1e15, 1e300])
-    def test_certificate_refuses_a_perturbed_stirling_table(self, monkeypatch, x):
-        # the certified value⁴ is the value's own: 1 % off in the leading
-        # coefficient moves it outside a margin of 1/(128x⁴) at every x past
-        # 300, where the certificate is consulted
-        (p, q), *rest = gamma_kit._STIRLING_PQ
-        monkeypatch.setattr(gamma_kit, "_STIRLING_PQ", ((101 * p, 100 * q), *rest))
-        assert gamma_kit._quartic_satisfied(x) is False
+    @pytest.mark.parametrize("x", [32.0, 50.0, 100.0, 150.0, 200.0, 299.5, 300.0])
+    def test_perturbed_stirling_table_is_refused_where_doubles_decide(self, monkeypatch, x):
+        # 1 % off in the kernel's leading coefficient moves the value about
+        # 4e-4/x² relative, outside a margin of 1/(512x⁴) at every x in the
+        # kernel's Stirling range up to 300, where the doubles decide
+        c0, *rest = gamma_kit._STIRLING
+        monkeypatch.setattr(gamma_kit, "_STIRLING", (1.01 * c0, *rest))
+        assert quartic_root_bounds(x).satisfied is False
+
+    def test_sandwich_proven_for_every_x_past_300(self):
+        # R(x)⁴ lies strictly between the two radicands at every x > 300,
+        # that is at every t = 1/(2x+1) in (0, 1/601): the fact the verdict
+        # states past 300, proven here once and not sampled
+        c = _stirling_coefficients(5)
+        f_hi, f_lo = _quartic_excess(c)
+        # F = R⁴/(x+1/2)² - (1 - t + t²/2) = -t⁴/8 - t⁵/8 + 3t⁶/16 + t⁷/2 + ...,
+        # and F/t⁴ stays within 2.1e-4 of -1/8
+        for f in (f_hi, f_lo):
+            assert f.c[:8] == [0, 0, 0, 0, Fraction(-1, 8), Fraction(-1, 8),
+                               Fraction(3, 16), Fraction(1, 2)]
+            assert _T * _sup(f.c, 5) + f.r * _T ** (_N - 3) < 2.1e-4
+        assert _proves_quartic_sandwich(c)
+        # 1 % off in c₁ leaves a t² term in F, and the proof fails
+        assert not _proves_quartic_sandwich([c[0] * Fraction(101, 100), *c[1:]])
 
     def test_stirling_table_is_exact(self):
         # B_2k/(2k(2k-1)) from the Bernoulli recurrence, and the double
-        # kernel's coefficients are its first five, each rounded once
-        bernoulli = [Fraction(1)]
-        for m in range(1, 19):
-            bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
-        assert [Fraction(p, q) for p, q in gamma_kit._STIRLING_PQ] == [
-            bernoulli[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 10)]
+        # kernel's coefficients are the five, each rounded once
+        assert [Fraction(p, q) for p, q in gamma_kit._STIRLING_PQ] == _stirling_coefficients(5)
         assert gamma_kit._STIRLING == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0,
                                        -1.0 / 1680.0, 1.0 / 1188.0)
 

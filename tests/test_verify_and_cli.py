@@ -85,7 +85,7 @@ class TestVerifySuites:
 
     def test_detects_perturbed_gamma_kernel_in_kazarinoff_sandwich(self, monkeypatch):
         # a 1e-6 relative error in the log pushes the value below √(n+1/4)
-        # from n = 84; on the grid, n <= 10⁶, the certificate must not mask it
+        # from n = 84; on the grid, n <= 10⁶, the proven rule must not mask it
         kernel = gamma_kit._log_gamma_ratio
         monkeypatch.setattr(gamma_kit, "_log_gamma_ratio",
                             lambda x, a, b: kernel(x, a, b) * (1.0 - 1e-6))
@@ -94,7 +94,7 @@ class TestVerifySuites:
 
     def test_detects_perturbed_gamma_kernel_in_quartic_sandwich(self, monkeypatch):
         # the same error pushes the value below its quartic lower bound from
-        # x ~ 10; on the grid's x <= 300 the certificate must not mask it
+        # x ~ 10; on the grid's x <= 300 the proven rule must not mask it
         kernel = gamma_kit._log_gamma_ratio
         monkeypatch.setattr(gamma_kit, "_log_gamma_ratio",
                             lambda x, a, b: kernel(x, a, b) * (1.0 - 1e-6))
@@ -516,9 +516,9 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("argv,expected", [
     (["bounds", "--kind", "kazarinoff", "--grid", "inf"], 1),
     (["bounds", "--kind", "quartic", "--grid", "inf"], 1),
-    # the verdict is certified with digits enough for the margin at every x
+    # past x = 300 the verdict is the proven sandwich at every x
     (["bounds", "--kind", "quartic", "--grid", "1e13,1e15,1e100,1e300"], 0),
-    # where the doubles tie or cross, the quartic certificate decides
+    # where the doubles tie or cross, the proven sandwich decides
     (["bounds", "--kind", "kazarinoff", "--grid", "1e7,1e8,1e9,1e12,1e15"], 0),
     (["bounds", "--kind", "wendel", "--s", "0.3", "--grid", "1e8,1e10"], 0),
     (["sum", "--mode", "general", "--m", "-0.7", "--k", "1", "--n", "10"], 0),
@@ -573,7 +573,7 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
 
 def test_certified_bounds_need_no_mpmath(capsys, monkeypatch):
     # the library runs on the standard library and numpy alone: with mpmath
-    # blocked, any import of it raises, and both certificates still decide
+    # blocked, any import of it raises, and both verdicts still decide
     monkeypatch.setitem(sys.modules, "mpmath", None)
     for argv in (["bounds", "--kind", "quartic", "--grid", "0.2,1e5,1e300"],
                  ["bounds", "--kind", "kazarinoff", "--grid", "1e7,1e300"]):
