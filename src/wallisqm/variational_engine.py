@@ -35,8 +35,10 @@ moments K (kinetic and centrifugal), P (potential) and N (norm), and v = -s
 (Coulomb) or s⁴/2 (oscillator).  All three come from one quadrature sweep
 that evaluates the squared profile once per node, each moment converging
 exactly as a quadrature of its own would, bit for bit.  A numeric level
+is one such sweep at a 1e-11 tolerance (about 179 integrand calls): it
 takes its optimum from the moments in closed form, by the virial relation
-of the same minimization: s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator).
+of the same minimization, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator),
+and its value from the same moments at that optimum.
 """
 
 from __future__ import annotations
@@ -276,26 +278,24 @@ def exact_energy(pot: Potential, l: int) -> float:
     return l + 1.5
 
 
-_OPTIMUM_TOL = 3e-9  # quadrature tolerance of the moments that locate the optimum
-
-
 def variational_energy(family: Family, pot: Potential, l: int,
                        method: Method = Method.CLOSED_FORM) -> EnergyEstimate:
     """The minimized variational energy at orbital number l.
 
     CLOSED_FORM plugs the stationary parameter into the closed level
     formulas.  NUMERIC integrates the scale-free moments K, P and N of ⟨H⟩
-    once, at a 3e-9 quadrature tolerance, and takes the optimum from them
-    by the virial relation: (K + v·P)/(s²·N) is stationary at trial length
-    s = 2K/P (Coulomb) or s⁴ = 2K/P (oscillator), that is at α = 1/(2s²)
-    (Gaussian) or a = s (Lorentz).  The level is one
-    expectation_energy_numeric call at that optimum, with a 1e-11
-    quadrature tolerance; the numeric path never reads the closed optimum.
-    For l <= 20 the energies agree with the closed levels to 3e-14
-    relative, the optimal parameters to 2e-14.  At large l the quadrature
-    loses the narrow trial profile: the sweep raises ConvergenceError, or,
-    for the Gaussian family at l = 500 to 2000, returns a wrong level.  l
-    is at most 10⁷⁶; DomainError beyond.
+    once, in one quadrature sweep at a 1e-11 tolerance (about 179 integrand
+    calls), and takes the optimum from them by the virial relation:
+    (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
+    s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s
+    (Lorentz).  The level is (K + v·P)/(s²·N) of the same moments at that
+    optimum, bit for bit what expectation_energy_numeric returns there at
+    tol = 1e-11; the numeric path never reads the closed optimum.  For
+    l <= 20 the energies agree with the closed levels to 3e-14 relative,
+    the optimal parameters to 2e-14.  At large l the quadrature loses the
+    narrow trial profile: the sweep raises ConvergenceError, or, for the
+    Gaussian family at l = 500 to 2000, returns a wrong level.  l is at
+    most 10⁷⁶; DomainError beyond.
     """
     l = _index(l, "orbital number l", hi=_MAX_L)
     reference = exact_energy(pot, l)
@@ -304,10 +304,12 @@ def variational_energy(family: Family, pot: Potential, l: int,
     else:
         # the Lorentz oscillator at l = 0 diverges before its P is integrated
         _require_l_domain(family, pot, l)
-        k, p, _ = _moments(family, pot, l, _OPTIMUM_TOL)
+        moments = _moments(family, pot, l, 1e-11)
+        k, p, _ = moments
         s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
-        param = 0.5 / (s * s) if family is Family.GAUSSIAN else s
-        value = expectation_energy_numeric(TrialSpec(family, l, param), pot, tol=1e-11)
+        # the optimum passes the parameter-domain check of any trial state
+        param = TrialSpec(family, l, 0.5 / (s * s) if family is Family.GAUSSIAN else s).param
+        value = _energy_from_moments(moments, family, pot, param)
     return EnergyEstimate(
         value=value,
         optimal_param=param,

@@ -153,10 +153,12 @@ class TestExpectationNumeric:
         # the closed optimum lies within a factor 10 of the parameter
         # domain's ends here; the moment sweep raises before an optimum is
         # taken from it, so no parameter outside the domain reaches TrialSpec
-        def no_value(*args, **kwargs):
-            raise AssertionError("a value call after the moment sweep")
+        # and no value is formed
+        def after_sweep(*args, **kwargs):
+            raise AssertionError("an optimum or a value after the moment sweep")
 
-        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", no_value)
+        monkeypatch.setattr(variational_engine, "TrialSpec", after_sweep)
+        monkeypatch.setattr(variational_engine, "_energy_from_moments", after_sweep)
         with pytest.raises(ConvergenceError):
             variational_energy(family, COULOMB, l, Method.NUMERIC)
 
@@ -260,29 +262,32 @@ NUMERIC_LEVELS = [
 
 class TestNumericLevels:
     @pytest.mark.parametrize("family,pot,l", NUMERIC_LEVELS)
-    def test_one_moment_search_and_one_value_per_level(self, monkeypatch, family, pot, l):
+    def test_one_moment_sweep_and_no_value_call_per_level(self, monkeypatch, family, pot, l):
         quad = variational_engine.quad_semiinfinite
-        numeric = variational_engine.expectation_energy_numeric
-        quads, values = [], []
+        quads = []
 
         def counting_quad(f, tol):
             quads.append(tol)
             return quad(f, tol)
 
-        def counting_numeric(spec, pot_, tol):
-            values.append((spec.param, tol))
-            return numeric(spec, pot_, tol)
+        def no_value(*args, **kwargs):
+            raise AssertionError("a value call after the moment sweep")
 
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
-        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", counting_numeric)
+        monkeypatch.setattr(variational_engine, "expectation_energy_numeric", no_value)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
-        # one sweep for K, N and P locates the optimum, and one more at the
-        # optimum gives the value
-        assert quads == [3e-9, 1e-11]
-        assert values == [(est.optimal_param, 1e-11)]
+        # one sweep for K, N and P gives both the optimum and the value
+        assert quads == [1e-11]
         assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         assert est.value == pytest.approx(closed.value, rel=5e-14)
+
+    def test_level_is_the_numeric_oracle_at_its_optimum(self):
+        # the same formula on the same moments, so equal bit for bit
+        for family, pot, l in NUMERIC_LEVELS:
+            est = variational_energy(family, pot, l, Method.NUMERIC)
+            spec = TrialSpec(family, l, est.optimal_param)
+            assert est.value == expectation_energy_numeric(spec, pot, 1e-11), (family, pot, l)
 
     def test_numeric_levels_never_read_the_closed_optimum(self, monkeypatch):
         closed = {(family, pot, l): variational_energy(family, pot, l)
@@ -303,7 +308,7 @@ class TestNumericLevels:
         # 2T = -V (Coulomb, V ~ 1/r) and T = V (oscillator, V ~ r²), with T
         # and V from the moments that located the optimum
         param = variational_energy(family, pot, l, Method.NUMERIC).optimal_param
-        k, p, n = variational_engine._moments(family, pot, l, 3e-9)
+        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
         t = variational_engine._energy_from_moments((k, 0.0, n), family, pot, param)
         v = variational_engine._energy_from_moments((0.0, p, n), family, pot, param)
         if pot is COULOMB:
