@@ -1,10 +1,11 @@
 """Shared exception types and the one input-validation boundary.
 
-Every public argument is checked by :func:`_index` (integer indices n, l, m)
-or :func:`_real` (real parameters and tolerances): a bool, nan, ±inf, a
-non-number or an integer beyond the range of a double raises DomainError in
-both.  Callers keep their own range tests; the limits that several modules
-share are defined here once.
+Every public argument is checked by :func:`_index` (integer indices n, l, m),
+:func:`_real` (real parameters and tolerances) or :func:`_member` (the enum
+choices): a bool, nan, ±inf, a non-number or an integer beyond the range of
+a double raises DomainError in the first two, and anything but a member of
+the enum, its value string included, in the third.  Callers keep their own
+range tests; the limits that several modules share are defined here once.
 """
 
 import math
@@ -87,3 +88,11 @@ def _real(x, name: str) -> float:
         if math.isfinite(v):
             return v
     raise DomainError(f"{name} must be a finite real number, got {x!r}")
+
+
+def _member(x, kind: type, name: str):
+    """x itself; DomainError unless x is a member of the enum ``kind`` (its
+    value, say the string "coulomb", is not)."""
+    if isinstance(x, kind):
+        return x
+    raise DomainError(f"{name} must be a {kind.__name__} member, got {x!r}")

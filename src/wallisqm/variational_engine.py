@@ -28,17 +28,22 @@ in the integrated-by-parts form
     ⟨H⟩ = [∫ (R'²r² + l(l+1)R²)/2 + V R² r² dr] / ∫ R² r² dr
 
 (boundary terms vanish for both families).  The radial variable is
-rescaled by the trial length s and the profile normalized by its peak in
-log space, so every quadrature sees O(1) integrands at any l.  The rescaled
-profile does not depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free
-moments K (kinetic and centrifugal), P (potential) and N (norm), and v = -s
-(Coulomb) or s⁴/2 (oscillator).  All three come from one quadrature sweep
-that evaluates the squared profile once per node, each moment converging
-exactly as a quadrature of its own would, bit for bit.  A numeric level
-is one such sweep at a 1e-11 tolerance (about 179 integrand calls): it
-takes its optimum from the moments in closed form, by the virial relation
-of the same minimization, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator),
-and its value from the same moments at that optimum.
+rescaled by the trial length s, r = s·x.  The rescaled profile does not
+depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free moments K
+(kinetic and centrifugal), P (potential) and N (norm), and v = -s
+(Coulomb) or s⁴/2 (oscillator).  For l >= 1 the profile peaks at x_pk
+(√l Gaussian, √(l/(l+2)) Lorentz) with a width that shrinks like 1/√l, so
+each level is integrated in the centred variable y, x = x_pk·y^c with
+c = κ/√(l+1): there the integrand has an O(1) width in ln y at every l,
+which the double-exponential rule needs to converge fast.  All three
+moments come from one quadrature sweep that evaluates the squared profile
+once per node, each moment converging exactly as a quadrature of its own
+would, bit for bit.  A numeric level is one such sweep at a 1e-11
+tolerance (about 117 integrand calls a level over l <= 20): it takes its
+optimum from the moments in closed form, by the virial relation of the
+same minimization, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator), and its
+value from the same moments at that optimum.  The numeric method holds to
+l = 10⁶, its own orbital limit.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import _MAX_GRID_POINTS, ConvergenceError, DivergenceError, DomainError, _index, _real
+from .errors import _MAX_GRID_POINTS, DivergenceError, DomainError, _index, _member, _real
 from .gamma_kit import _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -85,6 +90,16 @@ _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
 # largest orbital number: l⁴ and l²/param² stay finite for every param, so
 # every closed form is finite
 _MAX_L = 10**76
+# largest orbital number of the numeric method: from 10⁶ to 10⁷ its levels
+# agree with the closed ones within 7e-15 relative, but from about 1.04·10⁷
+# the Gaussian K, about 2e-4 there, meets the absolute 1e-11 one refinement
+# early (3.5e-14, and 1.5e-13 by 3·10⁷)
+_MAX_L_NUMERIC = 10**6
+# κ of the centred variable, per family: the width constant that took the
+# fewest integrand calls over the levels l = 1…20 of the family, within a
+# flat optimum (Gaussian 132–151 calls for κ in [0.3, 1.2], Lorentz 84–126
+# for κ in [0.2, 1.2])
+_KAPPA = {Family.GAUSSIAN: 0.45, Family.LORENTZ: 0.8}
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,7 @@ class TrialSpec:
     param: float
 
     def __post_init__(self):
+        _member(self.family, Family, "family")
         object.__setattr__(self, "l", _index(self.l, "orbital number l", hi=_MAX_L))
         if not _PARAM_MIN <= _real(self.param, "scale parameter") <= _PARAM_MAX:
             raise DomainError(
@@ -144,6 +160,7 @@ def _require_l_domain(family: Family, pot: Potential, l: int) -> None:
 
 def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
     """⟨H⟩ for the given trial state, from the closed radial-moment forms."""
+    _member(pot, Potential, "potential")
     l, p = spec.l, spec.param
     if spec.family is Family.GAUSSIAN:
         kinetic = p * (l + 1.5)
@@ -162,57 +179,94 @@ def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
 
 def _moment_integrands(family: Family, l: int, pot: Potential):
     """The moment integrand of ⟨H⟩ after rescaling r = s·x, which does not
-    depend on s: x -> (k, n, p), whose integrals are
+    depend on s: a function (k, n, p) of one variable whose integrals are
+    the moments
 
         K = ∫ ½·g·(D(x) + l(l+1)) dx,   N = ∫ g·x² dx,
-        P = ∫ g·x dx (Coulomb) or ∫ g·x⁴ dx (oscillator).
+        P = ∫ g·x dx (Coulomb) or ∫ g·x⁴ dx (oscillator),
 
-    The squared profile g(x) = [R(sx)/peak]² is evaluated in log space, once
-    per node for all three; the derivative enters through x²·R'² = g(x)·D(x)
-    with the rational factor D(x) = (l - x²)² (Gaussian) or
-    (l - (l+2)x²)²/(1+x²)² (Lorentz).  Each component is the same
-    floating-point expression as a scalar integrand of its own would be, so
-    the quadrature reproduces three scalar ones bit for bit.  Where x⁴
-    overflows (x > 1.16e77) the oscillator integrand raises OverflowError,
-    and the quadrature takes all three as 0 at that node; they are 0 there
-    anyway, since g is 0.0 for every profile with a finite ⟨r²⟩ (e^{-x²},
-    or about x^{-2l-4} with l >= 1).
+    up to the constant factors that _moments takes out.  g(x) is the
+    squared profile [R(sx)/peak]², and the derivative enters through
+    x²·R'² = g(x)·D(x) with D(x) = (l - x²)² (Gaussian) or
+    (l - (l+2)x²)²/(1+x²)² (Lorentz).
+
+    At l = 0 the profile peaks at x = 0 and the integrand takes x itself,
+    with g = e^{-x²} or (1+x²)^{-2}.  For l >= 1 it takes the centred
+    variable y, with x = x_pk·y^c, c = κ/√(l+1) and v = c·ln y = ln(x/x_pk).
+    In v the log-profile is -l·(expm1(2v) - 2v) (Gaussian) or
+    2lv - 2(l+1)·log1p(q), q = l·expm1(2v)/(2l+2) (Lorentz), which is 0 at
+    the peak y = 1, and D is l²·expm1(2v)² or (l+2)²·q²/(1+q)².  Each
+    component is the moment's integrand times dx/dy = c·x/y, divided by
+    its power of x_pk (x_pk for K, x_pk² or x_pk⁵ for P, x_pk³ for N) and,
+    for K, by (l+1)².
+
+    Each component is the same floating-point expression as a scalar
+    integrand of its own would be, so the quadrature reproduces three
+    scalar ones bit for bit.  Where a power of x overflows (x⁴ at l = 0
+    beyond x = 1.16e77, expm1(2v) beyond v = 354.9) the integrand raises
+    OverflowError or a component is inf or nan, and the quadrature takes
+    those components as 0 at that node; the profile is 0.0 there, for every
+    profile with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with l >= 1).
     """
-    exp, log, log1p = math.exp, math.log, math.log1p
-    L = float(l)
-    centrifugal = L * (L + 1.0)
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     coulomb = pot is Potential.COULOMB
+    if l == 0:
+        if family is Family.GAUSSIAN:
+            def knp(x: float) -> tuple[float, float, float]:
+                g = exp(-x * x)
+                d = x * x
+                return (0.5 * g * (d * d), g * x * x, g * x if coulomb else g * x ** 4)
+        else:
+            def knp(x: float) -> tuple[float, float, float]:
+                g = exp(-2.0 * log1p(x * x))
+                w = 1.0 + x * x
+                d = 2.0 * x * x
+                return (0.5 * g * (d * d / (w * w)), g * x * x,
+                        g * x if coulomb else g * x ** 4)
+        return knp
+    L = float(l)
+    c = _KAPPA[family] / math.sqrt(L + 1.0)
+    b = L / (L + 1.0)  # l(l+1)/(l+1)², the centrifugal part of K/(l+1)²
     if family is Family.GAUSSIAN:
-        ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
+        a = b * b
 
-        def knp(x: float) -> tuple[float, float, float]:
-            g = exp(2.0 * (L * log(x) - 0.5 * x * x - ln_peak))
-            d = L - x * x
-            return (0.5 * g * (d * d + centrifugal), g * x * x,
-                    g * x if coulomb else g * x ** 4)
+        def knp(y: float) -> tuple[float, float, float]:
+            v = c * log(y)
+            e = expm1(2.0 * v)
+            ev = exp(v)
+            gj = exp(-L * (e - 2.0 * v)) * c * ev / y
+            n = gj * ev * ev
+            return (0.5 * gj * (a * e * e + b), n, gj * ev if coulomb else n * ev * ev)
     else:
-        L1, L2 = L + 1.0, L + 2.0
-        xpk2 = L / L2
-        ln_peak = 0.5 * L * math.log(xpk2) - L1 * math.log1p(xpk2) if l else 0.0
+        a = ((L + 2.0) / (L + 1.0)) ** 2
+        h = L / (2.0 * L + 2.0)
+        l2, l21 = 2.0 * L, 2.0 * (L + 1.0)
 
-        def knp(x: float) -> tuple[float, float, float]:
-            g = exp(2.0 * (L * log(x) - L1 * log1p(x * x) - ln_peak))
-            w = 1.0 + x * x
-            d = L - L2 * x * x
-            return (0.5 * g * (d * d / (w * w) + centrifugal), g * x * x,
-                    g * x if coulomb else g * x ** 4)
+        def knp(y: float) -> tuple[float, float, float]:
+            v = c * log(y)
+            q = h * expm1(2.0 * v)
+            ev = exp(v)
+            gj = exp(l2 * v - l21 * log1p(q)) * c * ev / y
+            n = gj * ev * ev
+            r = q / (1.0 + q)
+            return (0.5 * gj * (a * r * r + b), n, gj * ev if coulomb else n * ev * ev)
 
     return knp
 
 
 def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float, float, float]:
     """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
-    at ``tol``.  The sweep's order (K, N, P) makes a ConvergenceError name a
-    failing K or N before P, and the norm is checked before P is used."""
-    k, n, p = quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts
-    if not n.value > 0.0:
-        raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {l}")
-    return k.value, p.value, n.value
+    at ``tol``, with the factors the centred integrand took out put back.
+    N is never 0: its integrand is positive at the first node, y = 1 (the
+    peak; x = 1 at l = 0), and no term of N is negative."""
+    k, n, p = (part.value for part in
+               quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts)
+    if l == 0:
+        return k, p, n
+    L = float(l)
+    x_pk = math.sqrt(L) if family is Family.GAUSSIAN else math.sqrt(L / (L + 2.0))
+    return (k * x_pk * (L + 1.0) ** 2,
+            p * x_pk ** (2 if pot is Potential.COULOMB else 5), n * x_pk ** 3)
 
 
 def _energy_from_moments(moments: tuple[float, float, float], family: Family,
@@ -231,19 +285,22 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     The scale parameter only multiplies the moments K, P and N of the
     rescaled profile by powers of the trial length s, so they are
     integrated at ``tol`` and combined at ``spec.param`` as
-    (K + v·P)/(s²·N).  ``tol`` is the absolute quadrature tolerance on these
-    O(1) integrals, passed to quad_semiinfinite as it is: DomainError below
-    1e-12.  The three moments are one quadrature sweep that evaluates the
-    trial profile once per node, each with the value, error estimate and
-    evaluation count that a separate scalar quadrature of it would give.
-    At tol = 1e-11, agreement with expectation_energy_closed is ~1e-14
-    relative to the larger of the kinetic and potential terms, far inside
-    the 1e-8 contract, for l <= 20 and every parameter in [1e-75, 1e75].
-    ConvergenceError is raised when the norm integral N is not positive:
-    the nodes missed the profile's peak, which happens at large l.
+    (K + v·P)/(s²·N).  ``tol`` is the absolute quadrature tolerance on the
+    integrals of the centred integrand (see _moment_integrands), passed to
+    quad_semiinfinite as it is: DomainError below 1e-12.  The three moments
+    are one quadrature sweep that evaluates the trial profile once per
+    node, each with the value, error estimate and evaluation count that a
+    separate scalar quadrature of it would give.  At tol = 1e-11,
+    agreement with expectation_energy_closed is ~1e-14 relative to the
+    larger of the kinetic and potential terms, far inside the 1e-8
+    contract, for every parameter in [1e-75, 1e75] and every l up to 10⁶,
+    the numeric method's orbital limit; DomainError beyond it, before any
+    quadrature.
     """
-    _require_l_domain(spec.family, pot, spec.l)
-    return _energy_from_moments(_moments(spec.family, pot, spec.l, tol), spec.family, pot,
+    l = _index(spec.l, "orbital number l", hi=_MAX_L_NUMERIC)
+    _member(pot, Potential, "potential")
+    _require_l_domain(spec.family, pot, l)
+    return _energy_from_moments(_moments(spec.family, pot, l, tol), spec.family, pot,
                                 spec.param)
 
 
@@ -266,12 +323,15 @@ def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, floa
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
     """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶."""
+    _member(family, Family, "family")
+    _member(pot, Potential, "potential")
     return _closed_optimum(family, pot, _index(l, "orbital number l", hi=_MAX_L))[0]
 
 
 def exact_energy(pot: Potential, l: int) -> float:
     """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2);
     l <= 10⁷⁶."""
+    _member(pot, Potential, "potential")
     l = _index(l, "orbital number l", hi=_MAX_L)
     if pot is Potential.COULOMB:
         return -1.0 / (2.0 * (l + 1.0) ** 2)
@@ -283,23 +343,27 @@ def variational_energy(family: Family, pot: Potential, l: int,
     """The minimized variational energy at orbital number l.
 
     CLOSED_FORM plugs the stationary parameter into the closed level
-    formulas.  NUMERIC integrates the scale-free moments K, P and N of ⟨H⟩
-    once, in one quadrature sweep at a 1e-11 tolerance (about 179 integrand
-    calls), and takes the optimum from them by the virial relation:
+    formulas; l is at most 10⁷⁶.  NUMERIC integrates the scale-free
+    moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a 1e-11
+    tolerance in the centred variable (about 117 integrand calls a level
+    over l <= 20), and takes the optimum from them by the virial relation:
     (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
     s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s
     (Lorentz).  The level is (K + v·P)/(s²·N) of the same moments at that
     optimum, bit for bit what expectation_energy_numeric returns there at
     tol = 1e-11; the numeric path never reads the closed optimum.  For
-    l <= 20 the energies agree with the closed levels to 3e-14 relative,
-    the optimal parameters to 2e-14.  At large l the quadrature loses the
-    narrow trial profile: the sweep raises ConvergenceError, or, for the
-    Gaussian family at l = 500 to 2000, returns a wrong level.  l is at
-    most 10⁷⁶; DomainError beyond.
+    every l up to 10⁶, the numeric method's limit, the energies agree with
+    the closed levels to 6e-14 relative, the optimal parameters to 3e-14,
+    and K/N and P/N with their closed ratios to 2e-14.  DomainError for l
+    beyond the method's limit, before any quadrature.
     """
-    l = _index(l, "orbital number l", hi=_MAX_L)
+    _member(family, Family, "family")
+    _member(pot, Potential, "potential")
+    _member(method, Method, "method")
+    closed = method is Method.CLOSED_FORM
+    l = _index(l, "orbital number l", hi=_MAX_L if closed else _MAX_L_NUMERIC)
     reference = exact_energy(pot, l)
-    if method is Method.CLOSED_FORM:
+    if closed:
         param, value = _closed_optimum(family, pot, l)
     else:
         # the Lorentz oscillator at l = 0 diverges before its P is integrated
@@ -328,6 +392,9 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
     evaluation order.  One level per l, so l_max is limited to 10⁵, the
     CLI's grid cap; DomainError beyond.
     """
+    _member(family, Family, "family")
+    _member(pot, Potential, "potential")
+    _member(method, Method, "method")
     l_max = _index(l_max, "l_max", lo=1, hi=_MAX_GRID_POINTS)
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)

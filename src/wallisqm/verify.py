@@ -393,12 +393,14 @@ _CLAIMS = {c.name: c for c in [
         lambda: _RATIO_LS, _abs)),
     Claim("oscillator-ratio-window", None,
           "ratio² in (1, 1+3/l) and decreasing for l in [2, 1000]", _oscillator_ratio_window),
-    # one level of each (family, potential); both paths agree to <= 2.84e-14
-    # over every level l <= 20, so 1e-12 leaves room for the last bits only
+    # six levels of each (family, potential), up to the numeric method's
+    # limit l = 10⁶; both paths agree to <= 5.8e-14 over every level l <= 20
+    # and on 400 log-uniform draws of l up to 10⁶, so 1e-12 leaves room for
+    # the last bits only
     Claim("numeric-path-agreement", 1e-12, "max numeric/closed rel dev {0:.2e} (tol {tol:.0e})", _Gap(
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.NUMERIC).value,
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.CLOSED_FORM).value,
-        lambda: [(*combo, 2) for combo in _COMBOS])),
+        lambda: [(*combo, l) for combo in _COMBOS for l in (2, 20, 100, 500, 10**3, 10**6)])),
 ]}
 
 # (name, measure) in suite order; run() reads it at call time, so a wrapped

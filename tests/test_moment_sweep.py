@@ -7,7 +7,8 @@ combines them at the scale parameter as (K + v·P)/(s²·N).  Each component
 must come out exactly as a scalar ``quad_semiinfinite`` call on it alone
 would: value, error estimate, evaluation count and level, bit for bit.  The
 scalar integrands here are written out independently of the engine's, one
-closure per moment.
+closure per moment: in x itself at l = 0, and for l >= 1 in the centred
+variable y, x = x_pk·y^c.
 """
 
 import math
@@ -16,56 +17,104 @@ import pytest
 
 from wallisqm.errors import ConvergenceError
 from wallisqm.integral_kit import QuadratureParts, QuadratureResult, quad_semiinfinite
-from wallisqm.variational_engine import (Family, Potential, TrialSpec, _moment_integrands,
-                                         _moments, expectation_energy_numeric,
-                                         optimal_param_closed)
+from wallisqm.variational_engine import (_KAPPA, Family, Potential, TrialSpec,
+                                         _moment_integrands, _moments,
+                                         expectation_energy_numeric, optimal_param_closed)
 
 
 def scalar_integrands(family, l, pot):
-    """The moments K, P and N of ⟨H⟩ as three separate scalar integrands."""
+    """The moments K, P and N of ⟨H⟩ as three separate scalar integrands.
+
+    At l = 0 they take x, with the squared profile e^{-x²} or (1+x²)^{-2}.
+    For l >= 1 they take y, with x = x_pk·y^c, c = κ/√(l+1) and
+    v = c·ln y: each is the moment's integrand times dx/dy = c·x/y, over
+    x_pk (K), x_pk² or x_pk⁵ (P) and x_pk³ (N), and K over (l+1)² too."""
     L = float(l)
-    if family is Family.GAUSSIAN:
-        ln_peak = 0.5 * L * (math.log(L) - 1.0) if l else 0.0
-
-        def g2(x):
-            if l == 0:
+    if l == 0:
+        if family is Family.GAUSSIAN:
+            def g2(x):
                 return math.exp(-x * x)
-            return math.exp(2.0 * (L * math.log(x) - 0.5 * x * x - ln_peak))
 
-        def deriv_factor(x):
-            d = L - x * x
-            return d * d
-    else:
-        if l:
-            xpk2 = L / (L + 2.0)
-            ln_peak = 0.5 * L * math.log(xpk2) - (L + 1.0) * math.log1p(xpk2)
+            def deriv_factor(x):
+                d = x * x
+                return d * d
         else:
-            ln_peak = 0.0
+            def g2(x):
+                return math.exp(-2.0 * math.log1p(x * x))
 
-        def g2(x):
-            lead = L * math.log(x) if l else 0.0
-            return math.exp(2.0 * (lead - (L + 1.0) * math.log1p(x * x) - ln_peak))
+            def deriv_factor(x):
+                w = 1.0 + x * x
+                d = 2.0 * x * x
+                return d * d / (w * w)
 
-        def deriv_factor(x):
-            w = 1.0 + x * x
-            d = L - (L + 2.0) * x * x
-            return d * d / (w * w)
+        def kinetic(x):
+            return 0.5 * g2(x) * deriv_factor(x)
 
-    def kinetic(x):
-        g = g2(x)
-        return 0.5 * g * (deriv_factor(x) + L * (L + 1.0))
+        def power(x):
+            return x
+    else:
+        c = _KAPPA[family] / math.sqrt(L + 1.0)
+        b = L / (L + 1.0)
+
+        def log_ratio(y):  # v = ln(x/x_pk)
+            return c * math.log(y)
+
+        if family is Family.GAUSSIAN:
+            def g2(y):  # the squared profile times dx/dy, over x_pk
+                v = log_ratio(y)
+                return math.exp(-L * (math.expm1(2.0 * v) - 2.0 * v)) * c * math.exp(v) / y
+
+            def deriv_factor(y):  # (D + l(l+1))/(l+1)²
+                e = math.expm1(2.0 * log_ratio(y))
+                return b * b * e * e + b
+        else:
+            h = L / (2.0 * L + 2.0)
+
+            def g2(y):
+                v = log_ratio(y)
+                q = h * math.expm1(2.0 * v)
+                return (math.exp(2.0 * L * v - 2.0 * (L + 1.0) * math.log1p(q))
+                        * c * math.exp(v) / y)
+
+            def deriv_factor(y):
+                q = h * math.expm1(2.0 * log_ratio(y))
+                r = q / (1.0 + q)
+                return ((L + 2.0) / (L + 1.0)) ** 2 * r * r + b
+
+        def kinetic(y):
+            return 0.5 * g2(y) * deriv_factor(y)
+
+        def power(y):  # x/x_pk
+            return math.exp(log_ratio(y))
 
     if pot is Potential.COULOMB:
         def potential(x):
-            return g2(x) * x
-    else:
+            return g2(x) * power(x)
+    elif l == 0:
         def potential(x):
             return g2(x) * x ** 4
+    else:
+        def potential(y):
+            u = power(y)
+            return g2(y) * u * u * u * u
 
     def norm(x):
-        return g2(x) * x * x
+        u = power(x)
+        return g2(x) * u * u
 
     return kinetic, potential, norm
+
+
+def scalar_moments(fam, pot, l, tol):
+    """(K, P, N) from three scalar quadratures, the centred ones times the
+    powers of x_pk and (l+1)² that their integrands left out."""
+    k, p, n = (quad_semiinfinite(g, tol).value for g in scalar_integrands(fam, l, pot))
+    if l == 0:
+        return k, p, n
+    L = float(l)
+    x_pk = math.sqrt(L) if fam is Family.GAUSSIAN else math.sqrt(L / (L + 2.0))
+    return (k * x_pk * (L + 1.0) ** 2,
+            p * x_pk ** (2 if pot is Potential.COULOMB else 5), n * x_pk ** 3)
 
 
 def length_scale(family, param):
@@ -86,14 +135,14 @@ COMBOS = [(Family.GAUSSIAN, Potential.COULOMB),
           (Family.GAUSSIAN, Potential.HARMONIC_OSCILLATOR),
           (Family.LORENTZ, Potential.COULOMB),
           (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR)]
-LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30)
+LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 100, 10**4, 10**6)
 FACTORS = (0.01, 0.1, 1.0, 10.0, 100.0)
 TOLS = (1e-6, 3e-9, 1e-11)
 
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
 def test_moments_match_scalar_quadratures(fam, pot):
-    """Family × potential × l <= 30 × tol; ⟨H⟩ at 0.01–100× the optimum."""
+    """Family × potential × l <= 10⁶ × tol; ⟨H⟩ at 0.01–100× the optimum."""
     for l in LS:
         if l == 0 and (fam, pot) == (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR):
             continue
@@ -110,7 +159,8 @@ def test_moments_match_scalar_quadratures(fam, pot):
             assert sweep.evaluations == calls[0], case
             assert sweep.evaluations <= sum(r.evaluations for r in sweep.parts), case
             assert sweep.levels == max(r.levels for r in sweep.parts), case
-            K, P, N = k_res.value, p_res.value, n_res.value
+            K, P, N = scalar_moments(fam, pot, l, tol)
+            assert _moments(fam, pot, l, tol) == (K, P, N), case
             for factor in FACTORS:
                 param = factor * optimal_param_closed(fam, pot, l)
                 s = length_scale(fam, param)
@@ -119,68 +169,59 @@ def test_moments_match_scalar_quadratures(fam, pot):
                 assert energy == (K + v * P) / (s * s * N), case + (factor,)
 
 
-def scalar_moments(fam, pot, l, tol):
-    """(K, P, N) from three scalar quadratures, the norm checked before P."""
-    kinetic, potential, norm = scalar_integrands(fam, l, pot)
-    k, n = quad_semiinfinite(kinetic, tol), quad_semiinfinite(norm, tol)
-    if not n.value > 0.0:
-        raise ConvergenceError(f"the quadrature missed the trial profile's peak at l = {l}")
-    return k.value, quad_semiinfinite(potential, tol).value, n.value
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the type and message are compared
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
-@pytest.mark.parametrize("tol", (3e-9, 1e-11))
-def test_one_sweep_raises_as_the_scalar_quadratures_do(fam, pot, tol):
-    # from l = 75 some moment fails to converge or the nodes miss the peak;
-    # the sweep names the first failing moment in the order K, N, P, which
-    # is the error the scalar quadratures raise with the norm checked first
-    for l in (1, 2, 5, 10, 20, 30, 50, 75, 100, 150, 200, 300, 500,
-              10**3, 10**4, 10**5, 10**6):
-        assert outcome(_moments, fam, pot, l, tol) == outcome(scalar_moments, fam, pot, l,
-                                                              tol), (l, tol)
+def test_norm_is_positive_where_the_uncentred_nodes_missed_the_peak(fam, pot):
+    # in x the nodes missed the narrow peak from about l = 100, and N came
+    # out 0; in y the first node, y = 1, is the peak, where the norm
+    # integrand is c = κ/√(l+1) > 0, and no term of N is negative
+    for l in (100, 500, 10**3, 10**4, 10**5, 10**6):
+        K, P, N = _moments(fam, pot, l, 1e-11)
+        assert N > 0.0 and K > 0.0 and P > 0.0, (l, K, P, N)
+        assert _moment_integrands(fam, l, pot)(1.0)[1] == _KAPPA[fam] / math.sqrt(l + 1.0)
 
 
-def test_missed_peak_raises_where_the_norm_integral_is_zero():
-    # at l = 10⁴ the nodes miss the narrow Gaussian peak: the norm integral
-    # comes out 0, as the scalar quadrature has it, and ⟨H⟩ refuses it
-    fam, pot, l = Family.GAUSSIAN, Potential.COULOMB, 10**4
-    kinetic, potential, norm = scalar_integrands(fam, l, pot)
-    sweep = quad_semiinfinite(_moment_integrands(fam, l, pot), 1e-11)
-    assert sweep.parts == tuple(quad_semiinfinite(g, 1e-11) for g in (kinetic, norm, potential))
-    assert sweep.parts[1].value == 0.0
-    with pytest.raises(ConvergenceError, match="missed the trial profile's peak"):
-        expectation_energy_numeric(TrialSpec(fam, l, optimal_param_closed(fam, pot, l)),
-                                   pot, 1e-11)
+def same(a, b):
+    return all(x == y or math.isnan(x) and math.isnan(y) for x, y in zip(a, b))
 
 
-def test_oscillator_overflow_only_where_the_profile_vanishes():
-    # beyond x ~ 1.16e77, x**4 overflows: the engine's integrand raises
-    # exactly where the scalar P does, and the quadrature then takes all
-    # three moments as 0 there.  The profile is 0.0 there for every family
-    # with a finite ⟨r²⟩, so no nonzero term is lost: K and N are 0 there,
-    # or nan (0·inf), which the quadrature also takes as 0.  (The l = 0 Lorentz
-    # oscillator integrand is never built: its ⟨r²⟩ diverges.)
+def test_far_nodes_only_where_the_profile_vanishes():
+    # at l = 0, beyond x ~ 1.16e77, x**4 overflows: the engine's integrand
+    # raises exactly where the scalar P does, and the quadrature then takes
+    # all three moments as 0 there.  For l >= 1 the far nodes of y either
+    # overflow expm1(2v), and raise, or give components 0 or nan (0·inf),
+    # which the quadrature also takes as 0.  The profile is 0.0 there for
+    # every family with a finite ⟨r²⟩, so no nonzero term is lost.  (The
+    # l = 0 Lorentz oscillator integrand is never built: its ⟨r²⟩ diverges.)
     pot = Potential.HARMONIC_OSCILLATOR
-    for fam, l in ((Family.GAUSSIAN, 0), (Family.GAUSSIAN, 5),
-                   (Family.LORENTZ, 1), (Family.LORENTZ, 5)):
+    kinetic, potential, norm = scalar_integrands(Family.GAUSSIAN, 0, pot)
+    knp = _moment_integrands(Family.GAUSSIAN, 0, pot)
+    for x in (2e77, 1e100, 1e200):
+        with pytest.raises(OverflowError):
+            potential(x)
+        with pytest.raises(OverflowError):
+            knp(x)
+        for y in (kinetic(x), norm(x)):
+            assert y == 0.0 or math.isnan(y), x
+    for fam, l in ((Family.GAUSSIAN, 1), (Family.GAUSSIAN, 5), (Family.GAUSSIAN, 10**6),
+                   (Family.LORENTZ, 1), (Family.LORENTZ, 5), (Family.LORENTZ, 10**6)):
         kinetic, potential, norm = scalar_integrands(fam, l, pot)
         knp = _moment_integrands(fam, l, pot)
-        for x in (2e77, 1e100, 1e200):
-            with pytest.raises(OverflowError):
-                potential(x)
-            with pytest.raises(OverflowError):
-                knp(x)
-            for y in (kinetic(x), norm(x)):
-                assert y == 0.0 or math.isnan(y), (fam, l, x)
-        for x in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e30, 1e70):
-            assert knp(x) == (kinetic(x), norm(x), potential(x)), (fam, l, x)
+        for y in (1e100, 1e200, 1e275):
+            try:
+                values = knp(y)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    kinetic(y)
+                continue
+            assert same(values, (kinetic(y), norm(y), potential(y))), (fam, l, y)
+            assert all(v == 0.0 or math.isnan(v) for v in values), (fam, l, y, values)
+    # elsewhere the components are the scalar integrands' values
+    for fam, l in ((Family.GAUSSIAN, 0), (Family.GAUSSIAN, 5), (Family.LORENTZ, 1),
+                   (Family.LORENTZ, 5)):
+        kinetic, potential, norm = scalar_integrands(fam, l, pot)
+        knp = _moment_integrands(fam, l, pot)
+        for y in (1e-300, 1e-3, 0.7, 1.0, 3.0, 1e30, 1e70):
+            assert same(knp(y), (kinetic(y), norm(y), potential(y))), (fam, l, y)
 
 
 def gauss(x):

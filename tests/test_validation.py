@@ -2,7 +2,8 @@
 takes an index or a real rejects a bool, nan, ±inf and a string with
 DomainError, as well as a non-integral float or an int too long to print in
 an index slot, an integer too large for a double in either slot, and an
-index past the limit of a call whose work grows with it; and the CLI,
+index past the limit of a call whose work grows with it; every Family,
+Potential and Method slot takes only a member of its enum; and the CLI,
 whatever its argv, exits 0, 1 or 2 without a traceback."""
 
 import contextlib
@@ -50,6 +51,9 @@ INDEX_SLOTS = {
     "optimal_param_closed": lambda l: ve.optimal_param_closed(_G, _C, l),
     "exact_energy": lambda l: ve.exact_energy(_C, l),
     "variational_energy": lambda l: ve.variational_energy(_G, _C, l),
+    "variational_energy.numeric": lambda l: ve.variational_energy(_G, _C, l, ve.Method.NUMERIC),
+    "expectation_energy_numeric.l": lambda l: ve.expectation_energy_numeric(
+        ve.TrialSpec(_G, l, 0.25), _C, 1e-11),
     "ratio_sequence": lambda l: ve.ratio_sequence(_G, _C, l),
 }
 
@@ -72,6 +76,48 @@ REAL_SLOTS = {
 }
 
 _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]
+
+_M = ve.Method.NUMERIC
+# each enum slot: (function, slot) -> a call that places its one argument
+# there, all others valid
+ENUM_SLOTS = {
+    ("TrialSpec", "family"): lambda v: ve.TrialSpec(v, 1, 0.25),
+    ("expectation_energy_closed", "pot"): lambda v: ve.expectation_energy_closed(_SPEC, v),
+    ("expectation_energy_numeric", "pot"): lambda v: ve.expectation_energy_numeric(
+        _SPEC, v, 1e-11),
+    ("optimal_param_closed", "family"): lambda v: ve.optimal_param_closed(v, _C, 2),
+    ("optimal_param_closed", "pot"): lambda v: ve.optimal_param_closed(_G, v, 2),
+    ("exact_energy", "pot"): lambda v: ve.exact_energy(v, 2),
+    ("variational_energy", "family"): lambda v: ve.variational_energy(v, _C, 2, _M),
+    ("variational_energy", "pot"): lambda v: ve.variational_energy(_G, v, 2, _M),
+    ("variational_energy", "method"): lambda v: ve.variational_energy(_G, _C, 2, v),
+    ("ratio_sequence", "family"): lambda v: ve.ratio_sequence(v, _C, 2, _M),
+    ("ratio_sequence", "pot"): lambda v: ve.ratio_sequence(_G, v, 2, _M),
+    ("ratio_sequence", "method"): lambda v: ve.ratio_sequence(_G, _C, 2, v),
+}
+# the enums' own value strings, and values that a truth or identity test
+# would take for some member
+_NOT_MEMBERS = ["coulomb", "gaussian", None, True, 0]
+
+
+@pytest.mark.parametrize("bad", _NOT_MEMBERS, ids=repr)
+@pytest.mark.parametrize("slot", sorted(ENUM_SLOTS), ids=".".join)
+def test_enum_slot_rejects_a_non_member(slot, bad, monkeypatch):
+    # a value that is not a member once picked the other branch silently,
+    # or ran the numeric quadrature under another method's name
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("work done for an argument that is not a member")
+
+    monkeypatch.setattr(ve, "quad_semiinfinite", no_quadrature)
+    with pytest.raises(DomainError, match=slot[1] if slot[1] != "pot" else "potential"):
+        ENUM_SLOTS[slot](bad)
+
+
+@pytest.mark.parametrize("slot", sorted(ENUM_SLOTS), ids=".".join)
+def test_enum_slot_accepts_every_member(slot):
+    kind = {"family": ve.Family, "pot": ve.Potential, "method": ve.Method}[slot[1]]
+    for member in kind:
+        ENUM_SLOTS[slot](member)
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [
@@ -97,6 +143,8 @@ INDEX_LIMITS = {
     "exact_energy": 10**76,
     "optimal_param_closed": 10**76,
     "variational_energy": 10**76,
+    "variational_energy.numeric": 10**6,
+    "expectation_energy_numeric.l": 10**6,
 }
 
 

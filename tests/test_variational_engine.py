@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisqm import variational_engine, verify
-from wallisqm.errors import ConvergenceError, DivergenceError, DomainError
+from wallisqm.errors import DivergenceError, DomainError
+from wallisqm.gamma_kit import GammaRatioQuery, gamma_ratio
+from wallisqm.integral_kit import coulomb_to_norm_ratio
 from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
                                          Potential, TrialSpec, exact_energy,
                                          expectation_energy_closed,
@@ -123,11 +125,13 @@ class TestExpectationNumeric:
         with pytest.raises(DomainError):
             expectation_energy_numeric(TrialSpec(GAUSSIAN, 2, 0.1), COULOMB, 1e-13)
 
-    @given(st.sampled_from(ALL_COMBOS), st.integers(min_value=0, max_value=20),
+    @given(st.sampled_from(ALL_COMBOS),
+           st.integers(min_value=0, max_value=20)
+           | st.floats(min_value=1.0, max_value=6.0).map(lambda u: round(10.0 ** u)),
            st.floats(min_value=-75.0, max_value=75.0))
     @settings(max_examples=300, deadline=None)
     def test_matches_closed_form_over_the_whole_parameter_domain(self, combo, l, log_param):
-        # l <= 20 and every parameter in [1e-75, 1e75]: the moments do not
+        # l <= 10⁶ and every parameter in [1e-75, 1e75]: the moments do not
         # depend on the parameter, so none is too far from the optimum
         family, pot = combo
         l = max(l, l_floor(family, pot))
@@ -143,24 +147,22 @@ class TestExpectationNumeric:
                     for m in ((k, 0.0, n), (0.0, p, n)))
         assert abs(numeric - closed) <= 1e-12 * terms
 
-    def test_missed_peak_is_a_convergence_error(self):
-        # the nodes miss the narrow Gaussian peak, so the norm integral is 0
-        with pytest.raises(ConvergenceError):
-            variational_energy(GAUSSIAN, OSC, 10**4, Method.NUMERIC)
+    @pytest.mark.parametrize("family,pot", ALL_COMBOS)
+    @pytest.mark.parametrize("l", [10**6 + 1, 10**25, 10**38, 10**76])
+    def test_levels_past_the_numeric_limit_are_a_domain_error(self, family, pot, l,
+                                                              monkeypatch):
+        # the limit is checked before any quadrature; the closed method
+        # keeps its own limit, 10⁷⁶
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature past the numeric limit")
 
-    @pytest.mark.parametrize("family,l", [(GAUSSIAN, 10**25), (LORENTZ, 10**38)])
-    def test_far_levels_are_a_convergence_error(self, family, l, monkeypatch):
-        # the closed optimum lies within a factor 10 of the parameter
-        # domain's ends here; the moment sweep raises before an optimum is
-        # taken from it, so no parameter outside the domain reaches TrialSpec
-        # and no value is formed
-        def after_sweep(*args, **kwargs):
-            raise AssertionError("an optimum or a value after the moment sweep")
-
-        monkeypatch.setattr(variational_engine, "TrialSpec", after_sweep)
-        monkeypatch.setattr(variational_engine, "_energy_from_moments", after_sweep)
-        with pytest.raises(ConvergenceError):
-            variational_energy(family, COULOMB, l, Method.NUMERIC)
+        monkeypatch.setattr(variational_engine, "quad_semiinfinite", no_quadrature)
+        with pytest.raises(DomainError, match="orbital number l"):
+            variational_energy(family, pot, l, Method.NUMERIC)
+        spec = TrialSpec(family, l, 1.0)
+        with pytest.raises(DomainError, match="orbital number l"):
+            expectation_energy_numeric(spec, pot, 1e-11)
+        assert math.isfinite(variational_energy(family, pot, l).value)
 
 
 class TestOptimalParam:
@@ -315,6 +317,81 @@ class TestNumericLevels:
             assert 2.0 * t == pytest.approx(-v, rel=1e-12)
         else:
             assert t == pytest.approx(v, rel=1e-12)
+
+
+def closed_moment_ratios(family, pot, l):
+    """(K/N, P/N) in closed form: Gaussian (l + 3/2)/2 and
+    Γ(l+1)/Γ(l+3/2) or l + 3/2; Lorentz (l+1)(l+½)/2 and the Coulomb to
+    norm integral ratio or (l + 3/2)/(l − ½)."""
+    if family is GAUSSIAN:
+        return ((l + 1.5) / 2.0, gamma_ratio(GammaRatioQuery(l, 1.0, 1.5))
+                if pot is COULOMB else l + 1.5)
+    return ((l + 1.0) * (l + 0.5) / 2.0, coulomb_to_norm_ratio(l)
+            if pot is COULOMB else (l + 1.5) / (l - 0.5))
+
+
+LARGE_LS = [100, 500, 10**3, 10**4, 10**6]
+
+
+class TestNumericDomain:
+    """The numeric method over its whole domain, l <= 10⁶."""
+
+    @given(st.sampled_from(ALL_COMBOS), st.floats(min_value=0.0, max_value=6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_levels_and_moment_ratios_match_closed(self, combo, log_l):
+        family, pot = combo
+        l = round(10.0 ** log_l)
+        est = variational_energy(family, pot, l, Method.NUMERIC)
+        assert est.value == pytest.approx(variational_energy(family, pot, l).value, rel=1e-12)
+        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
+        assert n > 0.0
+        kn, pn = closed_moment_ratios(family, pot, l)
+        assert k / n == pytest.approx(kn, rel=1e-13)
+        assert p / n == pytest.approx(pn, rel=1e-13)
+
+    @pytest.mark.parametrize("family,pot", ALL_COMBOS)
+    @pytest.mark.parametrize("l", LARGE_LS)
+    def test_large_level_is_one_sweep_and_matches_closed(self, monkeypatch, family, pot, l):
+        # in x the nodes missed the narrow peak from about l = 100 (at
+        # l = 10⁴ the norm integral came out 0); the centred variable
+        # follows it to the limit
+        quad = variational_engine.quad_semiinfinite
+        quads = []
+
+        def counting_quad(f, tol):
+            quads.append(tol)
+            return quad(f, tol)
+
+        monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
+        est = variational_energy(family, pot, l, Method.NUMERIC)
+        closed = variational_energy(family, pot, l)
+        assert quads == [1e-11]
+        assert est.value == pytest.approx(closed.value, rel=1e-12)
+        assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
+        spec = TrialSpec(family, l, est.optimal_param)
+        assert expectation_energy_numeric(spec, pot, 1e-11) == est.value
+
+    def test_integrand_calls_per_level(self, monkeypatch):
+        # over the 83 levels l <= 20: 116.6 calls a level in the centred
+        # variable, against 179.0 in x; l = 0 keeps 357, 309 and 229
+        quad = variational_engine.quad_semiinfinite
+        calls = []
+
+        def counting_quad(f, tol):
+            calls.append(0)
+
+            def counted(x):
+                calls[-1] += 1
+                return f(x)
+
+            return quad(counted, tol)
+
+        monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
+        for family, pot, l in NUMERIC_LEVELS:
+            variational_energy(family, pot, l, Method.NUMERIC)
+        assert len(calls) == len(NUMERIC_LEVELS) == 83
+        assert [calls[i] for i in (0, 21, 42)] == [357, 309, 229]
+        assert sum(calls) / len(calls) <= 130.0
 
 
 class TestUpperBoundProperty:

@@ -13,6 +13,7 @@ import pytest
 
 from wallisqm import cli, gamma_kit, integral_kit, variational_engine, verify, wallis_series
 from wallisqm.cli import main
+from wallisqm.errors import ConvergenceError
 from wallisqm.wallis_series import PartialSum, scaled_a
 
 
@@ -544,18 +545,21 @@ class TestVerifyCommand:
     # the one sweep runs to the largest n, so n is capped at 10⁷
     (["sum", "--n", "1e12"], 2),
     (["pi", "--n", "10000001"], 2),
-    # the quadrature misses the narrow Gaussian peak: a convergence error
+    # the centred quadrature follows the narrow Gaussian peak at l = 10⁴
     (["variational", "--family", "gaussian", "--potential", "oscillator",
-      "--l-max", "10000,10000", "--method", "numeric"], 1),
+      "--l-max", "10000,10000", "--method", "numeric"], 0),
     # verify has one set of tolerances and no profile flag
     (["verify", "--tol-profile", "relaxed"], 2),
-    # levels whose closed optimum lies near the ends of the scale parameter
-    # domain: the moment sweep fails to converge, the caller gave no bad
-    # parameter
+    # levels past the numeric method's limit, 10⁶, are refused before any
+    # quadrature; the closed method takes them
+    (["variational", "--family", "gaussian", "--potential", "oscillator",
+      "--l-max", "1000001,1000001", "--method", "numeric"], 2),
     (["variational", "--family", "gaussian", "--potential", "coulomb",
-      "--l-max", "1e25,1e25", "--method", "numeric"], 1),
+      "--l-max", "1e25,1e25", "--method", "numeric"], 2),
     (["variational", "--family", "lorentz", "--potential", "coulomb",
-      "--l-max", "1e38,1e38", "--method", "numeric"], 1),
+      "--l-max", "1e38,1e38", "--method", "numeric"], 2),
+    (["variational", "--family", "lorentz", "--potential", "coulomb",
+      "--l-max", "1e38,1e38"], 0),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising, except
@@ -569,6 +573,19 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 2:
         assert out == "" and ("domain error" in err or "unrecognized arguments" in err)
+
+
+def test_convergence_error_is_exit_1(capsys, monkeypatch):
+    # no numeric level up to the limit fails to converge; a quadrature that
+    # does is reported with its message, not a traceback
+    def not_converging(f, tol):
+        raise ConvergenceError("quadrature did not reach tol = 1e-11")
+
+    monkeypatch.setattr(variational_engine, "quad_semiinfinite", not_converging)
+    code, out, err = run_cli(capsys, "variational", "--family", "lorentz", "--potential",
+                             "coulomb", "--l-max", "3", "--method", "numeric")
+    assert code == 1 and out == ""
+    assert "convergence error: quadrature did not reach" in err and "Traceback" not in err
 
 
 def test_certified_bounds_need_no_mpmath(capsys, monkeypatch):
