@@ -95,10 +95,10 @@ _MAX_L = 10**76
 # the Gaussian K, about 2e-4 there, meets the absolute 1e-11 one refinement
 # early (3.5e-14, and 1.5e-13 by 3·10⁷)
 _MAX_L_NUMERIC = 10**6
-# κ of the centred variable, per family: the width constant that took the
-# fewest integrand calls over the levels l = 1…20 of the family, within a
-# flat optimum (Gaussian 132–151 calls for κ in [0.3, 1.2], Lorentz 84–126
-# for κ in [0.2, 1.2])
+# κ of the centred variable, per family, from a sweep of the mean integrand
+# calls a level over l = 1…20: Gaussian 132–151 for κ in [0.3, 1.2], fewest
+# at 0.45; Lorentz 84–126 for κ in [0.2, 1.2], 87 at 0.8 against 84 at 0.9,
+# but from κ = 1 single levels need 239–251 calls
 _KAPPA = {Family.GAUSSIAN: 0.45, Family.LORENTZ: 0.8}
 
 

@@ -135,7 +135,7 @@ COMBOS = [(Family.GAUSSIAN, Potential.COULOMB),
           (Family.GAUSSIAN, Potential.HARMONIC_OSCILLATOR),
           (Family.LORENTZ, Potential.COULOMB),
           (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR)]
-LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 100, 10**4, 10**6)
+LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 50, 100, 200, 500, 10**3, 10**4, 10**5, 10**6)
 FACTORS = (0.01, 0.1, 1.0, 10.0, 100.0)
 TOLS = (1e-6, 3e-9, 1e-11)
 
