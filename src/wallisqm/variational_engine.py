@@ -358,7 +358,6 @@ def variational_energy(family: Family, pot: Potential, l: int,
     beyond the method's limit, before any quadrature.
     """
     _member(family, Family, "family")
-    _member(pot, Potential, "potential")
     _member(method, Method, "method")
     closed = method is Method.CLOSED_FORM
     l = _index(l, "orbital number l", hi=_MAX_L if closed else _MAX_L_NUMERIC)
@@ -392,9 +391,6 @@ def ratio_sequence(family: Family, pot: Potential, l_max: int,
     evaluation order.  One level per l, so l_max is limited to 10⁵, the
     CLI's grid cap; DomainError beyond.
     """
-    _member(family, Family, "family")
-    _member(pot, Potential, "potential")
-    _member(method, Method, "method")
     l_max = _index(l_max, "l_max", lo=1, hi=_MAX_GRID_POINTS)
     return [
         (l, variational_energy(family, pot, l, method).ratio_to_exact)
