@@ -30,18 +30,18 @@ Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 Each subcommand imports only the modules it runs: ``verify``,
 ``integral_kit`` and ``variational_engine`` are imported inside the
 commands that call them, so ``pi``, ``sum`` and ``bounds`` never load them,
-as ``import wallisqm`` itself loads only ``errors``.
+as ``import wallisqm`` itself loads only ``errors``.  ``json`` is imported
+only for JSON output, and ``decimal`` only for an integer token, such as
+``1e7``, that ``int`` refuses.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import wallis_series as ws
 from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, _MAX_TERMS, ConvergenceError, DomainError, _index
@@ -52,8 +52,7 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One table row: a value against its reference, plus an optional bound."""
 
     label: str
@@ -67,8 +66,7 @@ class ReportRow:
         return abs(self.value - self.reference)
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     """One sandwich row; fields are None when the point was out of domain."""
 
     label: str
@@ -101,6 +99,8 @@ def _fmt_cell(v) -> str:
 
 def _emit_table(rows, fields, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = [
             {f: getattr(r, f) for f in fields}
             for r in rows
@@ -154,6 +154,8 @@ def _parse_int(tok: str) -> int:
         return int(tok)
     except ValueError:
         pass
+    import decimal
+
     try:
         d = decimal.Decimal(tok)
     except decimal.InvalidOperation:

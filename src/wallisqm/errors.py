@@ -6,6 +6,10 @@ choices): a bool, nan, ±inf, a non-number or an integer beyond the range of
 a double raises DomainError in the first two, and anything but a member of
 the enum, its value string included, in the third.  Callers keep their own
 range tests; the limits that several modules share are defined here once.
+
+A record that validates its fields is a named tuple whose ``__new__`` runs
+the checks; its ``_make`` is :func:`_validated_make`, so that ``_replace``
+and ``copy.replace`` run them too.
 """
 
 import math
@@ -96,3 +100,10 @@ def _member(x, kind: type, name: str):
     if isinstance(x, kind):
         return x
     raise DomainError(f"{name} must be a {kind.__name__} member, got {x!r}")
+
+
+def _validated_make(cls, iterable):
+    """cls(*iterable): the ``_make`` of a validating named-tuple record.  The
+    stock one builds the tuple directly and skips the record's ``__new__``,
+    and ``_replace`` (and through it ``copy.replace``) calls ``_make``."""
+    return cls(*iterable)

@@ -26,9 +26,9 @@ through :func:`wallis_ratio`, which switches representation at n = 150.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, _index, _real
+from .errors import DomainError, _index, _real, _validated_make
 
 __all__ = [
     "GammaRatioQuery",
@@ -104,25 +104,29 @@ def _log1p_minus_linear(t: float) -> float:
     return -t * t * p
 
 
-@dataclass(frozen=True)
-class GammaRatioQuery:
+class _GammaRatioQuery(NamedTuple):
+    x: float
+    a: float
+    b: float
+
+
+class GammaRatioQuery(_GammaRatioQuery):
     """Arguments of a ratio Γ(x+a)/Γ(x+b).
 
     All three must be finite, and both shifted arguments must avoid the
     gamma poles: x+a > 0 and x+b > 0.
     """
 
-    x: float
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _real(self.x, "x"), _real(self.a, "a"), _real(self.b, "b")
-        if not (self.x + self.a > 0.0 and self.x + self.b > 0.0):
+    def __new__(cls, x: float, a: float, b: float):
+        _real(x, "x"), _real(a, "a"), _real(b, "b")
+        if not (x + a > 0.0 and x + b > 0.0):
             raise DomainError(
-                f"gamma pole: x+a = {self.x + self.a}, x+b = {self.x + self.b} "
-                "must both be positive"
-            )
+                f"gamma pole: x+a = {x + a}, x+b = {x + b} must both be positive")
+        return tuple.__new__(cls, (x, a, b))
+
+    _make = classmethod(_validated_make)
 
 
 def gamma_ratio(q: GammaRatioQuery) -> float:
@@ -163,8 +167,7 @@ def wallis_ratio(n: int) -> float:
     return math.exp(_log_gamma_ratio(n, 0.5, 1.0)) / _SQRT_PI
 
 
-@dataclass(frozen=True)
-class BoundsTriple:
+class BoundsTriple(NamedTuple):
     """A (lower, value, upper) sandwich with its strictness verdict.
 
     ``satisfied`` is lower < value < upper in doubles wherever the doubles

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import _MAX_TERMS, ConvergenceError, DomainError, _index, _real
+from .errors import _MAX_TERMS, ConvergenceError, DomainError, _index, _real, _validated_make
 from .gamma_kit import _SQRT_PI, _log_gamma_ratio, wallis_ratio
 
 __all__ = [
@@ -77,26 +76,32 @@ def gaussian_moment(m: int) -> float:
     return 0.5 * (math.factorial(2 * j) / (math.factorial(j) << (2 * j))) * _SQRT_PI
 
 
-@dataclass(frozen=True)
-class RationalMomentQuery:
+class _RationalMomentQuery(NamedTuple):
+    m: float
+    n: float
+
+
+class RationalMomentQuery(_RationalMomentQuery):
     """Powers (m, n) of ∫_0^∞ x^m/(1+x²)^n dx.
 
     Convergence needs m >= 0 (at zero; the integral extends to m > -1 but
     the artifact keeps the nonnegative range) and 2n - m > 1 (at infinity).
     """
 
-    m: float
-    n: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _real(self.m, "m") >= 0.0:
-            raise DomainError(f"numerator power must be nonnegative, got m = {self.m}")
-        if not _real(self.n, "n") > 0.0:
-            raise DomainError(f"denominator power must be positive, got n = {self.n}")
-        if not 2.0 * self.n - self.m > 1.0:
+    def __new__(cls, m: float, n: float):
+        if not _real(m, "m") >= 0.0:
+            raise DomainError(f"numerator power must be nonnegative, got m = {m}")
+        if not _real(n, "n") > 0.0:
+            raise DomainError(f"denominator power must be positive, got n = {n}")
+        if not 2.0 * n - m > 1.0:
             raise DomainError(
-                f"divergent at infinity: need 2n - m > 1, got 2·{self.n} - {self.m}"
+                f"divergent at infinity: need 2n - m > 1, got 2·{n} - {m}"
             )
+        return tuple.__new__(cls, (m, n))
+
+    _make = classmethod(_validated_make)
 
 
 def rational_moment(q: RationalMomentQuery) -> float:
@@ -172,8 +177,7 @@ def coulomb_to_norm_ratio(l: int) -> float:
 # quadrature on [0, infinity)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral value, an upper error estimate, the evaluation count, and
     ``levels``: the refinement level at which the result converged (level k
     has step 2^-k; the first comparison is made at level 2)."""
@@ -184,8 +188,7 @@ class QuadratureResult:
     levels: int
 
 
-@dataclass(frozen=True)
-class QuadratureParts:
+class QuadratureParts(NamedTuple):
     """The integrals of a tuple-valued f from one sweep of quad_semiinfinite.
 
     ``parts`` holds one QuadratureResult per component, each bit-identical

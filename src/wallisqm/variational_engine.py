@@ -49,10 +49,11 @@ l = 10⁶, its own orbital limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import _MAX_GRID_POINTS, DivergenceError, DomainError, _index, _member, _real
+from .errors import (_MAX_GRID_POINTS, DivergenceError, DomainError, _index, _member, _real,
+                     _validated_make)
 from .gamma_kit import _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -102,31 +103,36 @@ _MAX_L_NUMERIC = 10**6
 _KAPPA = {Family.GAUSSIAN: 0.45, Family.LORENTZ: 0.8}
 
 
-@dataclass(frozen=True)
-class TrialSpec:
+class _TrialSpec(NamedTuple):
+    family: Family
+    l: int
+    param: float
+
+
+class TrialSpec(_TrialSpec):
     """A trial-function family with orbital number l and scale parameter.
 
     ``param`` is the Gaussian width α or the Lorentz scale a; the principal
     quantum number at zero radial excitation is n = l + 1.  It must lie in
     [1e-75, 1e75], so that the fourth power of the trial length that ⟨H⟩
     uses stays a normal double, and l must be at most 10⁷⁶, so that every
-    closed form stays finite.
+    closed form stays finite.  ``l`` is stored as the validated int.
     """
 
-    family: Family
-    l: int
-    param: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _member(self.family, Family, "family")
-        object.__setattr__(self, "l", _index(self.l, "orbital number l", hi=_MAX_L))
-        if not _PARAM_MIN <= _real(self.param, "scale parameter") <= _PARAM_MAX:
+    def __new__(cls, family: Family, l: int, param: float):
+        _member(family, Family, "family")
+        l = _index(l, "orbital number l", hi=_MAX_L)
+        if not _PARAM_MIN <= _real(param, "scale parameter") <= _PARAM_MAX:
             raise DomainError(
-                f"scale parameter must lie in [{_PARAM_MIN}, {_PARAM_MAX}], got {self.param!r}")
+                f"scale parameter must lie in [{_PARAM_MIN}, {_PARAM_MAX}], got {param!r}")
+        return tuple.__new__(cls, (family, l, param))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
+class EnergyEstimate(NamedTuple):
     """A variational energy with its optimum, method tag, and reference.
 
     The variational bound guarantees value >= exact_reference; in exact

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import gamma_kit as gk
 from . import integral_kit as ik
@@ -32,8 +31,7 @@ from . import wallis_series as ws
 __all__ = ["CheckResult", "CHECKS", "run"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One claim's verdict; measured and tolerance are None for a claim
     judged by a strict rule of its own."""
 
@@ -56,8 +54,7 @@ def _abs(x: float, ref: float) -> float:
     return abs(x - ref)
 
 
-@dataclass(frozen=True)
-class _Gap:
+class _Gap(NamedTuple):
     """(worst, at): the worst gap(path(*p), other(*p)) over the points p of
     grid(), built at call time, and the first point at which it occurs (a
     nan is the worst).  A point that is not a tuple is the paths' one
@@ -277,8 +274,7 @@ def _oscillator_ratio_window() -> None:
 
 # --- the claims ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One verify suite.  measure() returns the template's fields, led by the
     worst deviation if tol is set (None: a strict rule of its own)."""
 

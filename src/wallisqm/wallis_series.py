@@ -36,9 +36,9 @@ the memory O(chunk) instead of O(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import _MAX_TERMS, DomainError, _index, _real
+from .errors import _MAX_TERMS, DomainError, _index, _real, _validated_make
 from .gamma_kit import _log_gamma_ratio
 
 __all__ = [
@@ -59,8 +59,7 @@ _A_MAX_N = 2**511 - 1  # largest n with a_n >= 2^-1022, the smallest normal doub
 _B_MAX_N = 2**52 - 2  # largest n with n + 1/2 and n + 3/2 exact doubles
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(NamedTuple):
     """A finite series value together with its limit and tail bound.
 
     When ``closed_form_limit`` is present, |closed_form_limit - value| is
@@ -74,8 +73,12 @@ class PartialSum:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class GeneralizedParams:
+class _GeneralizedParams(NamedTuple):
+    m: float
+    k: float
+
+
+class GeneralizedParams(_GeneralizedParams):
     """Shifts (m, k) of the generalized sequence b_n.
 
     Requires finite m > -1 and k > -1 (all gamma arguments positive and
@@ -83,18 +86,20 @@ class GeneralizedParams:
     forms).
     """
 
-    m: float
-    k: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _real(self.m, "m") > -1.0:
-            raise DomainError(f"m must exceed -1 (gamma pole at n = 1), got m = {self.m}")
-        if not _real(self.k, "k") > -1.0:
-            raise DomainError(f"k must exceed -1 (gamma pole at n = 1), got k = {self.k}")
-        if 2.0 * (self.k - self.m) + 1.0 == 0.0:
+    def __new__(cls, m: float, k: float):
+        if not _real(m, "m") > -1.0:
+            raise DomainError(f"m must exceed -1 (gamma pole at n = 1), got m = {m}")
+        if not _real(k, "k") > -1.0:
+            raise DomainError(f"k must exceed -1 (gamma pole at n = 1), got k = {k}")
+        if 2.0 * (k - m) + 1.0 == 0.0:
             raise DomainError(
-                f"k - m = -1/2 makes the closed-form prefactor singular (m = {self.m}, k = {self.k})"
+                f"k - m = -1/2 makes the closed-form prefactor singular (m = {m}, k = {k})"
             )
+        return tuple.__new__(cls, (m, k))
+
+    _make = classmethod(_validated_make)
 
 
 _SWEEP_CHUNK = 1 << 14  # terms a sweep holds at once, 128 KB as float64

@@ -1,7 +1,9 @@
 """What each entry point imports.  A CLI command loads only the modules it
-runs and ``import wallisqm`` loads only ``errors``; the package's lazy
-submodule attributes and the parser's spelled-out choices keep what the
-eager imports gave."""
+runs and ``import wallisqm`` loads only ``errors``; no CLI command and no
+library module loads ``dataclasses`` or ``inspect``, and only the commands
+that use them load ``json`` and ``decimal``; the package's lazy submodule
+attributes and the parser's spelled-out choices keep what the eager imports
+gave."""
 
 import argparse
 import os
@@ -18,6 +20,10 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 _SUBMODULES = ("gamma_kit", "integral_kit", "variational_engine", "wallis_series")
+# standard-library modules that cost milliseconds of start-up and that no
+# entry point needs: dataclasses (which loads inspect), json for JSON output
+# only, decimal for integer tokens such as 1e7 only
+_WATCHED = {"dataclasses", "inspect", "json", "decimal"}
 
 
 def _python(*args) -> subprocess.CompletedProcess:
@@ -26,21 +32,35 @@ def _python(*args) -> subprocess.CompletedProcess:
 
 
 def _loaded(*args) -> set[str]:
-    """The wallisqm modules, and numpy, that a fresh ``python -X importtime
-    ARGS`` imports, read from its import-time report on stderr."""
+    """The wallisqm modules, numpy, and the _WATCHED modules that a fresh
+    ``python -X importtime ARGS`` imports, read from its import-time report
+    on stderr.  A _WATCHED module that numpy's own import loads is numpy's
+    cost, not the entry point's, and is left out."""
     proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = set()
-    for line in proc.stderr.splitlines():
-        if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name == "numpy" or name.split(".")[0] == "wallisqm":
-                names.add(name)
+    # the report lists a module after the modules it imports, indented two
+    # spaces deeper, so read backwards each line's importers are on the stack
+    stack = []
+    for line in reversed(proc.stderr.splitlines()):
+        if not line.startswith("import time:"):
+            continue
+        field = line.rsplit("|", 1)[1]
+        name = field.strip()
+        depth = len(field) - len(field.lstrip())
+        while stack and stack[-1][0] >= depth:
+            stack.pop()
+        under_numpy = any(n.split(".")[0] == "numpy" for _, n in stack)
+        stack.append((depth, name))
+        if name == "numpy" or name.split(".")[0] == "wallisqm" \
+                or (name in _WATCHED and not under_numpy):
+            names.add(name)
     return names
 
 
 # what every command loads; the cli module itself runs as __main__ under -m,
-# so the report does not list it
+# so the report does not list it.  No command here loads a _WATCHED module:
+# pi and bounds, say, write CSV and parse no integer token that int refuses
 _EVERY_COMMAND = {"wallisqm", "wallisqm.errors", "wallisqm.gamma_kit", "wallisqm.wallis_series"}
 
 
@@ -59,6 +79,20 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra):
 
 def test_import_wallisqm_loads_only_errors():
     assert _loaded("-c", "import wallisqm") == {"wallisqm", "wallisqm.errors"}
+
+
+@pytest.mark.parametrize("module", [*_SUBMODULES, "verify"])
+def test_library_modules_load_no_watched_module(module):
+    assert not _loaded("-c", f"import wallisqm.{module}") & _WATCHED
+
+
+def test_import_report_sees_watched_modules_outside_numpy():
+    # JSON output and a token int refuses load json and decimal
+    assert {"json", "decimal"} <= _loaded(
+        "-m", "wallisqm.cli", "--format", "json", "sum", "--n", "1e1")
+    assert {"dataclasses", "inspect"} <= _loaded("-c", "import dataclasses")
+    # whatever numpy's own import loads is left out
+    assert _loaded("-c", "import numpy") == {"numpy"}
 
 
 def _choices(command: str) -> dict[str, list[str]]:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -106,8 +105,8 @@ class TestVerifySuites:
         # beyond n = 150 wallis_ratio is the gamma path, so only the product
         # P_n can tell a fault of the kernel's Stirling tail
         claim = verify._CLAIMS["wallis-ratio-gamma-identity"]
-        beyond = dataclasses.replace(
-            claim.measure, grid=lambda: [(n, pn) for n, pn in claim.measure.grid() if n > 150])
+        beyond = claim.measure._replace(
+            grid=lambda: [(n, pn) for n, pn in claim.measure.grid() if n > 150])
         c0, *rest = gamma_kit._STIRLING
         try:
             assert beyond()[0] < 1e-14
@@ -175,7 +174,7 @@ class TestVerifySuites:
             if (family, pot) != (variational_engine.Family.LORENTZ,
                                   variational_engine.Potential.HARMONIC_OSCILLATOR):
                 return est
-            return dataclasses.replace(est, ratio_to_exact=est.ratio_to_exact * (1.0 - 1e-3))
+            return est._replace(ratio_to_exact=est.ratio_to_exact * (1.0 - 1e-3))
 
         monkeypatch.setattr(variational_engine, "variational_energy", perturbed)
         by_name = {r.name: r for r in verify.run()}
@@ -212,7 +211,7 @@ def test_each_two_path_claim_sees_a_perturbed_path(monkeypatch, name, link, side
     is_chain = isinstance(claim.measure, verify._Chain)
     links = list(claim.measure) if is_chain else [claim.measure]
     fn, factor = getattr(links[link], side), 1.0 + 10.0 * claim.tol
-    links[link] = dataclasses.replace(links[link], **{side: lambda *a: fn(*a) * factor})
+    links[link] = links[link]._replace(**{side: lambda *a: fn(*a) * factor})
     measure = verify._Chain(links) if is_chain else links[0]
     monkeypatch.setattr(verify, "CHECKS", [(name, measure)])
     [result] = verify.run()
