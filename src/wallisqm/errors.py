@@ -8,8 +8,9 @@ the enum, its value string included, in the third.  Callers keep their own
 range tests; the limits that several modules share are defined here once.
 
 A record that validates its fields is a named tuple whose ``__new__`` runs
-the checks; its ``_make`` is :func:`_validated_make`, so that ``_replace``
-and ``copy.replace`` run them too.
+the checks and then builds the tuple with ``tuple.__new__``; its ``_make``
+is :func:`_validated_make`, so that ``_replace`` and ``copy.replace`` run
+them too.
 """
 
 import math

@@ -39,8 +39,8 @@ def _loaded(*args) -> set[str]:
     proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = set()
-    # the report lists a module after the modules it imports, indented two
-    # spaces deeper, so read backwards each line's importers are on the stack
+    # the report lists each module after the modules it imports, which are
+    # indented deeper; read backwards, the stack holds a line's importers
     stack = []
     for line in reversed(proc.stderr.splitlines()):
         if not line.startswith("import time:"):

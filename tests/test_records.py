@@ -111,13 +111,11 @@ PATHS = {
                                                         **dict(zip(cls._fields, bad))),
 }
 
-_NAN = math.nan
-
 # validating record -> (valid values, invalid values, the DomainError message)
 INVALID = [
     (GammaRatioQuery, (1.0, 1.0, 0.0), (1.0, -2.0, 0.0),
      "gamma pole: x+a = -1.0, x+b = 1.0 must both be positive"),
-    (GammaRatioQuery, (1.0, 1.0, 0.0), (_NAN, 1.0, 0.0),
+    (GammaRatioQuery, (1.0, 1.0, 0.0), (math.nan, 1.0, 0.0),
      "x must be a finite real number, got nan"),
     (GeneralizedParams, (0.5, 0.5), (0.5, -2.0),
      "k must exceed -1 (gamma pole at n = 1), got k = -2.0"),
