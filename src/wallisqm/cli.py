@@ -27,12 +27,13 @@ and an absent value is empty.
 
 Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 
-Each subcommand imports only the modules it runs: ``verify``,
-``integral_kit`` and ``variational_engine`` are imported inside the
-commands that call them, so ``pi``, ``sum`` and ``bounds`` never load them,
-as ``import wallisqm`` itself loads only ``errors``.  ``json`` is imported
-only for JSON output, and ``decimal`` only for an integer token, such as
-``1e7``, that ``int`` refuses.
+Each subcommand imports only the modules it runs: ``wallis_series``,
+``verify``, ``integral_kit`` and ``variational_engine`` are imported inside
+the commands that call them, so ``bounds`` loads none of them, ``pi`` and
+``sum`` only ``wallis_series``, and ``variational`` and ``integrals`` not
+``wallis_series``, as ``import wallisqm`` itself loads only ``errors``.
+``json`` is imported only for JSON output, and ``decimal`` only for an
+integer token, such as ``1e7``, that ``int`` refuses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import operator
 import sys
 from typing import NamedTuple
 
-from . import wallis_series as ws
 from .errors import _DOUBLE_MAX, _MAX_GRID_POINTS, _MAX_TERMS, ConvergenceError, DomainError, _index
 from .gamma_kit import kazarinoff_bounds, quartic_root_bounds, wendel_deviation
 
@@ -211,6 +211,8 @@ def _parse_float_list(text: str) -> list[float]:
 def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
     """n -> fsum of terms 1..n for every n of the grid, from one sweep, whose
     O(max n) cost limits --n to [1, 10⁷]."""
+    from . import wallis_series as ws
+
     grid = sorted(set(ns))
     for n in grid[:1] + grid[-1:]:
         _index(n, "--n", lo=1, hi=_MAX_TERMS)
@@ -218,6 +220,8 @@ def _grid_sums(chunk_terms, ns: list[int]) -> dict[int, float]:
 
 
 def _cmd_pi(args) -> tuple[str, int]:
+    from . import wallis_series as ws
+
     log_products = _grid_sums(ws._wallis_log_terms, args.n)
     rows = []
     failures = 0
@@ -232,6 +236,8 @@ def _cmd_pi(args) -> tuple[str, int]:
 
 
 def _cmd_sum(args) -> tuple[str, int]:
+    from . import wallis_series as ws
+
     if args.mode == "simple":
         label, partial_sum, terms = "a-sum", ws.sum_a_recurrence, ws._a_terms
     else:

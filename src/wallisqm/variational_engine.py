@@ -35,15 +35,16 @@ depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free moments K
 (√l Gaussian, √(l/(l+2)) Lorentz) with a width that shrinks like 1/√l, so
 each level is integrated in the centred variable y, x = x_pk·y^c with
 c = κ/√(l+1): there the integrand has an O(1) width in ln y at every l,
-which the double-exponential rule needs to converge fast.  All three
-moments come from one quadrature sweep that evaluates the squared profile
-once per node, each moment converging exactly as a quadrature of its own
-would, bit for bit.  A numeric level is one such sweep at a 1e-11
-tolerance (about 117 integrand calls a level over l <= 20): it takes its
-optimum from the moments in closed form, by the virial relation of the
-same minimization, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator), and its
-value from the same moments at that optimum.  The numeric method holds to
-l = 10⁶, its own orbital limit.
+which the double-exponential rule needs to converge fast.  At l = 0 the
+same form runs with x_pk = 1.  All three moments come from one quadrature
+sweep that evaluates the squared profile once per node, each moment
+converging exactly as a quadrature of its own would, bit for bit.  A
+numeric level is one such sweep at a 1e-11 tolerance (about 113 integrand
+calls a level over l <= 20): it takes its optimum from the moments in
+closed form, by the virial relation of the same minimization, s* = 2K/P
+(Coulomb) or s*⁴ = 2K/P (oscillator), and its value from the same moments
+at that optimum.  The numeric method holds to l = 10⁶, its own orbital
+limit.
 """
 
 from __future__ import annotations
@@ -196,56 +197,51 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
     x²·R'² = g(x)·D(x) with D(x) = (l - x²)² (Gaussian) or
     (l - (l+2)x²)²/(1+x²)² (Lorentz).
 
-    At l = 0 the profile peaks at x = 0 and the integrand takes x itself,
-    with g = e^{-x²} or (1+x²)^{-2}.  For l >= 1 it takes the centred
-    variable y, with x = x_pk·y^c, c = κ/√(l+1) and v = c·ln y = ln(x/x_pk).
-    In v the log-profile is -l·(expm1(2v) - 2v) (Gaussian) or
-    2lv - 2(l+1)·log1p(q), q = l·expm1(2v)/(2l+2) (Lorentz), which is 0 at
-    the peak y = 1, and D is l²·expm1(2v)² or (l+2)²·q²/(1+q)².  Each
-    component is the moment's integrand times dx/dy = c·x/y, divided by
-    its power of x_pk (x_pk for K, x_pk² or x_pk⁵ for P, x_pk³ for N) and,
-    for K, by (l+1)².
+    The integrand takes the centred variable y, with x = x_pk·y^c,
+    c = κ/√(l+1) and v = c·ln y = ln(x/x_pk), where x_pk is the profile's
+    peak for l >= 1 (√l Gaussian, √(l/(l+2)) Lorentz) and 1 at l = 0.  In v
+    the log-profile is -p·(expm1(2v) - r·v) (Gaussian), with (p, r) = (l, 2)
+    for l >= 1 and (1, 0) at l = 0, or 2lv - 2(l+1)·log1p(q),
+    q = h·expm1(2v), with h = l/(2l+2) for l >= 1 and ½ at l = 0 (Lorentz);
+    it is 0 at y = 1, the peak for l >= 1.  (D + l(l+1))/(l+1)² is
+    a·d² + l/(l+1), with d = expm1(2v) + δ (Gaussian) or q/(1+q) + δ
+    (Lorentz): δ = 0 and a = (l/(l+1))² or ((l+2)/(l+1))² for l >= 1, and
+    δ = 1 and a = 1 at l = 0, where d² is x⁴ or 4x⁴/(1+x²)².  Each
+    component is the moment's integrand times dx/dy = c·x/y, divided by its
+    power of x_pk (x_pk for K, x_pk² or x_pk⁵ for P, x_pk³ for N) and, for
+    K, by (l+1)².
 
     Each component is the same floating-point expression as a scalar
     integrand of its own would be, so the quadrature reproduces three
-    scalar ones bit for bit.  Where a power of x overflows (x⁴ at l = 0
-    beyond x = 1.16e77, expm1(2v) beyond v = 354.9) the integrand raises
-    OverflowError or a component is inf or nan, and the quadrature takes
-    those components as 0 at that node; the profile is 0.0 there, for every
-    profile with a finite ⟨r²⟩ (e^{-x²}, or about x^{-2l-4} with l >= 1).
+    scalar ones bit for bit.  Where a power of x overflows (expm1(2v)
+    beyond v = 354.9) the integrand raises OverflowError or a component is
+    inf or nan, and the quadrature takes those components as 0 at that
+    node; the profile is 0.0 there, for every profile with a finite ⟨r²⟩
+    (e^{-x²}, or about x^{-2l-4}).
     """
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     coulomb = pot is Potential.COULOMB
-    if l == 0:
-        if family is Family.GAUSSIAN:
-            def knp(x: float) -> tuple[float, float, float]:
-                g = exp(-x * x)
-                d = x * x
-                return (0.5 * g * (d * d), g * x * x, g * x if coulomb else g * x ** 4)
-        else:
-            def knp(x: float) -> tuple[float, float, float]:
-                g = exp(-2.0 * log1p(x * x))
-                w = 1.0 + x * x
-                d = 2.0 * x * x
-                return (0.5 * g * (d * d / (w * w)), g * x * x,
-                        g * x if coulomb else g * x ** 4)
-        return knp
     L = float(l)
     c = _KAPPA[family] / math.sqrt(L + 1.0)
     b = L / (L + 1.0)  # l(l+1)/(l+1)², the centrifugal part of K/(l+1)²
+    # at l = 0, where x_pk = 1, δ = 1 turns expm1(2v) = x² - 1 into x² and
+    # q/(1+q) = (x² - 1)/(x² + 1) into 2x²/(1+x²)
+    delta = 0.0 if l else 1.0
     if family is Family.GAUSSIAN:
-        a = b * b
+        a = b * b if l else 1.0
+        p2, r2 = (L, 2.0) if l else (1.0, 0.0)
 
         def knp(y: float) -> tuple[float, float, float]:
             v = c * log(y)
             e = expm1(2.0 * v)
             ev = exp(v)
-            gj = exp(-L * (e - 2.0 * v)) * c * ev / y
+            gj = exp(-p2 * (e - r2 * v)) * c * ev / y
             n = gj * ev * ev
-            return (0.5 * gj * (a * e * e + b), n, gj * ev if coulomb else n * ev * ev)
+            d = e + delta
+            return (0.5 * gj * (a * d * d + b), n, gj * ev if coulomb else n * ev * ev)
     else:
-        a = ((L + 2.0) / (L + 1.0)) ** 2
-        h = L / (2.0 * L + 2.0)
+        a = ((L + 2.0) / (L + 1.0)) ** 2 if l else 1.0
+        h = (L or 1.0) / (2.0 * L + 2.0)
         l2, l21 = 2.0 * L, 2.0 * (L + 1.0)
 
         def knp(y: float) -> tuple[float, float, float]:
@@ -254,7 +250,7 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
             ev = exp(v)
             gj = exp(l2 * v - l21 * log1p(q)) * c * ev / y
             n = gj * ev * ev
-            r = q / (1.0 + q)
+            r = q / (1.0 + q) + delta
             return (0.5 * gj * (a * r * r + b), n, gj * ev if coulomb else n * ev * ev)
 
     return knp
@@ -263,14 +259,12 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
 def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float, float, float]:
     """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
     at ``tol``, with the factors the centred integrand took out put back.
-    N is never 0: its integrand is positive at the first node, y = 1 (the
-    peak; x = 1 at l = 0), and no term of N is negative."""
+    N is never 0: its integrand is positive at the first node, y = 1, where
+    x = x_pk, and no term of N is negative."""
     k, n, p = (part.value for part in
                quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts)
-    if l == 0:
-        return k, p, n
     L = float(l)
-    x_pk = math.sqrt(L) if family is Family.GAUSSIAN else math.sqrt(L / (L + 2.0))
+    x_pk = math.sqrt(L if family is Family.GAUSSIAN else L / (L + 2.0)) if l else 1.0
     return (k * x_pk * (L + 1.0) ** 2,
             p * x_pk ** (2 if pot is Potential.COULOMB else 5), n * x_pk ** 3)
 
@@ -351,7 +345,7 @@ def variational_energy(family: Family, pot: Potential, l: int,
     CLOSED_FORM plugs the stationary parameter into the closed level
     formulas; l is at most 10⁷⁶.  NUMERIC integrates the scale-free
     moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a 1e-11
-    tolerance in the centred variable (about 117 integrand calls a level
+    tolerance in the centred variable (about 113 integrand calls a level
     over l <= 20), and takes the optimum from them by the virial relation:
     (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
     s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s

@@ -372,8 +372,8 @@ class TestNumericDomain:
         assert expectation_energy_numeric(spec, pot, 1e-11) == est.value
 
     def test_integrand_calls_per_level(self, monkeypatch):
-        # over the 83 levels l <= 20: 116.6 calls a level in the centred
-        # variable, against 179.0 in x; l = 0 keeps 357, 309 and 229
+        # over the 83 levels l <= 20: 112.6 calls a level in the centred
+        # variable, against 179.0 in x; l = 0 takes 235, 209 and 125
         quad = variational_engine.quad_semiinfinite
         calls = []
 
@@ -390,7 +390,7 @@ class TestNumericDomain:
         for family, pot, l in NUMERIC_LEVELS:
             variational_energy(family, pot, l, Method.NUMERIC)
         assert len(calls) == len(NUMERIC_LEVELS) == 83
-        assert [calls[i] for i in (0, 21, 42)] == [357, 309, 229]
+        assert [calls[i] for i in (0, 21, 42)] == [235, 209, 125]
         assert sum(calls) / len(calls) <= 130.0
 
 

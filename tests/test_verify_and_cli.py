@@ -574,6 +574,26 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
         assert out == "" and ("domain error" in err or "unrecognized arguments" in err)
 
 
+def test_quartic_verdicts_where_the_doubles_fail(capsys):
+    # past x = 300 the verdict is the sandwich proven for every x > 300;
+    # 1325.03 is the smallest x where the doubles fail, just above it
+    code, out, _ = run_cli(capsys, "bounds", "--kind", "quartic", "--grid", "1325.03,5000,1e5")
+    assert code == 0
+    assert [r["satisfied"] for r in csv.DictReader(io.StringIO(out))] == ["true"] * 3
+
+
+def test_n_past_the_cap_is_refused_before_the_sweep(capsys, monkeypatch):
+    # --n is checked before any term is computed, so 10¹² is refused at once
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(wallis_series, "_prefix_fsums", no_sweep)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "sum", "--n", "1e12")
+    assert time.perf_counter() - t0 < 20.0
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_convergence_error_is_exit_1(capsys, monkeypatch):
     # no numeric level up to the limit fails to converge; a quadrature that
     # does is reported with its message, not a traceback
