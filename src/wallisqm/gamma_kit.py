@@ -55,7 +55,11 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _stirling_tail(w: float) -> float:
-    """S(w) = lnΓ(w) - (w-1/2)ln w + w - ln√(2π), for w >= _SHIFT_MIN."""
+    """S(w) = lnΓ(w) - (w-1/2)ln w + w - ln√(2π), for w >= _SHIFT_MIN.
+
+    Used by :func:`wendel_deviation` and :func:`duplication_residual`; the
+    kernel writes the same Horner form out for its two arguments.
+    """
     r = 1.0 / w
     r2 = r * r
     c0, c1, c2, c3, c4 = _STIRLING
@@ -72,8 +76,11 @@ def _log_gamma_ratio(x: float, a: float, b: float) -> float:
     with the divergent pieces cancelled.  The residues are folded back in
     to first order as ψ(w)·(u_lo - v_lo), w = max(u, v); equal residues
     (integer or half-integer offsets of an integer x) leave the difference
-    of u and v alone.  The two-sums are written out: this is the hot path
-    of every sequence term.
+    of u and v alone.  This is the hot path of every sequence term, so the
+    two-sums and the tails S(u), S(v) are written out, the tails as
+    :func:`_stirling_tail`'s Horner form with ``_STIRLING`` read at each
+    call, and the Stirling branch's fold reuses its log(v) where w = v.
+    Every operation and its order are those of the composed helpers.
     """
     u = x + a
     t = u - x
@@ -83,14 +90,25 @@ def _log_gamma_ratio(x: float, a: float, b: float) -> float:
     v_lo = (x - (v - t)) + (b - t)
     if (u <= _DIRECT_MAX and v <= _DIRECT_MAX) or u < _SHIFT_MIN or v < _SHIFT_MIN:
         d = math.lgamma(u) - math.lgamma(v)
-    else:
-        e = u - v  # exact within a factor 2 (Sterbenz); farther apart, nothing cancels
-        d = math.fsum([e * math.log(v), (u - 0.5) * math.log1p(e / v), -e,
-                       _stirling_tail(u), -_stirling_tail(v)])
-    if u_lo != v_lo:
+        if u_lo == v_lo:
+            return d
         w = u if u >= v else v
-        d += (math.log(w) - 0.5 / w) * (u_lo - v_lo)
-    return d
+        return d + (math.log(w) - 0.5 / w) * (u_lo - v_lo)
+    e = u - v  # exact within a factor 2 (Sterbenz); farther apart, nothing cancels
+    log_v = math.log(v)
+    c0, c1, c2, c3, c4 = _STIRLING
+    r = 1.0 / u
+    r2 = r * r
+    s_u = r * (c0 + r2 * (c1 + r2 * (c2 + r2 * (c3 + r2 * c4))))
+    r = 1.0 / v
+    r2 = r * r
+    s_v = r * (c0 + r2 * (c1 + r2 * (c2 + r2 * (c3 + r2 * c4))))
+    d = math.fsum((e * log_v, (u - 0.5) * math.log1p(e / v), -e, s_u, -s_v))
+    if u_lo == v_lo:
+        return d
+    if u > v:
+        return d + (math.log(u) - 0.5 / u) * (u_lo - v_lo)
+    return d + (log_v - 0.5 / v) * (u_lo - v_lo)  # w = v, and u = v gives log(u) = log_v
 
 
 def _log1p_minus_linear(t: float) -> float:

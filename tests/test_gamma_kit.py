@@ -95,7 +95,8 @@ def _mp_rel_err(value, ref):
 
 
 # The kernel as a composition of three helpers, the form it had before its
-# two-sums and lgamma difference were written out inline, with the mixed case
+# two-sums, lgamma difference and Stirling tails were written out inline, and
+# before its fold reused the Stirling branch's log(v), with the mixed case
 # (one argument below _SHIFT_MIN, the other above _DIRECT_MAX) taken as the
 # plain lgamma difference.  The kernel must return the same double as this
 # reference for every argument, compared with ==; the sequence terms built on
@@ -219,6 +220,11 @@ class TestLogGammaRatioKernel:
     @example(7.3, 1.0, 0.5)  # the direct branch, with a residue to fold
     @example(1e10, 1.0 / 3.0, 2.0 / 3.0)  # the fold past the direct branch
     @example(0.3, 2.0**52, 2.0**52 + 0.5)  # b_seq's slots at its largest n
+    # the Stirling branch's fold with w = v, then w = u: a b_seq term whose
+    # n+m and n+m+1/2 straddle 1024, so their two-sum residues differ (at
+    # most n the two sums round alike, and there is no residue to fold)
+    @example(0.87, 1023.0, 1023.5)
+    @example(0.87, 1023.5, 1023.0)
     @settings(max_examples=500, deadline=None)
     def test_kernel_bits_match_the_composed_reference(self, x, a, b):
         assume(x + a > 0.0 and x + b > 0.0)
@@ -227,7 +233,7 @@ class TestLogGammaRatioKernel:
     def test_kernel_bits_match_on_a_seeded_sweep_of_every_branch(self):
         rng = random.Random(16)
         hits = Counter()
-        while len(hits) < 4 or min(hits.values()) < 300:
+        while len(hits) < 6 or min(hits.values()) < 300:
             x, a, b = _kernel_draw(rng)
             if not (x + a > 0.0 and x + b > 0.0):
                 continue
@@ -240,6 +246,8 @@ class TestLogGammaRatioKernel:
                 hits["mixed direct"] += 1
             else:
                 hits["stirling"] += 1
+                if u_lo != v_lo:  # the fold reuses log(v) unless u > v
+                    hits["stirling fold, w = u" if u > v else "stirling fold, w = v"] += 1
             if u_lo != v_lo:
                 hits["fold"] += 1
             assert hits.total() < 200_000, hits
@@ -258,9 +266,29 @@ class TestLogGammaRatioKernel:
             assert ws.b_seq(p, n) == _reference_b(p, n), (p, n)
 
     def test_stirling_tail_is_only_called_from_its_threshold(self, monkeypatch):
-        # every caller of the Stirling tail (the kernel, wendel_deviation and
-        # duplication_residual) passes w >= _SHIFT_MIN, where five terms keep
-        # full accuracy; smaller arguments take plain lgamma differences
+        # the kernel writes the tail out and reads _STIRLING at each call:
+        # doubling every coefficient leaves it alone outside its Stirling
+        # branch (both arguments >= _SHIFT_MIN, one above _DIRECT_MAX) and
+        # moves it inside; where u = v or x is huge the tails cancel or sit
+        # below an ulp, so only part of the draws inside show the change
+        rng = random.Random(18)
+        draws = []
+        while len(draws) < 50_000:
+            x, a, b = _kernel_draw(rng)
+            if x + a > 0.0 and x + b > 0.0:
+                draws.append((x, a, b, _log_gamma_ratio(x, a, b)))
+        monkeypatch.setattr(gamma_kit, "_STIRLING", tuple(2.0 * c for c in gamma_kit._STIRLING))
+        changed = 0
+        for x, a, b, d in draws:
+            u, v = x + a, x + b
+            if max(u, v) <= _DIRECT_MAX or min(u, v) < _SHIFT_MIN:
+                assert _log_gamma_ratio(x, a, b) == d, (x, a, b)
+            else:
+                changed += _log_gamma_ratio(x, a, b) != d
+        assert changed >= 10_000
+        monkeypatch.undo()
+        # wendel_deviation and duplication_residual call the tail itself,
+        # always with w >= _SHIFT_MIN, where five terms keep full accuracy
         calls = []
 
         def tail(w):
@@ -268,16 +296,11 @@ class TestLogGammaRatioKernel:
             return _stirling_tail(w)
 
         monkeypatch.setattr(gamma_kit, "_stirling_tail", tail)
-        rng = random.Random(18)
-        for _ in range(20_000):
-            x, a, b = _kernel_draw(rng)
-            if x + a > 0.0 and x + b > 0.0:
-                _log_gamma_ratio(x, a, b)
         for _ in range(2000):
             wendel_deviation(10.0 ** rng.uniform(-3.0, 12.0), rng.uniform(1e-3, 40.0))
         for l in range(200):
             duplication_residual(l)
-        assert len(calls) > 10_000
+        assert len(calls) > 3000
         assert min(calls) >= _SHIFT_MIN
 
     @pytest.mark.parametrize("lo,hi", [(1, 3000), (10**7 - 500, 10**7 + 1)])

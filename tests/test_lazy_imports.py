@@ -1,9 +1,9 @@
 """What each entry point imports.  A CLI command loads only the modules it
 runs and ``import wallisqm`` loads only ``errors``; no CLI command and no
-library module loads ``dataclasses`` or ``inspect``, and only the commands
-that use them load ``json`` and ``decimal``; the package's lazy submodule
-attributes and the parser's spelled-out choices keep what the eager imports
-gave."""
+library module loads ``dataclasses``, ``inspect`` or ``mpmath``, and only
+the commands that use them load ``json`` and ``decimal``; the package's lazy
+submodule attributes and the parser's spelled-out choices keep what the eager
+imports gave."""
 
 import argparse
 import os
@@ -20,10 +20,11 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 _SUBMODULES = ("gamma_kit", "integral_kit", "variational_engine", "wallis_series")
-# standard-library modules that cost milliseconds of start-up and that no
-# entry point needs: dataclasses (which loads inspect), json for JSON output
-# only, decimal for integer tokens such as 1e7 only
-_WATCHED = {"dataclasses", "inspect", "json", "decimal"}
+# modules that cost milliseconds of start-up and that no entry point needs:
+# dataclasses (which loads inspect), json for JSON output only, decimal for
+# integer tokens such as 1e7 only, and mpmath, a test dependency that the
+# library never imports
+_WATCHED = {"dataclasses", "inspect", "json", "decimal", "mpmath"}
 
 
 def _python(*args) -> subprocess.CompletedProcess:
@@ -92,6 +93,7 @@ def test_import_report_sees_watched_modules_outside_numpy():
     assert {"json", "decimal"} <= _loaded(
         "-m", "wallisqm.cli", "--format", "json", "sum", "--n", "1e1")
     assert {"dataclasses", "inspect"} <= _loaded("-c", "import dataclasses")
+    assert "mpmath" in _loaded("-c", "import mpmath")
     # whatever numpy's own import loads is left out
     assert _loaded("-c", "import numpy") == {"numpy"}
 
