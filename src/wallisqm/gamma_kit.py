@@ -80,7 +80,8 @@ def _log_gamma_ratio(x: float, a: float, b: float) -> float:
     two-sums and the tails S(u), S(v) are written out, the tails as
     :func:`_stirling_tail`'s Horner form with ``_STIRLING`` read at each
     call, and the Stirling branch's fold reuses its log(v) where w = v.
-    Every operation and its order are those of the composed helpers.
+    The floating-point operations and their order are those of calling
+    :func:`_stirling_tail` for each tail, so the result is the same double.
     """
     u = x + a
     t = u - x
