@@ -14,11 +14,12 @@ Subcommands:
                  with ``--format json`` one record per suite carrying its
                  measured worst deviation and tolerance.
 
-Global flags (before the subcommand): ``--format {csv,json}``,
-``--tol <real>`` (quadrature tolerance for ``integrals``, in [1e-12, 1e-10]),
-``--out <path>``.  Numeric cells are emitted with 17 significant digits so
-parsing them back reproduces the doubles bit-for-bit; identical invocations
-produce byte-identical output.
+Global flags (before the subcommand): ``--format {csv,json}`` and
+``--out <path>``.  No option sets a quadrature tolerance: ``integrals``
+certifies each closed form at tolerance 1e-10 against 1e-9 on the scaled
+integral, as verify does.  Numeric cells are emitted with 17 significant
+digits so parsing them back reproduces the doubles bit-for-bit; identical
+invocations produce byte-identical output.
 
 CSV rows are the cells joined with commas, never quoted: no cell can hold a
 comma, a quote, CR or LF, because labels are fixed identifiers or option
@@ -320,11 +321,7 @@ def _cmd_integrals(args) -> tuple[str, int]:
 
     # checked before the first quadrature, and named as the option it came from
     _index(args.l_max, "--l-max", hi=_LORENTZ_L_MAX)
-    # a larger tolerance would widen the certificate's bound max(1e-9, 10·error
-    # estimate) with it, and a row could pass with any error
-    if not args.tol <= 1e-10:
-        raise DomainError(f"--tol must be at most 1e-10, got {args.tol}")
-    cases = list(_certified_integrals(args.l_max, args.tol))
+    cases = list(_certified_integrals(args.l_max))
     rows = [ReportRow(label, idx, closed, quad, bound)
             for label, idx, closed, quad, bound, _, _ in cases]
     failed = sum(not passed for *_, passed in cases)
@@ -356,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table output format (default csv)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="quadrature tolerance for the integrals command, in [1e-12, 1e-10]")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

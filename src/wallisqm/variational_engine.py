@@ -97,6 +97,10 @@ _MAX_L = 10**76
 # the Gaussian K, about 2e-4 there, meets the absolute 1e-11 one refinement
 # early (3.5e-14, and 1.5e-13 by 3·10⁷)
 _MAX_L_NUMERIC = 10**6
+# absolute quadrature tolerance of the moment sweep, on the centred
+# integrand's scale: the one sweep of a numeric level and of
+# expectation_energy_numeric, which therefore agree bit for bit
+_LEVEL_TOL = 1e-11
 # κ of the centred variable, per family, from a sweep of the mean integrand
 # calls a level over l = 1…20: Gaussian 132–151 for κ in [0.3, 1.2], fewest
 # at 0.45; Lorentz 84–126 for κ in [0.2, 1.2], 87 at 0.8 against 84 at 0.9,
@@ -260,7 +264,9 @@ def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float,
     """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
     at ``tol``, with the factors the centred integrand took out put back.
     N is never 0: its integrand is positive at the first node, y = 1, where
-    x = x_pk, and no term of N is negative."""
+    x = x_pk, and no term of N is negative.  DivergenceError for the
+    Lorentz oscillator at l = 0, before any quadrature."""
+    _require_l_domain(family, pot, l)
     k, n, p = (part.value for part in
                quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts)
     L = float(l)
@@ -279,19 +285,18 @@ def _energy_from_moments(moments: tuple[float, float, float], family: Family,
     return (k + v * p) / (s * s * n)
 
 
-def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> float:
+def expectation_energy_numeric(spec: TrialSpec, pot: Potential) -> float:
     """⟨H⟩ by radial quadrature; the independent oracle for the closed forms.
 
     The scale parameter only multiplies the moments K, P and N of the
     rescaled profile by powers of the trial length s, so they are
-    integrated at ``tol`` and combined at ``spec.param`` as
-    (K + v·P)/(s²·N).  ``tol`` is the absolute quadrature tolerance on the
-    integrals of the centred integrand (see _moment_integrands), passed to
-    quad_semiinfinite as it is: DomainError below 1e-12.  The three moments
-    are one quadrature sweep that evaluates the trial profile once per
-    node, each with the value, error estimate and evaluation count that a
-    separate scalar quadrature of it would give.  At tol = 1e-11,
-    agreement with expectation_energy_closed is ~1e-14 relative to the
+    integrated once and combined at ``spec.param`` as (K + v·P)/(s²·N).
+    The moments are the numeric level's own sweep, at the same 1e-11
+    tolerance: one quadrature that evaluates the trial profile once per
+    node, each moment with the value, error estimate and evaluation count
+    that a separate scalar quadrature of it would give.  So at a numeric
+    level's optimal parameter this is the level's value, bit for bit.
+    Agreement with expectation_energy_closed is ~1e-14 relative to the
     larger of the kinetic and potential terms, far inside the 1e-8
     contract, for every parameter in [1e-75, 1e75] and every l up to 10⁶,
     the numeric method's orbital limit; DomainError beyond it, before any
@@ -299,8 +304,7 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential, tol: float) -> f
     """
     l = _index(spec.l, "orbital number l", hi=_MAX_L_NUMERIC)
     _member(pot, Potential, "potential")
-    _require_l_domain(spec.family, pot, l)
-    return _energy_from_moments(_moments(spec.family, pot, l, tol), spec.family, pot,
+    return _energy_from_moments(_moments(spec.family, pot, l, _LEVEL_TOL), spec.family, pot,
                                 spec.param)
 
 
@@ -322,7 +326,16 @@ def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, floa
 
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
-    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶."""
+    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶.
+
+    Known defect: for large l the Coulomb optimum leaves TrialSpec's
+    parameter domain [1e-75, 1e75], so TrialSpec(family, l, param) raises
+    DomainError.  The Gaussian α* ≈ 1/(2l³) falls below 1e-75 from
+    l = 7937005259840989620600832 (about 7.937·10²⁴), and the Lorentz
+    a* ≈ l² exceeds 1e75 from l = 31622776601683763297474193582691713024
+    (about 3.162·10³⁷); the last l inside is one less.  The oscillator
+    optima stay inside for every l.
+    """
     _member(family, Family, "family")
     _member(pot, Potential, "potential")
     return _closed_optimum(family, pot, _index(l, "orbital number l", hi=_MAX_L))[0]
@@ -343,17 +356,20 @@ def variational_energy(family: Family, pot: Potential, l: int,
     """The minimized variational energy at orbital number l.
 
     CLOSED_FORM plugs the stationary parameter into the closed level
-    formulas; l is at most 10⁷⁶.  NUMERIC integrates the scale-free
+    formulas; l is at most 10⁷⁶, but the Coulomb ``optimal_param`` is a
+    valid TrialSpec parameter only below l = 7937005259840989620600832
+    (Gaussian) and l = 31622776601683763297474193582691713024 (Lorentz);
+    see optimal_param_closed.  NUMERIC integrates the scale-free
     moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a 1e-11
     tolerance in the centred variable (about 113 integrand calls a level
     over l <= 20), and takes the optimum from them by the virial relation:
     (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
     s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s
     (Lorentz).  The level is (K + v·P)/(s²·N) of the same moments at that
-    optimum, bit for bit what expectation_energy_numeric returns there at
-    tol = 1e-11; the numeric path never reads the closed optimum.  For
-    every l up to 10⁶, the numeric method's limit, the energies agree with
-    the closed levels to 6e-14 relative, the optimal parameters to 3e-14,
+    optimum, bit for bit what expectation_energy_numeric returns there,
+    from the same sweep; the numeric path never reads the closed optimum.
+    For every l up to 10⁶, the numeric method's limit, the energies agree
+    with the closed levels to 6e-14 relative, the optimal parameters to 3e-14,
     and K/N and P/N with their closed ratios to 2e-14.  DomainError for l
     beyond the method's limit, before any quadrature.
     """
@@ -365,9 +381,7 @@ def variational_energy(family: Family, pot: Potential, l: int,
     if closed:
         param, value = _closed_optimum(family, pot, l)
     else:
-        # the Lorentz oscillator at l = 0 diverges before its P is integrated
-        _require_l_domain(family, pot, l)
-        moments = _moments(family, pot, l, 1e-11)
+        moments = _moments(family, pot, l, _LEVEL_TOL)
         k, p, _ = moments
         s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
         # the optimum passes the parameter-domain check of any trial state

@@ -210,7 +210,7 @@ def _monotonicity() -> None:
 
 def _quadrature() -> tuple[int, float]:
     """(cases, worst |closed - quad|) of the integral table at l <= 15."""
-    cases = list(ik._certified_integrals(15, 1e-10))
+    cases = list(ik._certified_integrals(15))
     for label, idx, closed, quad, _, _, passed in cases:
         if not passed:
             raise _Violation(f"{label} {idx}: closed form {closed:.6e} vs quadrature {quad:.6e}")

@@ -53,7 +53,7 @@ INDEX_SLOTS = {
     "variational_energy": lambda l: ve.variational_energy(_G, _C, l),
     "variational_energy.numeric": lambda l: ve.variational_energy(_G, _C, l, ve.Method.NUMERIC),
     "expectation_energy_numeric.l": lambda l: ve.expectation_energy_numeric(
-        ve.TrialSpec(_G, l, 0.25), _C, 1e-11),
+        ve.TrialSpec(_G, l, 0.25), _C),
     "ratio_sequence": lambda l: ve.ratio_sequence(_G, _C, l),
 }
 
@@ -72,7 +72,6 @@ REAL_SLOTS = {
     "beta_trig_integral.q": lambda v: ik.beta_trig_integral(1.0, v),
     "quad_semiinfinite.tol": lambda v: ik.quad_semiinfinite(lambda x: math.exp(-x), v),
     "TrialSpec.param": lambda v: ve.TrialSpec(_G, 1, v),
-    "expectation_energy_numeric.tol": lambda v: ve.expectation_energy_numeric(_SPEC, _C, v),
 }
 
 _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]
@@ -83,8 +82,7 @@ _M = ve.Method.NUMERIC
 ENUM_SLOTS = {
     ("TrialSpec", "family"): lambda v: ve.TrialSpec(v, 1, 0.25),
     ("expectation_energy_closed", "pot"): lambda v: ve.expectation_energy_closed(_SPEC, v),
-    ("expectation_energy_numeric", "pot"): lambda v: ve.expectation_energy_numeric(
-        _SPEC, v, 1e-11),
+    ("expectation_energy_numeric", "pot"): lambda v: ve.expectation_energy_numeric(_SPEC, v),
     ("optimal_param_closed", "family"): lambda v: ve.optimal_param_closed(v, _C, 2),
     ("optimal_param_closed", "pot"): lambda v: ve.optimal_param_closed(_G, v, 2),
     ("exact_energy", "pot"): lambda v: ve.exact_energy(v, 2),
@@ -214,8 +212,7 @@ _COMMANDS = st.one_of(
            ("--potential", st.sampled_from(["coulomb", "oscillator"]))],
           [("--l-max", _value), ("--l-min", _value)]).map(lambda a: ["variational"] + a),
 )
-_GLOBALS = _args(optional=[("--format", st.sampled_from(["csv", "json"])),
-                           ("--tol", _value)])
+_GLOBALS = _args(optional=[("--format", st.sampled_from(["csv", "json"]))])
 
 
 @given(_GLOBALS, _COMMANDS)

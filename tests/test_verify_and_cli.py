@@ -1,9 +1,11 @@
+import argparse
 import csv
 import io
 import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -251,6 +253,39 @@ def test_cli_import_leaves_numpy_out():
                    check=True, env=env, timeout=60)
 
 
+# every option string of the parser and of each subcommand, -h aside; a new
+# option must be added here, and a global one named in the README too
+_GLOBAL_OPTIONS = {"--format", "--out"}
+_COMMAND_OPTIONS = {
+    "pi": {"--n"},
+    "sum": {"--mode", "--m", "--k", "--n"},
+    "variational": {"--family", "--potential", "--l-max", "--l-min", "--method"},
+    "bounds": {"--kind", "--grid", "--s"},
+    "integrals": {"--l-max"},
+    "verify": set(),
+}
+
+
+def _option_strings(parser):
+    return {opt for action in parser._actions for opt in action.option_strings} - {"-h",
+                                                                                   "--help"}
+
+
+def test_option_surface_is_pinned():
+    parser = cli.build_parser()
+    assert _option_strings(parser) == _GLOBAL_OPTIONS
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _option_strings(p) for name, p in sub.choices.items()} == _COMMAND_OPTIONS
+
+
+def test_readme_names_every_global_option():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    for opt in _GLOBAL_OPTIONS:
+        assert f"`{opt}" in section, opt
+
+
 def _csv_writer_table(rows, fields):
     # the reference: the csv module, which quotes any cell that needs it
     buf = io.StringIO()
@@ -463,6 +498,37 @@ class TestIntegralsCommand:
             value, reference = float(r["value"]), float(r["reference"])
             assert abs(value - reference) <= 1e-13 * value, r
 
+    def test_every_bound_is_the_floor_on_the_scaled_integral(self):
+        # at tolerance 1e-10 the error estimate never reaches 1e-10, so the
+        # bound is the 1e-9 floor scaled back by 2^-e on every row to l = 508
+        cases = list(integral_kit._integral_cases(508))
+        rows = list(integral_kit._certified_integrals(508))
+        assert len(rows) == len(cases) == 1546
+        for (label, idx, closed, e, _), row in zip(cases, rows):
+            assert row[:3] == (label, idx, closed)
+            assert row[4] == math.ldexp(1e-9, -e), row
+            assert row[5] <= 1e-9 and row[6] is True, row
+
+    def test_verify_and_the_command_read_the_same_rows(self, capsys, monkeypatch):
+        certified = integral_kit._certified_integrals
+        reads = []
+
+        def recorded(*args):
+            reads.append((args, list(certified(*args))))
+            return iter(reads[-1][1])
+
+        monkeypatch.setattr(integral_kit, "_certified_integrals", recorded)
+        count, worst = verify._quadrature()
+        code, out, _ = run_cli(capsys, "integrals", "--l-max", "15")
+        assert code == 0
+        (verify_args, verify_rows), (cli_args, cli_rows) = reads
+        assert verify_args == cli_args == (15,)
+        assert verify_rows == cli_rows
+        assert (count, worst) == (len(cli_rows), max(row[5] for row in cli_rows))
+        printed = [(r["label"], int(r["n_or_l"]), float(r["value"]), float(r["reference"]),
+                    float(r["bound"])) for r in csv.DictReader(io.StringIO(out))]
+        assert printed == [row[:5] for row in cli_rows]
+
     def test_l_max_takes_the_same_integer_tokens(self, capsys):
         code, out, _ = run_cli(capsys, "integrals", "--l-max", "1e2")
         assert code == 0
@@ -530,13 +596,6 @@ class TestVerifyCommand:
     # the Lorentz closed forms are subnormal beyond l = 508
     (["integrals", "--l-max", "509"], 2),
     (["integrals", "--l-max", "600"], 2),
-    (["--tol", "inf", "integrals"], 2),
-    # the quadrature takes no tolerance below 1e-12, and none is clamped
-    (["--tol", "-1", "integrals"], 2),
-    (["--tol", "0", "integrals"], 2),
-    (["--tol", "1e-300", "integrals"], 2),
-    # nor one above 1e-10, where the certificate's bound would grow with it
-    (["--tol", "1e308", "integrals", "--l-max", "2"], 2),
     # a nan partial sum is a failed comparison, not a pass
     (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
     # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
@@ -572,6 +631,20 @@ def test_edge_argv_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 2:
         assert out == "" and ("domain error" in err or "unrecognized arguments" in err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # before the subcommand argparse takes the value for the command
+    (["--tol", "1e-10", "integrals"], "invalid choice: '1e-10'"),
+    (["integrals", "--tol", "1e-10"], "unrecognized arguments: --tol 1e-10"),
+])
+def test_no_option_sets_a_quadrature_tolerance(capsys, argv, message):
+    # the integral table runs at the tolerance of its claim, as verify does
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and message in err and "Traceback" not in err
 
 
 def test_quartic_verdicts_where_the_doubles_fail(capsys):
