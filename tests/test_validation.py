@@ -72,6 +72,9 @@ REAL_SLOTS = {
     "beta_trig_integral.q": lambda v: ik.beta_trig_integral(1.0, v),
     "quad_semiinfinite.tol": lambda v: ik.quad_semiinfinite(lambda x: math.exp(-x), v),
     "TrialSpec.param": lambda v: ve.TrialSpec(_G, 1, v),
+    # the moment sweep under the numeric oracle and levels, the one engine
+    # call that still takes a tolerance
+    "_moments.tol": lambda v: ve._moments(_G, _C, 1, v),
 }
 
 _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]

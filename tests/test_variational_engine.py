@@ -116,6 +116,16 @@ class TestExpectationNumeric:
         with pytest.raises(DivergenceError):
             expectation_energy_numeric(TrialSpec(LORENTZ, 0, 1.0), OSC)
 
+    # the oracle's tolerance is the level's; the sweep beneath it still takes one
+    def test_rejects_bad_tol(self):
+        with pytest.raises(DomainError):
+            variational_engine._moments(GAUSSIAN, COULOMB, 0, 0.0)
+
+    def test_tol_below_the_quadrature_minimum_is_refused(self):
+        # passed to the quadrature as it is, not clamped to 1e-12
+        with pytest.raises(DomainError):
+            variational_engine._moments(GAUSSIAN, COULOMB, 2, 1e-13)
+
     @given(st.sampled_from(ALL_COMBOS),
            st.integers(min_value=0, max_value=20)
            | st.floats(min_value=1.0, max_value=6.0).map(lambda u: round(10.0 ** u)),

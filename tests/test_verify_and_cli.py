@@ -596,6 +596,12 @@ class TestVerifyCommand:
     # the Lorentz closed forms are subnormal beyond l = 508
     (["integrals", "--l-max", "509"], 2),
     (["integrals", "--l-max", "600"], 2),
+    # no value of the removed --tol is taken, in the quadrature's range or out of it
+    (["--tol", "inf", "integrals"], 2),
+    (["--tol", "-1", "integrals"], 2),
+    (["--tol", "0", "integrals"], 2),
+    (["--tol", "1e-300", "integrals"], 2),
+    (["--tol", "1e308", "integrals", "--l-max", "2"], 2),
     # a nan partial sum is a failed comparison, not a pass
     (["sum", "--mode", "general", "--m", "1e308", "--k", "1e308", "--n", "5"], 1),
     # a single --l-max spans --l-min..--l-max: 100 002 points, over the grid cap
@@ -622,15 +628,19 @@ class TestVerifyCommand:
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising, except
     # that argparse itself exits 2 on a flag it does not know
+    usage = "unrecognized arguments"
+    if argv[0] == "--tol":
+        # before the subcommand argparse takes the value for the command
+        usage = f"invalid choice: '{argv[1]}'"
     try:
         code, out, err = run_cli(capsys, *argv)
     except SystemExit as exc:
         code, (out, err) = exc.code, capsys.readouterr()
-        assert "unrecognized arguments" in err
+        assert usage in err
     assert code == expected
     assert "Traceback" not in err
     if expected == 2:
-        assert out == "" and ("domain error" in err or "unrecognized arguments" in err)
+        assert out == "" and ("domain error" in err or usage in err)
 
 
 @pytest.mark.parametrize("argv,message", [
