@@ -31,20 +31,19 @@ in the integrated-by-parts form
 rescaled by the trial length s, r = s·x.  The rescaled profile does not
 depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free moments K
 (kinetic and centrifugal), P (potential) and N (norm), and v = -s
-(Coulomb) or s⁴/2 (oscillator).  For l >= 1 the profile peaks at x_pk
-(√l Gaussian, √(l/(l+2)) Lorentz) with a width that shrinks like 1/√l, so
+(Coulomb) or s⁴/2 (oscillator).  The norm integrand peaks at x_pk
+(√(l+1) Gaussian, 1 Lorentz) with a width that shrinks like 1/√(l+1), so
 each level is integrated in the centred variable y, x = x_pk·y^c with
 c = κ/√(l+1): there the integrand has an O(1) width in ln y at every l,
-which the double-exponential rule needs to converge fast.  At l = 0 the
-same form runs with x_pk = 1.  All three moments come from one quadrature
-sweep that evaluates the squared profile once per node, each moment
-converging exactly as a quadrature of its own would, bit for bit.  A
-numeric level is one such sweep at a 1e-11 tolerance (about 113 integrand
-calls a level over l <= 20): it takes its optimum from the moments in
-closed form, by the virial relation of the same minimization, s* = 2K/P
-(Coulomb) or s*⁴ = 2K/P (oscillator), and its value from the same moments
-at that optimum.  The numeric method holds to l = 10⁶, its own orbital
-limit.
+l = 0 included, which the double-exponential rule needs to converge fast.
+All three moments come from one quadrature sweep that evaluates the squared
+profile once per node, each moment converging exactly as a quadrature of
+its own would, bit for bit.  A numeric level is one such sweep at a 1e-10
+tolerance (about 108 integrand calls a level over l <= 20, 73–79 from
+l = 100): it takes its optimum from the moments in closed form, by the
+virial relation of the same minimization, s* = 2K/P (Coulomb) or
+s*⁴ = 2K/P (oscillator), and its value from the same moments at that
+optimum.  Both methods take every l up to 10²⁴, one orbital limit.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from typing import NamedTuple
 
 from .errors import (_MAX_GRID_POINTS, DivergenceError, DomainError, _index, _member, _real,
                      _validated_make)
-from .gamma_kit import _log_gamma_ratio
+from .gamma_kit import _log1p_minus_linear, _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
 __all__ = [
@@ -89,23 +88,23 @@ class Method(Enum):
 
 
 _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
-# largest orbital number: l⁴ and l²/param² stay finite for every param, so
-# every closed form is finite
-_MAX_L = 10**76
-# largest orbital number of the numeric method: from 10⁶ to 10⁷ its levels
-# agree with the closed ones within 7e-15 relative, but from about 1.04·10⁷
-# the Gaussian K, about 2e-4 there, meets the absolute 1e-11 one refinement
-# early (3.5e-14, and 1.5e-13 by 3·10⁷)
-_MAX_L_NUMERIC = 10**6
-# absolute quadrature tolerance of the moment sweep, on the centred
-# integrand's scale: the one sweep of a numeric level and of
+# largest orbital number, of every function and both methods: the largest
+# power of ten below 7937005259840989620600832, the first l whose closed
+# Gaussian-Coulomb optimum α* ≈ 1/(2l³) falls below 1e-75.  At 10²⁴ the
+# four closed optima, 5.0e-73, 0.5, 1e48 and 1e12, are trial states, and
+# the Coulomb ratios are 1 to the last bit (the gap, about 1/(8l²), is
+# below 1e-48)
+_MAX_L = 10**24
+# absolute quadrature tolerance of the moment sweep, whose moments are O(1)
+# at every l: the one sweep of a numeric level and of
 # expectation_energy_numeric, which therefore agree bit for bit
-_LEVEL_TOL = 1e-11
+_LEVEL_TOL = 1e-10
 # κ of the centred variable, per family, from a sweep of the mean integrand
-# calls a level over l = 1…20: Gaussian 132–151 for κ in [0.3, 1.2], fewest
-# at 0.45; Lorentz 84–126 for κ in [0.2, 1.2], 87 at 0.8 against 84 at 0.9,
-# but from κ = 1 single levels need 239–251 calls
-_KAPPA = {Family.GAUSSIAN: 0.45, Family.LORENTZ: 0.8}
+# calls a level over l = 0…20: Gaussian 126–131 for κ in [0.4, 0.62], then
+# 139–152 from 0.65 to 0.8; Lorentz 85–89 for κ in [0.6, 0.85], but from
+# 0.9 single levels need 201–207 calls.  From l = 100 to 10²⁴ a level takes
+# 73–79 calls at these values
+_KAPPA = {Family.GAUSSIAN: 0.55, Family.LORENTZ: 0.8}
 
 
 class _TrialSpec(NamedTuple):
@@ -120,8 +119,9 @@ class TrialSpec(_TrialSpec):
     ``param`` is the Gaussian width α or the Lorentz scale a; the principal
     quantum number at zero radial excitation is n = l + 1.  It must lie in
     [1e-75, 1e75], so that the fourth power of the trial length that ⟨H⟩
-    uses stays a normal double, and l must be at most 10⁷⁶, so that every
-    closed form stays finite.  ``l`` is stored as the validated int.
+    uses stays a normal double, and l must be at most 10²⁴, the orbital
+    limit, below which every optimum either method reports is such a
+    parameter.  ``l`` is stored as the validated int.
     """
 
     __slots__ = ()
@@ -142,10 +142,10 @@ class EnergyEstimate(NamedTuple):
 
     The variational bound guarantees value >= exact_reference; in exact
     arithmetic the ratio is in (0, 1] for Coulomb (both energies negative)
-    and >= 1 for the oscillator.  In doubles the Coulomb ratio holds to 1
-    for l <= 10⁶, but once the true gap, about 1/(8l²), falls below the
-    closed form's rounding, it may exceed 1 by a few 1e-14 (Lorentz from
-    l ~ 10⁸, Gaussian from 10¹⁵).
+    and >= 1 for the oscillator.  In doubles the Coulomb ratio of either
+    method holds to 1 for l <= 10⁶, but once the true gap, about 1/(8l²),
+    falls below the rounding, it may exceed 1 by a few 1e-14 (closed
+    Lorentz from l ~ 10⁸, Gaussian from 10¹⁵).
     """
 
     value: float
@@ -196,24 +196,27 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
         K = ∫ ½·g·(D(x) + l(l+1)) dx,   N = ∫ g·x² dx,
         P = ∫ g·x dx (Coulomb) or ∫ g·x⁴ dx (oscillator),
 
-    up to the constant factors that _moments takes out.  g(x) is the
-    squared profile [R(sx)/peak]², and the derivative enters through
-    x²·R'² = g(x)·D(x) with D(x) = (l - x²)² (Gaussian) or
-    (l - (l+2)x²)²/(1+x²)² (Lorentz).
+    up to the constant factors that _moments takes out and one factor
+    common to all three.  g(x) is the squared profile [R(sx)]², and the
+    derivative enters through x²·R'² = g(x)·D(x) with D(x) = (l - x²)²
+    (Gaussian) or (l - 2(l+1)x²/(1+x²))² (Lorentz).
 
     The integrand takes the centred variable y, with x = x_pk·y^c,
-    c = κ/√(l+1) and v = c·ln y = ln(x/x_pk), where x_pk is the profile's
-    peak for l >= 1 (√l Gaussian, √(l/(l+2)) Lorentz) and 1 at l = 0.  In v
-    the log-profile is -p·(expm1(2v) - r·v) (Gaussian), with (p, r) = (l, 2)
-    for l >= 1 and (1, 0) at l = 0, or 2lv - 2(l+1)·log1p(q),
-    q = h·expm1(2v), with h = l/(2l+2) for l >= 1 and ½ at l = 0 (Lorentz);
-    it is 0 at y = 1, the peak for l >= 1.  (D + l(l+1))/(l+1)² is
-    a·d² + l/(l+1), with d = expm1(2v) + δ (Gaussian) or q/(1+q) + δ
-    (Lorentz): δ = 0 and a = (l/(l+1))² or ((l+2)/(l+1))² for l >= 1, and
-    δ = 1 and a = 1 at l = 0, where d² is x⁴ or 4x⁴/(1+x²)².  Each
-    component is the moment's integrand times dx/dy = c·x/y, divided by its
+    c = κ/√(l+1) and v = c·ln y = ln(x/x_pk), where x_pk is the peak of the
+    norm integrand g·x² at every l: √(l+1) (Gaussian) or 1 (Lorentz).  In v,
+    ln(g(x)/g(x_pk)) is -(l+1)·(expm1(2v) - 2v) - 2v (Gaussian) or
+    2lv - 2(l+1)·log1p(q), q = expm1(2v)/2 (Lorentz).  Where
+    |expm1(2v)| <= 0.01 these are written so that they do not cancel, since
+    l times a cancelled difference loses about √l·ε in the exponent: the
+    bracket as e - log1p(e), e = expm1(2v), and the Lorentz form as
+    (l+1)·(λ(e) - 2λ(q)) - 2v, λ(t) = log1p(t) - t, each λ from its series;
+    that form cancels far from the peak, so it is used only near it.
+    (D + l(l+1))/(l+1)² is d² + l/(l+1), with d = expm1(2v) + 1/(l+1)
+    (Gaussian) or q/(1+q) + 1/(l+1) (Lorentz).  Each component is the
+    moment's integrand times dx/dy = c·x/y, divided by g(x_pk)·c, by its
     power of x_pk (x_pk for K, x_pk² or x_pk⁵ for P, x_pk³ for N) and, for
-    K, by (l+1)².
+    K, by (l+1)², so every moment is O(1) at every l; g(x_pk)·c is the
+    common factor.
 
     Each component is the same floating-point expression as a scalar
     integrand of its own would be, so the quadrature reproduces three
@@ -226,52 +229,55 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     coulomb = pot is Potential.COULOMB
     L = float(l)
-    c = _KAPPA[family] / math.sqrt(L + 1.0)
-    b = L / (L + 1.0)  # l(l+1)/(l+1)², the centrifugal part of K/(l+1)²
-    # at l = 0, where x_pk = 1, δ = 1 turns expm1(2v) = x² - 1 into x² and
-    # q/(1+q) = (x² - 1)/(x² + 1) into 2x²/(1+x²)
-    delta = 0.0 if l else 1.0
+    L1 = L + 1.0
+    c = _KAPPA[family] / math.sqrt(L1)
+    b = L / L1  # l(l+1)/(l+1)², the centrifugal part of K/(l+1)²
+    u = 1.0 / L1
     if family is Family.GAUSSIAN:
-        a = b * b if l else 1.0
-        p2, r2 = (L, 2.0) if l else (1.0, 0.0)
 
         def knp(y: float) -> tuple[float, float, float]:
             v = c * log(y)
             e = expm1(2.0 * v)
             ev = exp(v)
-            gj = exp(-p2 * (e - r2 * v)) * c * ev / y
+            # expm1(2v) - 2v, as e - log1p(e) near the peak
+            m = e - 2.0 * v if abs(e) > 0.01 else -_log1p_minus_linear(e)
+            gj = exp(-L1 * m - 2.0 * v) * ev / y
             n = gj * ev * ev
-            d = e + delta
-            return (0.5 * gj * (a * d * d + b), n, gj * ev if coulomb else n * ev * ev)
+            d = e + u
+            return (0.5 * gj * (d * d + b), n, gj * ev if coulomb else n * ev * ev)
     else:
-        a = ((L + 2.0) / (L + 1.0)) ** 2 if l else 1.0
-        h = (L or 1.0) / (2.0 * L + 2.0)
-        l2, l21 = 2.0 * L, 2.0 * (L + 1.0)
 
         def knp(y: float) -> tuple[float, float, float]:
             v = c * log(y)
-            q = h * expm1(2.0 * v)
+            e = expm1(2.0 * v)
+            q = 0.5 * e
             ev = exp(v)
-            gj = exp(l2 * v - l21 * log1p(q)) * c * ev / y
+            if abs(e) > 0.01:
+                lg = 2.0 * L * v - 2.0 * L1 * log1p(q)
+            else:  # cancels far from the peak, so only here
+                lg = L1 * (_log1p_minus_linear(e) - 2.0 * _log1p_minus_linear(q)) - 2.0 * v
+            gj = exp(lg) * ev / y
             n = gj * ev * ev
-            r = q / (1.0 + q) + delta
-            return (0.5 * gj * (a * r * r + b), n, gj * ev if coulomb else n * ev * ev)
+            d = q / (1.0 + q) + u
+            return (0.5 * gj * (d * d + b), n, gj * ev if coulomb else n * ev * ev)
 
     return knp
 
 
-def _moments(family: Family, pot: Potential, l: int, tol: float) -> tuple[float, float, float]:
+def _moments(family: Family, pot: Potential, l: int) -> tuple[float, float, float]:
     """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
-    at ``tol``, with the factors the centred integrand took out put back.
-    N is never 0: its integrand is positive at the first node, y = 1, where
-    x = x_pk, and no term of N is negative.  DivergenceError for the
-    Lorentz oscillator at l = 0, before any quadrature."""
+    at _LEVEL_TOL, with the powers of x_pk and l+1 the centred integrand
+    took out put back.  The factor common to all three stays out: every use
+    is a ratio, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator) and
+    (K + v·P)/(s²·N).  N is never 0: its integrand is 1 at the first node,
+    y = 1, where x = x_pk, and no term of N is negative.  DivergenceError
+    for the Lorentz oscillator at l = 0, before any quadrature."""
     _require_l_domain(family, pot, l)
     k, n, p = (part.value for part in
-               quad_semiinfinite(_moment_integrands(family, l, pot), tol).parts)
-    L = float(l)
-    x_pk = math.sqrt(L if family is Family.GAUSSIAN else L / (L + 2.0)) if l else 1.0
-    return (k * x_pk * (L + 1.0) ** 2,
+               quad_semiinfinite(_moment_integrands(family, l, pot), _LEVEL_TOL).parts)
+    L1 = l + 1.0
+    x_pk = math.sqrt(L1) if family is Family.GAUSSIAN else 1.0
+    return (k * x_pk * L1 ** 2,
             p * x_pk ** (2 if pot is Potential.COULOMB else 5), n * x_pk ** 3)
 
 
@@ -291,20 +297,18 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential) -> float:
     The scale parameter only multiplies the moments K, P and N of the
     rescaled profile by powers of the trial length s, so they are
     integrated once and combined at ``spec.param`` as (K + v·P)/(s²·N).
-    The moments are the numeric level's own sweep, at the same 1e-11
+    The moments are the numeric level's own sweep, at the same 1e-10
     tolerance: one quadrature that evaluates the trial profile once per
     node, each moment with the value, error estimate and evaluation count
     that a separate scalar quadrature of it would give.  So at a numeric
     level's optimal parameter this is the level's value, bit for bit.
-    Agreement with expectation_energy_closed is ~1e-14 relative to the
-    larger of the kinetic and potential terms, far inside the 1e-8
-    contract, for every parameter in [1e-75, 1e75] and every l up to 10⁶,
-    the numeric method's orbital limit; DomainError beyond it, before any
-    quadrature.
+    Agreement with expectation_energy_closed is within 1e-14 relative to
+    the larger of the kinetic and potential terms, far inside the 1e-8
+    contract, for every trial state: every parameter in [1e-75, 1e75] and
+    every l up to 10²⁴, which TrialSpec has checked.
     """
-    l = _index(spec.l, "orbital number l", hi=_MAX_L_NUMERIC)
     _member(pot, Potential, "potential")
-    return _energy_from_moments(_moments(spec.family, pot, l, _LEVEL_TOL), spec.family, pot,
+    return _energy_from_moments(_moments(spec.family, pot, spec.l), spec.family, pot,
                                 spec.param)
 
 
@@ -326,16 +330,9 @@ def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, floa
 
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
-    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10⁷⁶.
-
-    Known defect: for large l the Coulomb optimum leaves TrialSpec's
-    parameter domain [1e-75, 1e75], so TrialSpec(family, l, param) raises
-    DomainError.  The Gaussian α* ≈ 1/(2l³) falls below 1e-75 from
-    l = 7937005259840989620600832 (about 7.937·10²⁴), and the Lorentz
-    a* ≈ l² exceeds 1e75 from l = 31622776601683763297474193582691713024
-    (about 3.162·10³⁷); the last l inside is one less.  The oscillator
-    optima stay inside for every l.
-    """
+    """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10²⁴,
+    where it is a valid TrialSpec parameter: the Gaussian-Coulomb
+    α* ≈ 1/(2l³) is 5.0e-73 at 10²⁴, and the Lorentz-Coulomb a* ≈ l² 1e48."""
     _member(family, Family, "family")
     _member(pot, Potential, "potential")
     return _closed_optimum(family, pot, _index(l, "orbital number l", hi=_MAX_L))[0]
@@ -343,7 +340,7 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
 
 def exact_energy(pot: Potential, l: int) -> float:
     """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2);
-    l <= 10⁷⁶."""
+    l <= 10²⁴."""
     _member(pot, Potential, "potential")
     l = _index(l, "orbital number l", hi=_MAX_L)
     if pot is Potential.COULOMB:
@@ -355,33 +352,33 @@ def variational_energy(family: Family, pot: Potential, l: int,
                        method: Method = Method.CLOSED_FORM) -> EnergyEstimate:
     """The minimized variational energy at orbital number l.
 
-    CLOSED_FORM plugs the stationary parameter into the closed level
-    formulas; l is at most 10⁷⁶, but the Coulomb ``optimal_param`` is a
-    valid TrialSpec parameter only below l = 7937005259840989620600832
-    (Gaussian) and l = 31622776601683763297474193582691713024 (Lorentz);
-    see optimal_param_closed.  NUMERIC integrates the scale-free
-    moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a 1e-11
-    tolerance in the centred variable (about 113 integrand calls a level
-    over l <= 20), and takes the optimum from them by the virial relation:
+    Both methods take every l up to 10²⁴, and each reports an
+    ``optimal_param`` that is a valid TrialSpec parameter; DomainError
+    beyond, before any quadrature.  CLOSED_FORM plugs the stationary
+    parameter into the closed level formulas.  NUMERIC integrates the
+    scale-free moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a
+    1e-10 tolerance in the centred variable (about 108 integrand calls a
+    level over l <= 20, 73–79 from l = 100), and takes the optimum from
+    them by the virial relation:
     (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
     s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s
     (Lorentz).  The level is (K + v·P)/(s²·N) of the same moments at that
     optimum, bit for bit what expectation_energy_numeric returns there,
     from the same sweep; the numeric path never reads the closed optimum.
-    For every l up to 10⁶, the numeric method's limit, the energies agree
-    with the closed levels to 6e-14 relative, the optimal parameters to 3e-14,
-    and K/N and P/N with their closed ratios to 2e-14.  DomainError for l
-    beyond the method's limit, before any quadrature.
+    For every l up to 10²⁴ the energies agree with the closed levels to
+    6e-14 relative (5.8e-14 at Lorentz-Coulomb l = 30, the closed level's
+    own error: the numeric one is within 2e-16 of a 40-digit reference), the
+    optimal parameters to 2e-14, and K/N and P/N with their closed ratios
+    to 2e-14.
     """
     _member(family, Family, "family")
     _member(method, Method, "method")
-    closed = method is Method.CLOSED_FORM
-    l = _index(l, "orbital number l", hi=_MAX_L if closed else _MAX_L_NUMERIC)
+    l = _index(l, "orbital number l", hi=_MAX_L)
     reference = exact_energy(pot, l)
-    if closed:
+    if method is Method.CLOSED_FORM:
         param, value = _closed_optimum(family, pot, l)
     else:
-        moments = _moments(family, pot, l, _LEVEL_TOL)
+        moments = _moments(family, pot, l)
         k, p, _ = moments
         s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
         # the optimum passes the parameter-domain check of any trial state

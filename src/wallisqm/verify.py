@@ -389,14 +389,15 @@ _CLAIMS = {c.name: c for c in [
         lambda: _RATIO_LS, _abs)),
     Claim("oscillator-ratio-window", None,
           "ratio² in (1, 1+3/l) and decreasing for l in [2, 1000]", _oscillator_ratio_window),
-    # six levels of each (family, potential), up to the numeric method's
-    # limit l = 10⁶; both paths agree to <= 5.8e-14 over every level l <= 20
-    # and on 400 log-uniform draws of l up to 10⁶, so 1e-12 leaves room for
-    # the last bits only
+    # eight levels of each (family, potential), up to the orbital limit
+    # l = 10²⁴ of both methods; both paths agree to <= 5.8e-14 over every
+    # level l <= 20, the powers of ten up to 10²⁴ and 1800 log-uniform draws
+    # of l up to 10²⁴ (the worst, Lorentz-Coulomb l = 30, is the closed
+    # level's own error), so 1e-12 leaves room for the last bits only
     Claim("numeric-path-agreement", 1e-12, "max numeric/closed rel dev {0:.2e} (tol {tol:.0e})", _Gap(
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.NUMERIC).value,
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.CLOSED_FORM).value,
-        lambda: [(*combo, l) for combo in _COMBOS for l in (2, 20, 100, 500, 10**3, 10**6)])),
+        lambda: [(*combo, l) for combo in _COMBOS for l in (2, 20, 100, 500, 10**3, 10**6, 10**12, 10**24)])),
 ]}
 
 # (name, measure) in suite order; run() reads it at call time, so a wrapped

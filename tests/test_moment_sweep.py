@@ -7,8 +7,8 @@ combines them at the scale parameter as (K + v·P)/(s²·N).  Each component
 must come out exactly as a scalar ``quad_semiinfinite`` call on it alone
 would: value, error estimate, evaluation count and level, bit for bit.  The
 scalar integrands here are written out independently of the engine's, one
-closure per moment, in the centred variable y, x = x_pk·y^c, with x_pk = 1
-at l = 0.
+closure per moment, in the centred variable y, x = x_pk·y^c, with x_pk the
+peak of the norm integrand at every l.
 """
 
 import math
@@ -16,9 +16,10 @@ import math
 import pytest
 
 from wallisqm.errors import ConvergenceError
+from wallisqm.gamma_kit import _log1p_minus_linear
 from wallisqm.integral_kit import QuadratureParts, QuadratureResult, quad_semiinfinite
-from wallisqm.variational_engine import (_KAPPA, _LEVEL_TOL, Family, Potential, TrialSpec,
-                                         _moment_integrands, _moments,
+from wallisqm.variational_engine import (_KAPPA, _LEVEL_TOL, _MAX_L, Family, Potential,
+                                         TrialSpec, _moment_integrands, _moments,
                                          expectation_energy_numeric, optimal_param_closed)
 
 
@@ -26,55 +27,44 @@ def scalar_integrands(family, l, pot):
     """The moments K, P and N of ⟨H⟩ as three separate scalar integrands.
 
     They take y, with x = x_pk·y^c, c = κ/√(l+1) and v = c·ln y, where x_pk
-    is the profile's peak for l >= 1 and 1 at l = 0: each is the moment's
-    integrand times dx/dy = c·x/y, over x_pk (K), x_pk² or x_pk⁵ (P) and
-    x_pk³ (N), and K over (l+1)² too.  At l = 0 the squared profile is
-    e^{1-x²} or 4/(1+x²)²."""
+    is the peak of the norm integrand: √(l+1) (Gaussian) or 1 (Lorentz).
+    Each is the moment's integrand times dx/dy = c·x/y, over the squared
+    profile at x_pk, over c, and over x_pk (K), x_pk² or x_pk⁵ (P) and
+    x_pk³ (N), and K over (l+1)² too."""
     L = float(l)
-    c = _KAPPA[family] / math.sqrt(L + 1.0)
-    b = L / (L + 1.0)
+    L1 = L + 1.0
+    c = _KAPPA[family] / math.sqrt(L1)
+    b = L / L1
 
     def log_ratio(y):  # v = ln(x/x_pk)
         return c * math.log(y)
 
-    if family is Family.GAUSSIAN and l == 0:
-        def g2(y):
+    if family is Family.GAUSSIAN:
+        def g2(y):  # x^{2l}·e^{-x²} over its value at x_pk, times dx/dy over c·x_pk
             v = log_ratio(y)
-            return math.exp(-math.expm1(2.0 * v)) * c * math.exp(v) / y
+            e = math.expm1(2.0 * v)  # x²/(l+1) - 1
+            # e - ln(1 + e), by its series in e near the peak
+            m = e - 2.0 * v if abs(e) > 0.01 else -_log1p_minus_linear(e)
+            return math.exp(-L1 * m - 2.0 * v) * math.exp(v) / y
 
-        def deriv_factor(y):  # D = x⁴, with x² = expm1(2v) + 1
-            x2 = math.expm1(2.0 * log_ratio(y)) + 1.0
-            return x2 * x2
-    elif family is Family.GAUSSIAN:
-        def g2(y):  # the squared profile times dx/dy, over x_pk
-            v = log_ratio(y)
-            return math.exp(-L * (math.expm1(2.0 * v) - 2.0 * v)) * c * math.exp(v) / y
-
-        def deriv_factor(y):  # (D + l(l+1))/(l+1)²
-            e = math.expm1(2.0 * log_ratio(y))
-            return b * b * e * e + b
-    elif l == 0:
-        def g2(y):
-            v = log_ratio(y)
-            return math.exp(-2.0 * math.log1p(0.5 * math.expm1(2.0 * v))) * c * math.exp(v) / y
-
-        def deriv_factor(y):  # D = 4x⁴/(1+x²)², with (x² - 1)/2 = q
-            q = 0.5 * math.expm1(2.0 * log_ratio(y))
-            r = q / (1.0 + q) + 1.0
-            return r * r
+        def deriv_factor(y):  # (D + l(l+1))/(l+1)² with D = (l - x²)²
+            d = math.expm1(2.0 * log_ratio(y)) + 1.0 / L1
+            return d * d + b
     else:
-        h = L / (2.0 * L + 2.0)
-
-        def g2(y):
+        def g2(y):  # x^{2l}/(1+x²)^{2l+2} over its value at x = 1, times dx/dy/c
             v = log_ratio(y)
-            q = h * math.expm1(2.0 * v)
-            return (math.exp(2.0 * L * v - 2.0 * (L + 1.0) * math.log1p(q))
-                    * c * math.exp(v) / y)
+            e = math.expm1(2.0 * v)  # x² - 1
+            q = 0.5 * e
+            if abs(e) > 0.01:
+                lg = 2.0 * L * v - 2.0 * L1 * math.log1p(q)
+            else:
+                lg = L1 * (_log1p_minus_linear(e) - 2.0 * _log1p_minus_linear(q)) - 2.0 * v
+            return math.exp(lg) * math.exp(v) / y
 
-        def deriv_factor(y):
-            q = h * math.expm1(2.0 * log_ratio(y))
-            r = q / (1.0 + q)
-            return ((L + 2.0) / (L + 1.0)) ** 2 * r * r + b
+        def deriv_factor(y):  # D = (l - 2(l+1)x²/(1+x²))², with (x² - 1)/2 = q
+            q = 0.5 * math.expm1(2.0 * log_ratio(y))
+            d = q / (1.0 + q) + 1.0 / L1
+            return d * d + b
 
     def kinetic(y):
         return 0.5 * g2(y) * deriv_factor(y)
@@ -99,13 +89,12 @@ def scalar_integrands(family, l, pot):
 
 def scalar_moments(fam, pot, l, tol):
     """(K, P, N) from three scalar quadratures, the centred ones times the
-    powers of x_pk and (l+1)² that their integrands left out."""
+    powers of x_pk and (l+1)² that their integrands left out; the factor c
+    and the profile's value at x_pk, common to all three, stay out."""
     k, p, n = (quad_semiinfinite(g, tol).value for g in scalar_integrands(fam, l, pot))
-    if l == 0:
-        return k, p, n
-    L = float(l)
-    x_pk = math.sqrt(L) if fam is Family.GAUSSIAN else math.sqrt(L / (L + 2.0))
-    return (k * x_pk * (L + 1.0) ** 2,
+    L1 = float(l) + 1.0
+    x_pk = math.sqrt(L1) if fam is Family.GAUSSIAN else 1.0
+    return (k * x_pk * L1 ** 2,
             p * x_pk ** (2 if pot is Potential.COULOMB else 5), n * x_pk ** 3)
 
 
@@ -127,14 +116,15 @@ COMBOS = [(Family.GAUSSIAN, Potential.COULOMB),
           (Family.GAUSSIAN, Potential.HARMONIC_OSCILLATOR),
           (Family.LORENTZ, Potential.COULOMB),
           (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR)]
-LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 50, 100, 200, 500, 10**3, 10**4, 10**5, 10**6)
+LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 50, 100, 200, 500, 10**3, 10**4, 10**5, 10**6,
+      10**9, 10**12, 10**18, _MAX_L)
 FACTORS = (0.01, 0.1, 1.0, 10.0, 100.0)
-TOLS = (1e-6, 3e-9, 1e-11)
+TOLS = (1e-6, 3e-9, 1e-10, 1e-11)
 
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
 def test_moments_match_scalar_quadratures(fam, pot):
-    """Family × potential × l <= 10⁶ × tol; ⟨H⟩ at 0.01–100× the optimum."""
+    """Family × potential × l <= 10²⁴ × tol; ⟨H⟩ at 0.01–100× the optimum."""
     assert _LEVEL_TOL in TOLS
     for l in LS:
         if l == 0 and (fam, pot) == (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR):
@@ -152,11 +142,12 @@ def test_moments_match_scalar_quadratures(fam, pot):
             assert sweep.evaluations == calls[0], case
             assert sweep.evaluations <= sum(r.evaluations for r in sweep.parts), case
             assert sweep.levels == max(r.levels for r in sweep.parts), case
-            K, P, N = scalar_moments(fam, pot, l, tol)
-            assert _moments(fam, pot, l, tol) == (K, P, N), case
             if tol != _LEVEL_TOL:
                 continue
-            # the oracle integrates at the level's tolerance, which no caller sets
+            # the moments and the oracle integrate at the level's tolerance,
+            # which no caller sets
+            K, P, N = scalar_moments(fam, pot, l, tol)
+            assert _moments(fam, pot, l) == (K, P, N), case
             for factor in FACTORS:
                 param = factor * optimal_param_closed(fam, pot, l)
                 s = length_scale(fam, param)
@@ -167,12 +158,12 @@ def test_moments_match_scalar_quadratures(fam, pot):
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
 def test_norm_is_positive_at_large_l(fam, pot):
-    # the first node, y = 1, is the peak, where the norm integrand is
-    # c = κ/√(l+1) > 0, and no term of N is negative
-    for l in (100, 500, 10**3, 10**4, 10**5, 10**6):
-        K, P, N = _moments(fam, pot, l, 1e-11)
+    # the first node, y = 1, is the norm integrand's peak, where it is 1,
+    # and no term of N is negative
+    for l in (100, 500, 10**3, 10**4, 10**5, 10**6, 10**12, _MAX_L):
+        K, P, N = _moments(fam, pot, l)
         assert N > 0.0 and K > 0.0 and P > 0.0, (l, K, P, N)
-        assert _moment_integrands(fam, l, pot)(1.0)[1] == _KAPPA[fam] / math.sqrt(l + 1.0)
+        assert _moment_integrands(fam, l, pot)(1.0)[1] == 1.0
 
 
 def same(a, b):
@@ -189,8 +180,8 @@ def test_far_nodes_only_where_the_profile_vanishes():
     # built: its ⟨r²⟩ diverges.)
     pot = Potential.HARMONIC_OSCILLATOR
     for fam, l in ((Family.GAUSSIAN, 0), (Family.GAUSSIAN, 1), (Family.GAUSSIAN, 5),
-                   (Family.GAUSSIAN, 10**6), (Family.LORENTZ, 1), (Family.LORENTZ, 5),
-                   (Family.LORENTZ, 10**6)):
+                   (Family.GAUSSIAN, 10**6), (Family.GAUSSIAN, _MAX_L), (Family.LORENTZ, 1),
+                   (Family.LORENTZ, 5), (Family.LORENTZ, 10**6), (Family.LORENTZ, _MAX_L)):
         kinetic, potential, norm = scalar_integrands(fam, l, pot)
         knp = _moment_integrands(fam, l, pot)
         for y in (1e100, 1e200, 1e275):

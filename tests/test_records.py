@@ -132,7 +132,7 @@ INVALID = [
     (TrialSpec, (Family.GAUSSIAN, 3, 0.5), (Family.GAUSSIAN, 3, 0.0),
      "scale parameter must lie in [1e-75, 1e+75], got 0.0"),
     (TrialSpec, (Family.GAUSSIAN, 3, 0.5), (Family.GAUSSIAN, 2.5, 0.5),
-     "orbital number l requires an integer in [0, 1e+76], got 2.5"),
+     "orbital number l requires an integer in [0, 1e+24], got 2.5"),
     (TrialSpec, (Family.GAUSSIAN, 3, 0.5), ("gaussian", 3, 0.5),
      "family must be a Family member, got 'gaussian'"),
 ]

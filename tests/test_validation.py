@@ -72,9 +72,6 @@ REAL_SLOTS = {
     "beta_trig_integral.q": lambda v: ik.beta_trig_integral(1.0, v),
     "quad_semiinfinite.tol": lambda v: ik.quad_semiinfinite(lambda x: math.exp(-x), v),
     "TrialSpec.param": lambda v: ve.TrialSpec(_G, 1, v),
-    # the moment sweep under the numeric oracle and levels, the one engine
-    # call that still takes a tolerance
-    "_moments.tol": lambda v: ve._moments(_G, _C, 1, v),
 }
 
 _NEVER_VALID = [True, math.nan, math.inf, -math.inf, "3"]
@@ -140,12 +137,13 @@ INDEX_LIMITS = {
     "a_seq": 2**511 - 1,
     "b_seq": 2**52 - 2,
     "sum_b_partial": 2**52 - 2,
-    "TrialSpec.l": 10**76,
-    "exact_energy": 10**76,
-    "optimal_param_closed": 10**76,
-    "variational_energy": 10**76,
-    "variational_energy.numeric": 10**6,
-    "expectation_energy_numeric.l": 10**6,
+    # one orbital limit for every function and both methods
+    "TrialSpec.l": ve._MAX_L,
+    "exact_energy": ve._MAX_L,
+    "optimal_param_closed": ve._MAX_L,
+    "variational_energy": ve._MAX_L,
+    "variational_energy.numeric": ve._MAX_L,
+    "expectation_energy_numeric.l": ve._MAX_L,
 }
 
 
@@ -159,7 +157,7 @@ def test_index_one_past_its_limit_is_rejected_at_once(slot):
 
 def test_results_at_the_value_limits_are_sound():
     # a_n is still a normal double, b_n and its partial sum still see exact
-    # offsets, and every closed form at the largest l is finite
+    # offsets, and every closed form and numeric ⟨H⟩ at the largest l is finite
     assert ws.a_seq(2**511 - 1) >= sys.float_info.min
     n = 2**52 - 2
     with mp.workdps(50):
@@ -168,13 +166,16 @@ def test_results_at_the_value_limits_are_sound():
     assert ws.b_seq(_P, n) == pytest.approx(ref, rel=1e-13)
     part = ws.sum_b_partial(_P, n)
     assert abs(part.tail_bound) < 1e-13 and part.value == pytest.approx(part.closed_form_limit)
-    l = 10**76
+    l = ve._MAX_L
     for family, pot in itertools.product(ve.Family, ve.Potential):
         for param in (1e-75, 1e75):
-            assert math.isfinite(ve.expectation_energy_closed(ve.TrialSpec(family, l, param), pot))
-        est = ve.variational_energy(family, pot, l)
-        assert all(math.isfinite(v) and v != 0.0
-                   for v in (est.value, est.optimal_param, est.exact_reference))
+            spec = ve.TrialSpec(family, l, param)
+            assert math.isfinite(ve.expectation_energy_closed(spec, pot))
+            assert math.isfinite(ve.expectation_energy_numeric(spec, pot))
+        for method in ve.Method:
+            est = ve.variational_energy(family, pot, l, method)
+            assert all(math.isfinite(v) and v != 0.0
+                       for v in (est.value, est.optimal_param, est.exact_reference))
 
 
 @pytest.mark.parametrize("bad", _NEVER_VALID + [pytest.param(10**400, id="10**400")], ids=repr)

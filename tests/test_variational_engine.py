@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallisqm import variational_engine, verify
@@ -21,6 +22,7 @@ GAUSSIAN, LORENTZ = Family.GAUSSIAN, Family.LORENTZ
 COULOMB, OSC = Potential.COULOMB, Potential.HARMONIC_OSCILLATOR
 
 ALL_COMBOS = [(GAUSSIAN, COULOMB), (GAUSSIAN, OSC), (LORENTZ, COULOMB), (LORENTZ, OSC)]
+MAX_L = variational_engine._MAX_L
 
 
 def l_floor(family, pot):
@@ -116,24 +118,14 @@ class TestExpectationNumeric:
         with pytest.raises(DivergenceError):
             expectation_energy_numeric(TrialSpec(LORENTZ, 0, 1.0), OSC)
 
-    # the oracle's tolerance is the level's; the sweep beneath it still takes one
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            variational_engine._moments(GAUSSIAN, COULOMB, 0, 0.0)
-
-    def test_tol_below_the_quadrature_minimum_is_refused(self):
-        # passed to the quadrature as it is, not clamped to 1e-12
-        with pytest.raises(DomainError):
-            variational_engine._moments(GAUSSIAN, COULOMB, 2, 1e-13)
-
     @given(st.sampled_from(ALL_COMBOS),
            st.integers(min_value=0, max_value=20)
-           | st.floats(min_value=1.0, max_value=6.0).map(lambda u: round(10.0 ** u)),
+           | st.floats(min_value=1.0, max_value=24.0).map(lambda u: min(round(10.0 ** u), MAX_L)),
            st.floats(min_value=-75.0, max_value=75.0))
     @settings(max_examples=300, deadline=None)
     def test_matches_closed_form_over_the_whole_parameter_domain(self, combo, l, log_param):
-        # l <= 10⁶ and every parameter in [1e-75, 1e75]: the moments do not
-        # depend on the parameter, so none is too far from the optimum
+        # every l <= 10²⁴ and every parameter in [1e-75, 1e75]: the moments
+        # do not depend on the parameter, so none is too far from the optimum
         family, pot = combo
         l = max(l, l_floor(family, pot))
         param = min(max(10.0 ** log_param, 1e-75), 1e75)
@@ -143,27 +135,30 @@ class TestExpectationNumeric:
         # relative to the size of the kinetic and potential terms, so that a
         # Coulomb parameter near the zero of ⟨H⟩ is judged by the terms that
         # cancel there
-        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
+        k, p, n = variational_engine._moments(family, pot, l)
         terms = sum(abs(variational_engine._energy_from_moments(m, family, pot, param))
                     for m in ((k, 0.0, n), (0.0, p, n)))
         assert abs(numeric - closed) <= 1e-12 * terms
 
     @pytest.mark.parametrize("family,pot", ALL_COMBOS)
-    @pytest.mark.parametrize("l", [10**6 + 1, 10**25, 10**38, 10**76])
-    def test_levels_past_the_numeric_limit_are_a_domain_error(self, family, pot, l,
+    @pytest.mark.parametrize("l", [MAX_L + 1, 10**25, 10**38, 10**76])
+    def test_levels_past_the_orbital_limit_are_a_domain_error(self, family, pot, l,
                                                               monkeypatch):
-        # the limit is checked before any quadrature; the closed method
-        # keeps its own limit, 10⁷⁶
+        # one limit for every function that takes l and for both methods,
+        # checked before any quadrature
         def no_quadrature(*args, **kwargs):
-            raise AssertionError("a quadrature past the numeric limit")
+            raise AssertionError("a quadrature past the orbital limit")
 
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", no_quadrature)
+        for method in Method:
+            with pytest.raises(DomainError, match="orbital number l"):
+                variational_energy(family, pot, l, method)
         with pytest.raises(DomainError, match="orbital number l"):
-            variational_energy(family, pot, l, Method.NUMERIC)
-        spec = TrialSpec(family, l, 1.0)
+            TrialSpec(family, l, 1.0)
         with pytest.raises(DomainError, match="orbital number l"):
-            expectation_energy_numeric(spec, pot)
-        assert math.isfinite(variational_energy(family, pot, l).value)
+            optimal_param_closed(family, pot, l)
+        with pytest.raises(DomainError, match="orbital number l"):
+            exact_energy(pot, l)
 
 
 class TestOptimalParam:
@@ -281,14 +276,15 @@ class TestNumericLevels:
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
         # one sweep for K, N and P gives both the optimum and the value
-        assert quads == [1e-11]
+        assert quads == [variational_engine._LEVEL_TOL]
         assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         assert est.value == pytest.approx(closed.value, rel=5e-14)
 
     def test_level_is_the_numeric_oracle_at_its_optimum(self):
         # the same formula on the same sweep, so equal bit for bit: every
-        # level l <= 20, and l = 10³ and 10⁶, of all four combinations
-        large = [(family, pot, l) for family, pot in ALL_COMBOS for l in (10**3, 10**6)]
+        # level l <= 20, and l = 10³, 10⁶, 10¹² and 10²⁴, of all four combinations
+        large = [(family, pot, l) for family, pot in ALL_COMBOS
+                 for l in (10**3, 10**6, 10**12, MAX_L)]
         for family, pot, l in NUMERIC_LEVELS + large:
             est = variational_energy(family, pot, l, Method.NUMERIC)
             spec = TrialSpec(family, l, est.optimal_param)
@@ -313,7 +309,7 @@ class TestNumericLevels:
         # 2T = -V (Coulomb, V ~ 1/r) and T = V (oscillator, V ~ r²), with T
         # and V from the moments that located the optimum
         param = variational_energy(family, pot, l, Method.NUMERIC).optimal_param
-        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
+        k, p, n = variational_engine._moments(family, pot, l)
         t = variational_engine._energy_from_moments((k, 0.0, n), family, pot, param)
         v = variational_engine._energy_from_moments((0.0, p, n), family, pot, param)
         if pot is COULOMB:
@@ -333,24 +329,60 @@ def closed_moment_ratios(family, pot, l):
             if pot is COULOMB else (l + 1.5) / (l - 0.5))
 
 
-LARGE_LS = [100, 500, 10**3, 10**4, 10**6]
+# integrand calls of each numeric level, l = l_min…20
+CALLS_PER_LEVEL = {
+    (GAUSSIAN, COULOMB): [223, 219, 205, 193, 185, 179, 171, 93, 93, 91, 89, 89, 89, 87, 87, 87,
+                          85, 85, 85, 85, 83],
+    (GAUSSIAN, OSC): [199, 219, 205, 193, 185, 179, 171, 165, 165, 161, 89, 89, 89, 87, 87, 87,
+                      85, 85, 85, 85, 83],
+    (LORENTZ, COULOMB): [125, 105, 97, 93, 89, 87, 85, 83, 83, 81, 81, 81, 81, 81, 79, 79, 79, 79,
+                         79, 79, 77],
+    (LORENTZ, OSC): [137, 103, 101, 95, 93, 91, 87, 85, 85, 83, 83, 81, 81, 81, 81, 81, 81, 79, 79,
+                     79],
+}
+LARGE_LS = [100, 500, 10**3, 10**4, 10**6, 10**9, 10**12, 10**18, MAX_L]
+# l log-uniform in [1, 10²⁴]
+LOG_UNIFORM_L = st.floats(min_value=0.0, max_value=24.0).map(
+    lambda u: min(round(10.0 ** u), MAX_L))
 
 
 class TestNumericDomain:
-    """The numeric method over its whole domain, l <= 10⁶."""
+    """The numeric method over its whole domain, l <= 10²⁴, the closed one's."""
 
-    @given(st.sampled_from(ALL_COMBOS), st.floats(min_value=0.0, max_value=6.0))
+    @given(st.sampled_from(ALL_COMBOS), LOG_UNIFORM_L)
+    @example((GAUSSIAN, COULOMB), MAX_L)
+    @example((GAUSSIAN, OSC), MAX_L)
+    @example((LORENTZ, COULOMB), MAX_L)
+    @example((LORENTZ, OSC), MAX_L)
     @settings(max_examples=200, deadline=None)
-    def test_levels_and_moment_ratios_match_closed(self, combo, log_l):
+    def test_levels_and_moment_ratios_match_closed(self, combo, l):
         family, pot = combo
-        l = round(10.0 ** log_l)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         assert est.value == pytest.approx(variational_energy(family, pot, l).value, rel=1e-12)
-        k, p, n = variational_engine._moments(family, pot, l, 1e-11)
+        k, p, n = variational_engine._moments(family, pot, l)
         assert n > 0.0
         kn, pn = closed_moment_ratios(family, pot, l)
         assert k / n == pytest.approx(kn, rel=1e-13)
         assert p / n == pytest.approx(pn, rel=1e-13)
+
+    @given(st.sampled_from(ALL_COMBOS), LOG_UNIFORM_L)
+    @example((GAUSSIAN, COULOMB), MAX_L)
+    @example((GAUSSIAN, OSC), MAX_L)
+    @example((LORENTZ, COULOMB), MAX_L)
+    @example((LORENTZ, OSC), MAX_L)
+    @settings(max_examples=200, deadline=None)
+    def test_every_reported_optimum_is_a_trial_state(self, combo, l):
+        # the closed Coulomb optima run to α* ≈ 1/(2l³) and a* ≈ l², and the
+        # orbital limit keeps both inside the parameter domain; the numeric
+        # optimum is the level's own trial state, where the oracle is the level
+        family, pot = combo
+        closed = variational_energy(family, pot, l)
+        assert closed.optimal_param == optimal_param_closed(family, pot, l)
+        TrialSpec(family, l, closed.optimal_param)
+        est = variational_energy(family, pot, l, Method.NUMERIC)
+        assert est.value == pytest.approx(closed.value, rel=1e-13)
+        spec = TrialSpec(family, l, est.optimal_param)
+        assert expectation_energy_numeric(spec, pot) == est.value
 
     @pytest.mark.parametrize("family,pot", ALL_COMBOS)
     @pytest.mark.parametrize("l", LARGE_LS)
@@ -368,15 +400,16 @@ class TestNumericDomain:
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l)
-        assert quads == [1e-11]
+        assert quads == [variational_engine._LEVEL_TOL]
         assert est.value == pytest.approx(closed.value, rel=1e-12)
         assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         spec = TrialSpec(family, l, est.optimal_param)
         assert expectation_energy_numeric(spec, pot) == est.value
 
     def test_integrand_calls_per_level(self, monkeypatch):
-        # over the 83 levels l <= 20: 112.6 calls a level in the centred
-        # variable, against 179.0 in x; l = 0 takes 235, 209 and 125
+        # over the 83 levels l <= 20: 108.0 calls a level centred on the norm
+        # integrand's peak, against 112.6 centred on the profile's peak with
+        # l = 0 apart, and 179.0 in x
         quad = variational_engine.quad_semiinfinite
         calls = []
 
@@ -393,8 +426,9 @@ class TestNumericDomain:
         for family, pot, l in NUMERIC_LEVELS:
             variational_energy(family, pot, l, Method.NUMERIC)
         assert len(calls) == len(NUMERIC_LEVELS) == 83
-        assert [calls[i] for i in (0, 21, 42)] == [235, 209, 125]
-        assert sum(calls) / len(calls) <= 130.0
+        assert calls == CALLS_PER_LEVEL[GAUSSIAN, COULOMB] + CALLS_PER_LEVEL[GAUSSIAN, OSC] \
+            + CALLS_PER_LEVEL[LORENTZ, COULOMB] + CALLS_PER_LEVEL[LORENTZ, OSC]
+        assert sum(calls) / len(calls) <= 112.6
 
 
 class TestUpperBoundProperty:
@@ -472,16 +506,16 @@ class TestRatioSequence:
     def test_coulomb_ratio_at_most_one_up_to_a_million(self, family):
         ls = sorted(set(range(1000)) | {round(10 ** (k / 100)) for k in range(301, 601)})
         assert ls[-1] == 10**6
-        for l in ls:
-            assert variational_energy(family, COULOMB, l).ratio_to_exact <= 1.0, l
+        for method, l in itertools.product(Method, ls):
+            assert variational_energy(family, COULOMB, l, method).ratio_to_exact <= 1.0, l
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LORENTZ])
     def test_coulomb_ratio_within_rounding_of_one_to_the_l_limit(self, family):
-        # the true gap, about 1/(8l²), falls below the closed form's rounding:
-        # the double may exceed 1 (Lorentz from 10⁸), but by a few 1e-14 only
-        for k in range(77):
-            r = variational_energy(family, COULOMB, 10**k).ratio_to_exact
-            assert 0.0 < r <= 1.0 + 1e-13, k
+        # the true gap, about 1/(8l²), falls below the rounding: the double
+        # may exceed 1 (closed Lorentz from 10⁸), but by a few 1e-14 only
+        for method, k in itertools.product(Method, range(25)):
+            r = variational_energy(family, COULOMB, 10**k, method).ratio_to_exact
+            assert 0.0 < r <= 1.0 + 1e-13, (method, k)
 
     def test_oscillator_ratio_window(self):
         for l in range(2, 200):

@@ -426,8 +426,8 @@ class TestVariationalCommand:
 
     @pytest.mark.parametrize("token,l", [
         ("9007199254740993", 9007199254740993),  # 2^53 + 1, which a float rounds
-        ("1e76", 10**76),  # the largest orbital number, in exponent notation
-        (str(10**76), 10**76),
+        ("1e24", 10**24),  # the largest orbital number, in exponent notation
+        (str(10**24), 10**24),
         ("2.5e1", 25),
     ])
     def test_l_max_is_parsed_exactly(self, capsys, token, l):
@@ -614,16 +614,25 @@ class TestVerifyCommand:
       "--l-max", "10000,10000", "--method", "numeric"], 0),
     # verify has one set of tolerances and no profile flag
     (["verify", "--tol-profile", "relaxed"], 2),
-    # levels past the numeric method's limit, 10⁶, are refused before any
-    # quadrature; the closed method takes them
+    # both methods take every level up to the one orbital limit, 10²⁴, and
+    # refuse the levels past it before any quadrature
     (["variational", "--family", "gaussian", "--potential", "oscillator",
-      "--l-max", "1000001,1000001", "--method", "numeric"], 2),
+      "--l-max", "1000001,1000001", "--method", "numeric"], 0),
+    (["variational", "--family", "gaussian", "--potential", "coulomb",
+      "--l-max", "1e24,1e24", "--method", "numeric"], 0),
+    (["variational", "--family", "lorentz", "--potential", "coulomb",
+      "--l-max", "1e24,1e24", "--method", "numeric"], 0),
+    (["variational", "--family", "gaussian", "--potential", "coulomb", "--l-max", "1e25"], 2),
+    (["variational", "--family", "gaussian", "--potential", "coulomb",
+      "--l-max", "1e25,1e25"], 2),
+    (["variational", "--family", "lorentz", "--potential", "oscillator",
+      "--l-max", f"{10**24 + 1},{10**24 + 1}"], 2),
     (["variational", "--family", "gaussian", "--potential", "coulomb",
       "--l-max", "1e25,1e25", "--method", "numeric"], 2),
     (["variational", "--family", "lorentz", "--potential", "coulomb",
       "--l-max", "1e38,1e38", "--method", "numeric"], 2),
     (["variational", "--family", "lorentz", "--potential", "coulomb",
-      "--l-max", "1e38,1e38"], 0),
+      "--l-max", "1e38,1e38"], 2),
 ])
 def test_edge_argv_exit_codes(capsys, argv, expected):
     # main returns an exit code for each of these, never raising, except
@@ -681,7 +690,7 @@ def test_convergence_error_is_exit_1(capsys, monkeypatch):
     # no numeric level up to the limit fails to converge; a quadrature that
     # does is reported with its message, not a traceback
     def not_converging(f, tol):
-        raise ConvergenceError("quadrature did not reach tol = 1e-11")
+        raise ConvergenceError("quadrature did not reach tol = 1e-10")
 
     monkeypatch.setattr(variational_engine, "quad_semiinfinite", not_converging)
     code, out, err = run_cli(capsys, "variational", "--family", "lorentz", "--potential",
