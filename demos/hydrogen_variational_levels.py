@@ -30,7 +30,7 @@ print("  lorentz :", variational_energy(Family.LORENTZ, Potential.COULOMB, 0).va
 # the scale-free moments K, P, N of <H> by quadrature and takes the optimal
 # scale from them by the virial relation, a = 2K/P for the Coulomb potential
 est = variational_energy(Family.LORENTZ, Potential.COULOMB, 0, Method.NUMERIC)
-print("\nnumeric minimization at l = 0:", est.value,
+print("\nnumeric level at l = 0:", est.value,
       " optimal scale:", est.optimal_param, "(pi/4 =", math.pi / 4.0, ")")
 
 # the oscillator is anticlimactic: the Gaussian family contains the exact

@@ -10,8 +10,8 @@ verify             named invariant suites (also behind ``wallisqm verify``)
 cli                CSV/JSON reproduction tables
 
 Every quantitative claim has two independent evaluation paths (closed form
-vs quadrature, telescoped sum vs direct summation, closed minimum vs
-numeric minimization); the verify suites cross-check them all.
+vs quadrature, telescoped sum vs direct summation, levels from closed vs
+quadrature moment ratios); the verify suites cross-check them all.
 
 ``import wallisqm`` loads only ``errors``: each submodule of ``__all__`` is
 imported on its first access as an attribute (PEP 562), so

@@ -7,43 +7,47 @@ that integrates out analytically, leaving the centrifugal term l(l+1)/r²):
     Gaussian:  R(r) = r^l · exp(-α r²)
     Lorentz:   R(r) = r^l / (a² + r²)^{l+1}
 
-Closed-form expectation values (atomic/oscillator units ħ = m = e² = ω = 1
-throughout):
+(atomic/oscillator units ħ = m = e² = ω = 1 throughout).  Rescaling the
+radial variable by the trial length s, r = s·x, with s = 1/√(2α)
+(Gaussian) or a (Lorentz), leaves a profile that does not depend on s:
 
-    Gaussian-Coulomb:  ⟨H⟩ = α(l+3/2) - √(2α)·Γ(l+1)/Γ(l+3/2)
-    Lorentz-Coulomb:   ⟨H⟩ = (l+1)(l+1/2)/(2a²) - (1/a)·[Γ(l+1)/Γ(l+1/2)]²/(l+1/2)
+    ⟨H⟩ = (K + v·P)/(s²·N),   v = -s (Coulomb) or s⁴/2 (oscillator),
 
-with the oscillator potential ω²r²/2 contributing ⟨r²⟩/2 via the moment
-ratios ⟨r²⟩ = (l+3/2)/(2α) (Gaussian) and a²(l+3/2)/(l-1/2) (Lorentz,
-finite only for l >= 1).  Minimizing over the scale parameter gives
+with three scale-free moments K (kinetic and centrifugal), P (potential)
+and N (norm).  Every level is this one algebra: ⟨H⟩ is stationary at
+s = 2K/P (Coulomb) or s⁴ = 2K/P (oscillator), the virial relation, and the
+level is ⟨H⟩ of the same moments there.  The two methods differ only in
+where the moments come from.  The closed method takes the closed moment
+ratios (K/N, P/N, 1):
+
+    Gaussian:  K/N = (l+3/2)/2,       P/N = Γ(l+1)/Γ(l+3/2) or l+3/2
+    Lorentz:   K/N = (l+1)(l+1/2)/2,  P/N = 1/((l+1/2)·π·W_l²) or (l+3/2)/(l-1/2)
+
+(Coulomb or oscillator; the Lorentz ⟨r²⟩ is finite only for l >= 1), so
+that the Wallis ratio W_l reaches the Lorentz-Coulomb level only through
+P/N, and the minimized levels are
 
     E(Gaussian-Coulomb)  = -(1/2)·[Γ(l+1)/Γ(l+3/2)]²/(l+3/2)
     E(Lorentz-Coulomb)   = -(1/2)·[Γ(l+1)/Γ(l+1/2)]⁴/((l+1)(l+1/2)³)
     E(Gaussian-osc.)     = l + 3/2                      (exact; α* = 1/2)
     E(Lorentz-osc.)      = √((l+1)(l+1/2)(l+3/2)/(l-1/2))
 
-An independent numeric pipeline evaluates ⟨H⟩ by semi-infinite quadrature
-in the integrated-by-parts form
+The numeric method integrates the moments by semi-infinite quadrature of
+the integrated-by-parts form
 
     ⟨H⟩ = [∫ (R'²r² + l(l+1)R²)/2 + V R² r² dr] / ∫ R² r² dr
 
-(boundary terms vanish for both families).  The radial variable is
-rescaled by the trial length s, r = s·x.  The rescaled profile does not
-depend on s: ⟨H⟩ = (K + v·P)/(s²·N) with three scale-free moments K
-(kinetic and centrifugal), P (potential) and N (norm), and v = -s
-(Coulomb) or s⁴/2 (oscillator).  The norm integrand peaks at x_pk
-(√(l+1) Gaussian, 1 Lorentz) with a width that shrinks like 1/√(l+1), so
-each level is integrated in the centred variable y, x = x_pk·y^c with
-c = κ/√(l+1): there the integrand has an O(1) width in ln y at every l,
-l = 0 included, which the double-exponential rule needs to converge fast.
-All three moments come from one quadrature sweep that evaluates the squared
-profile once per node, each moment converging exactly as a quadrature of
-its own would, bit for bit.  A numeric level is one such sweep at a 1e-10
-tolerance (about 108 integrand calls a level over l <= 20, 73–79 from
-l = 100): it takes its optimum from the moments in closed form, by the
-virial relation of the same minimization, s* = 2K/P (Coulomb) or
-s*⁴ = 2K/P (oscillator), and its value from the same moments at that
-optimum.  Both methods take every l up to 10²⁴, one orbital limit.
+(boundary terms vanish for both families).  The norm integrand peaks at
+x_pk (√(l+1) Gaussian, 1 Lorentz) with a width that shrinks like
+1/√(l+1), so each level is integrated in the centred variable y,
+x = x_pk·y^c with c = κ/√(l+1): there the integrand has an O(1) width in
+ln y at every l, l = 0 included, which the double-exponential rule needs
+to converge fast.  All three moments come from one quadrature sweep that
+evaluates the squared profile once per node, each moment converging
+exactly as a quadrature of its own would, bit for bit.  A numeric level is
+one such sweep at a 1e-10 tolerance (about 108 integrand calls a level
+over l <= 20, 73–79 from l = 100).  Both methods take every l up to 10²⁴,
+one orbital limit.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (_MAX_GRID_POINTS, DivergenceError, DomainError, _index, _member, _real,
-                     _validated_make)
+from .errors import DivergenceError, DomainError, _index, _member, _real, _validated_make
 from .gamma_kit import _log1p_minus_linear, _log_gamma_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -68,7 +71,6 @@ __all__ = [
     "optimal_param_closed",
     "exact_energy",
     "variational_energy",
-    "ratio_sequence",
 ]
 
 
@@ -144,8 +146,10 @@ class EnergyEstimate(NamedTuple):
     arithmetic the ratio is in (0, 1] for Coulomb (both energies negative)
     and >= 1 for the oscillator.  In doubles the Coulomb ratio of either
     method holds to 1 for l <= 10⁶, but once the true gap, about 1/(8l²),
-    falls below the rounding, it may exceed 1 by a few 1e-14 (closed
-    Lorentz from l ~ 10⁸, Gaussian from 10¹⁵).
+    falls below the rounding, it may exceed 1 by a few 1e-14: on a grid of
+    500 l a decade, first at l = 7.9·10⁶ (closed Lorentz), 1.5·10⁷
+    (numeric Lorentz), 9.9·10¹³ (closed Gaussian) and 3.5·10¹⁴ (numeric
+    Gaussian).
     """
 
     value: float
@@ -167,25 +171,6 @@ def _require_l_domain(family: Family, pot: Potential, l: int) -> None:
             "Lorentz trial function has divergent ⟨r²⟩ at l = 0 "
             "(needs 2(2l+2) - (2l+4) > 1, i.e. l >= 1)"
         )
-
-
-def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
-    """⟨H⟩ for the given trial state, from the closed radial-moment forms."""
-    _member(pot, Potential, "potential")
-    l, p = spec.l, spec.param
-    if spec.family is Family.GAUSSIAN:
-        kinetic = p * (l + 1.5)
-        if pot is Potential.COULOMB:
-            return kinetic - math.sqrt(2.0 * p) * math.exp(_log_gamma_ratio(l, 1.0, 1.5))
-        # ⟨r²⟩ = (l+3/2)/(2α) from the Gaussian moment ratio
-        return kinetic + 0.5 * (l + 1.5) / (2.0 * p)
-    kinetic = (l + 1.0) * (l + 0.5) / (2.0 * p * p)
-    if pot is Potential.COULOMB:
-        # ⟨1/r⟩ = coulomb/norm integral quotient = [Γ(l+1)/Γ(l+1/2)]²/((l+1/2)·a)
-        return kinetic - coulomb_to_norm_ratio(l) / p
-    _require_l_domain(spec.family, pot, l)
-    # ⟨r²⟩ = a²·(l+3/2)/(l-1/2) from the rational moment ratio
-    return kinetic + 0.5 * p * p * (l + 1.5) / (l - 0.5)
 
 
 def _moment_integrands(family: Family, l: int, pot: Potential):
@@ -291,6 +276,29 @@ def _energy_from_moments(moments: tuple[float, float, float], family: Family,
     return (k + v * p) / (s * s * n)
 
 
+def _closed_moments(family: Family, pot: Potential, l: int) -> tuple[float, float, float]:
+    """(K/N, P/N, 1), the closed moment ratios, which stand in for (K, P, N)
+    since every use of the moments is a ratio: K/N = (l+3/2)/2 (Gaussian)
+    or (l+1)(l+½)/2 (Lorentz); P/N = Γ(l+1)/Γ(l+3/2) (Gaussian) or the
+    Coulomb to norm integral quotient 1/((l+½)·π·W_l²) (Lorentz) for
+    Coulomb, and l+3/2 (Gaussian) or (l+3/2)/(l-½) (Lorentz) for the
+    oscillator.  DivergenceError for the Lorentz oscillator at l = 0."""
+    _require_l_domain(family, pot, l)
+    coulomb = pot is Potential.COULOMB
+    if family is Family.GAUSSIAN:
+        return ((l + 1.5) / 2.0,
+                math.exp(_log_gamma_ratio(l, 1.0, 1.5)) if coulomb else l + 1.5, 1.0)
+    return ((l + 1.0) * (l + 0.5) / 2.0,
+            coulomb_to_norm_ratio(l) if coulomb else (l + 1.5) / (l - 0.5), 1.0)
+
+
+def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
+    """⟨H⟩ for the given trial state, from the closed moment ratios."""
+    _member(pot, Potential, "potential")
+    return _energy_from_moments(_closed_moments(spec.family, pot, spec.l), spec.family, pot,
+                                spec.param)
+
+
 def expectation_energy_numeric(spec: TrialSpec, pot: Potential) -> float:
     """⟨H⟩ by radial quadrature; the independent oracle for the closed forms.
 
@@ -312,21 +320,15 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential) -> float:
                                 spec.param)
 
 
-def _closed_optimum(family: Family, pot: Potential, l: int) -> tuple[float, float]:
-    """(p*, E*): the stationary scale parameter of ⟨H⟩ and the minimized
-    level, in closed form."""
-    if family is Family.GAUSSIAN:
-        if pot is Potential.COULOMB:
-            g = math.exp(_log_gamma_ratio(l, 1.0, 1.5))
-            return g * g / (2.0 * (l + 1.5) ** 2), -0.5 * g * g / (l + 1.5)
-        return 0.5, l + 1.5
-    if pot is Potential.COULOMB:
-        g2 = math.exp(2.0 * _log_gamma_ratio(l, 1.0, 0.5))
-        return ((l + 1.0) * (l + 0.5) / coulomb_to_norm_ratio(l),
-                -0.5 * g2 * g2 / ((l + 1.0) * (l + 0.5) ** 3))
-    _require_l_domain(family, pot, l)
-    return (((l + 1.0) * (l + 0.5) * (l - 0.5) / (l + 1.5)) ** 0.25,
-            math.sqrt((l + 1.0) * (l + 0.5) * (l + 1.5) / (l - 0.5)))
+def _optimum(moments: tuple[float, float, float], family: Family, pot: Potential,
+             l: int) -> float:
+    """The stationary scale parameter of (K + v·P)/(s²·N), by the virial
+    relation: trial length s = 2K/P (Coulomb) or s⁴ = 2K/P (oscillator),
+    that is α = 1/(2s²) (Gaussian) or a = s (Lorentz)."""
+    k, p, _ = moments
+    s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
+    # the optimum passes the parameter-domain check of any trial state
+    return TrialSpec(family, l, 0.5 / (s * s) if family is Family.GAUSSIAN else s).param
 
 
 def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
@@ -335,7 +337,8 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
     α* ≈ 1/(2l³) is 5.0e-73 at 10²⁴, and the Lorentz-Coulomb a* ≈ l² 1e48."""
     _member(family, Family, "family")
     _member(pot, Potential, "potential")
-    return _closed_optimum(family, pot, _index(l, "orbital number l", hi=_MAX_L))[0]
+    l = _index(l, "orbital number l", hi=_MAX_L)
+    return _optimum(_closed_moments(family, pot, l), family, pot, l)
 
 
 def exact_energy(pot: Potential, l: int) -> float:
@@ -354,36 +357,31 @@ def variational_energy(family: Family, pot: Potential, l: int,
 
     Both methods take every l up to 10²⁴, and each reports an
     ``optimal_param`` that is a valid TrialSpec parameter; DomainError
-    beyond, before any quadrature.  CLOSED_FORM plugs the stationary
-    parameter into the closed level formulas.  NUMERIC integrates the
-    scale-free moments K, P and N of ⟨H⟩ once, in one quadrature sweep at a
-    1e-10 tolerance in the centred variable (about 108 integrand calls a
-    level over l <= 20, 73–79 from l = 100), and takes the optimum from
-    them by the virial relation:
-    (K + v·P)/(s²·N) is stationary at trial length s = 2K/P (Coulomb) or
-    s⁴ = 2K/P (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s
-    (Lorentz).  The level is (K + v·P)/(s²·N) of the same moments at that
-    optimum, bit for bit what expectation_energy_numeric returns there,
-    from the same sweep; the numeric path never reads the closed optimum.
-    For every l up to 10²⁴ the energies agree with the closed levels to
-    6e-14 relative (5.8e-14 at Lorentz-Coulomb l = 30, the closed level's
-    own error: the numeric one is within 2e-16 of a 40-digit reference), the
-    optimal parameters to 2e-14, and K/N and P/N with their closed ratios
-    to 2e-14.
+    beyond, before any quadrature.  Both methods take the optimum from the
+    moments K, P and N of ⟨H⟩ by the virial relation: (K + v·P)/(s²·N) is
+    stationary at trial length s = 2K/P (Coulomb) or s⁴ = 2K/P
+    (oscillator), that is at α = 1/(2s²) (Gaussian) or a = s (Lorentz), and
+    the level is (K + v·P)/(s²·N) of the same moments at that optimum.
+    CLOSED_FORM takes the closed moment ratios, so its level is bit for bit
+    expectation_energy_closed at optimal_param_closed.  NUMERIC integrates
+    the moments once, in one quadrature sweep at a 1e-10 tolerance in the
+    centred variable (about 108 integrand calls a level over l <= 20,
+    73–79 from l = 100), so its level is bit for bit what
+    expectation_energy_numeric returns at its optimum; the numeric path
+    never reads a closed moment ratio.  For every l up to 10²⁴ the energies
+    agree with the closed levels to 2.4e-14 relative (2.3e-14 at
+    Gaussian-Coulomb l = 25, the closed level's own error, which the gamma
+    kernel's lgamma differences put there: the numeric level is within
+    1.2e-16 of a 50-digit reference at that l), the optimal parameters
+    to 2.3e-14, and K/N and P/N with their closed ratios to 1.2e-14.
     """
     _member(family, Family, "family")
     _member(method, Method, "method")
     l = _index(l, "orbital number l", hi=_MAX_L)
     reference = exact_energy(pot, l)
-    if method is Method.CLOSED_FORM:
-        param, value = _closed_optimum(family, pot, l)
-    else:
-        moments = _moments(family, pot, l)
-        k, p, _ = moments
-        s = 2.0 * k / p if pot is Potential.COULOMB else math.sqrt(math.sqrt(2.0 * k / p))
-        # the optimum passes the parameter-domain check of any trial state
-        param = TrialSpec(family, l, 0.5 / (s * s) if family is Family.GAUSSIAN else s).param
-        value = _energy_from_moments(moments, family, pot, param)
+    moments = (_closed_moments if method is Method.CLOSED_FORM else _moments)(family, pot, l)
+    param = _optimum(moments, family, pot, l)
+    value = _energy_from_moments(moments, family, pot, param)
     return EnergyEstimate(
         value=value,
         optimal_param=param,
@@ -391,19 +389,3 @@ def variational_energy(family: Family, pot: Potential, l: int,
         exact_reference=reference,
         ratio_to_exact=value / reference,
     )
-
-
-def ratio_sequence(family: Family, pot: Potential, l_max: int,
-                   method: Method = Method.CLOSED_FORM) -> list[tuple[int, float]]:
-    """(l, E_var/E_exact) for l up to l_max, in increasing l order.
-
-    Starts at l = 1 for the Lorentz-oscillator combination (l = 0 diverges)
-    and at l = 0 otherwise.  Results are deterministic and independent of
-    evaluation order.  One level per l, so l_max is limited to 10⁵, the
-    CLI's grid cap; DomainError beyond.
-    """
-    l_max = _index(l_max, "l_max", lo=1, hi=_MAX_GRID_POINTS)
-    return [
-        (l, variational_energy(family, pot, l, method).ratio_to_exact)
-        for l in range(_l_min(family, pot), l_max + 1)
-    ]

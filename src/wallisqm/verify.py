@@ -390,10 +390,11 @@ _CLAIMS = {c.name: c for c in [
     Claim("oscillator-ratio-window", None,
           "ratio² in (1, 1+3/l) and decreasing for l in [2, 1000]", _oscillator_ratio_window),
     # eight levels of each (family, potential), up to the orbital limit
-    # l = 10²⁴ of both methods; both paths agree to <= 5.8e-14 over every
-    # level l <= 20, the powers of ten up to 10²⁴ and 1800 log-uniform draws
-    # of l up to 10²⁴ (the worst, Lorentz-Coulomb l = 30, is the closed
-    # level's own error), so 1e-12 leaves room for the last bits only
+    # l = 10²⁴ of both methods, the same moment algebra on quadrature and on
+    # closed moment ratios; both paths agree to <= 2.4e-14 over every level
+    # l <= 400, the powers of ten up to 10²⁴ and 1800 log-uniform draws of l
+    # up to 10²⁴ (the worst, Gaussian-Coulomb l = 25, is the closed level's
+    # own error), so 1e-12 leaves room for the last bits only
     Claim("numeric-path-agreement", 1e-12, "max numeric/closed rel dev {0:.2e} (tol {tol:.0e})", _Gap(
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.NUMERIC).value,
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.CLOSED_FORM).value,

@@ -54,7 +54,6 @@ INDEX_SLOTS = {
     "variational_energy.numeric": lambda l: ve.variational_energy(_G, _C, l, ve.Method.NUMERIC),
     "expectation_energy_numeric.l": lambda l: ve.expectation_energy_numeric(
         ve.TrialSpec(_G, l, 0.25), _C),
-    "ratio_sequence": lambda l: ve.ratio_sequence(_G, _C, l),
 }
 
 REAL_SLOTS = {
@@ -89,9 +88,6 @@ ENUM_SLOTS = {
     ("variational_energy", "family"): lambda v: ve.variational_energy(v, _C, 2, _M),
     ("variational_energy", "pot"): lambda v: ve.variational_energy(_G, v, 2, _M),
     ("variational_energy", "method"): lambda v: ve.variational_energy(_G, _C, 2, v),
-    ("ratio_sequence", "family"): lambda v: ve.ratio_sequence(v, _C, 2, _M),
-    ("ratio_sequence", "pot"): lambda v: ve.ratio_sequence(_G, v, 2, _M),
-    ("ratio_sequence", "method"): lambda v: ve.ratio_sequence(_G, _C, 2, v),
 }
 # the enums' own value strings, and values that a truth or identity test
 # would take for some member
@@ -133,7 +129,6 @@ INDEX_LIMITS = {
     "wallis_partial_product": 10**7,
     "sum_a_direct": 10**7,
     "G_rational": 10**7,
-    "ratio_sequence": 10**5,
     "a_seq": 2**511 - 1,
     "b_seq": 2**52 - 2,
     "sum_b_partial": 2**52 - 2,

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,7 @@ from wallisqm.variational_engine import (EnergyEstimate, Family, Method,
                                          Potential, TrialSpec, exact_energy,
                                          expectation_energy_closed,
                                          expectation_energy_numeric,
-                                         optimal_param_closed, ratio_sequence,
-                                         variational_energy)
+                                         optimal_param_closed, variational_energy)
 from wallisqm.wallis_series import scaled_a, wallis_partial_product
 
 PI = math.pi
@@ -179,14 +179,16 @@ class TestOptimalParam:
             0.6 ** 0.25, rel=1e-14)
 
     @pytest.mark.parametrize("family,pot", ALL_COMBOS)
-    @pytest.mark.parametrize("l", [0, 1, 2, 7, 20])
+    @pytest.mark.parametrize("l", [*range(61), *(10**k for k in range(2, 25))])
     def test_optimum_reproduces_level_formula(self, family, pot, l):
+        # one moment algebra for the level and for ⟨H⟩, so equal bit for bit
         if l < l_floor(family, pot):
             return
         p_star = optimal_param_closed(family, pot, l)
         e_at_opt = expectation_energy_closed(TrialSpec(family, l, p_star), pot)
-        level = variational_energy(family, pot, l).value
-        assert e_at_opt == pytest.approx(level, rel=1e-13)
+        est = variational_energy(family, pot, l)
+        assert est.optimal_param == p_star
+        assert e_at_opt == est.value
 
     @pytest.mark.parametrize("family,pot", ALL_COMBOS)
     @pytest.mark.parametrize("l", [0, 1, 3, 10, 20])
@@ -245,6 +247,20 @@ class TestVariationalEnergy:
         assert numeric.optimal_param == pytest.approx(closed.optimal_param, rel=1e-4)
         assert numeric.method is Method.NUMERIC
 
+    def test_lorentz_coulomb_level_against_50_digits(self):
+        # -(1/2)·[Γ(l+1)/Γ(l+½)]⁴/((l+1)(l+½)³): P/N is the Wallis product
+        # up to l = 150, so the kernel's lgamma differences, which would put
+        # 5.8e-14 on the level at l = 30, do not enter
+        worst = 0.0
+        with mp.workdps(50):
+            for l in range(400):
+                x = mp.mpf(l)
+                ref = -mp.exp(4 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(0.5)))) \
+                    / (2 * (x + 1) * (x + mp.mpf(0.5)) ** 3)
+                value = variational_energy(LORENTZ, COULOMB, l).value
+                worst = max(worst, float(abs(value / ref - 1)))
+        assert worst <= 5e-15
+
     def test_estimate_is_record(self):
         est = variational_energy(GAUSSIAN, COULOMB, 1)
         assert isinstance(est, EnergyEstimate)
@@ -297,7 +313,8 @@ class TestNumericLevels:
         def closed_optimum(*args):
             raise AssertionError("the numeric path read the closed optimum")
 
-        monkeypatch.setattr(variational_engine, "_closed_optimum", closed_optimum)
+        # the closed moment ratios are the only closed input of a level
+        monkeypatch.setattr(variational_engine, "_closed_moments", closed_optimum)
         monkeypatch.setattr(variational_engine, "optimal_param_closed", closed_optimum)
         for key, ref in closed.items():
             est = variational_energy(*key, Method.NUMERIC)
@@ -455,49 +472,61 @@ class TestUpperBoundProperty:
                 assert e > exact
 
 
+def ratios(family, pot, l_max):
+    """(l, E_var/E_exact) of the closed levels from the first finite one up
+    to l_max."""
+    return [(l, variational_energy(family, pot, l).ratio_to_exact)
+            for l in range(l_floor(family, pot), l_max + 1)]
+
+
 class TestRatioSequence:
     @pytest.mark.parametrize("family,pot", ALL_COMBOS, ids=lambda v: v.value)
     def test_sequences_start_at_the_one_l_domain_rule(self, family, pot, monkeypatch):
         l_min = variational_engine._l_min(family, pot)
         assert l_min == l_floor(family, pot)
-        assert ratio_sequence(family, pot, 3)[0][0] == l_min
+        variational_energy(family, pot, l_min)
+        if l_min:
+            with pytest.raises(DivergenceError):
+                variational_energy(family, pot, l_min - 1)
         assert verify._l_values(family, pot, [0, 1, 2, 3])[0] == l_min
         # both read the rule at call time, so moving it moves them
         monkeypatch.setattr(variational_engine, "_l_min", lambda family, pot: 2)
-        assert ratio_sequence(family, pot, 3)[0][0] == 2
+        for method in Method:
+            with pytest.raises(DivergenceError):
+                variational_energy(family, pot, 1, method)
+        variational_energy(family, pot, 2)
         assert verify._l_values(family, pot, [0, 1, 2, 3]) == [2, 3]
 
     def test_gaussian_coulomb_matches_scaled_a(self):
-        for l, ratio in ratio_sequence(GAUSSIAN, COULOMB, 30):
+        for l, ratio in ratios(GAUSSIAN, COULOMB, 30):
             assert ratio == pytest.approx(scaled_a(l + 1), rel=1e-13)
 
     def test_gaussian_coulomb_wallis_linkage(self):
-        for l, ratio in ratio_sequence(GAUSSIAN, COULOMB, 25):
+        for l, ratio in ratios(GAUSSIAN, COULOMB, 25):
             assert ratio == pytest.approx(
                 2.0 / PI * wallis_partial_product(l + 1), abs=1e-12)
 
     def test_lorentz_coulomb_l0_entry(self):
-        (l0, r0), *_ = ratio_sequence(LORENTZ, COULOMB, 3)
+        (l0, r0), *_ = ratios(LORENTZ, COULOMB, 3)
         assert l0 == 0
         assert r0 == pytest.approx(8.0 / PI ** 2, rel=1e-13)
 
     def test_gaussian_oscillator_is_exact(self):
-        assert all(r == 1.0 for _, r in ratio_sequence(GAUSSIAN, OSC, 20))
+        assert all(r == 1.0 for _, r in ratios(GAUSSIAN, OSC, 20))
 
     def test_lorentz_oscillator_starts_at_one(self):
-        seq = ratio_sequence(LORENTZ, OSC, 5)
+        seq = ratios(LORENTZ, OSC, 5)
         assert seq[0][0] == 1
         assert all(r >= 1.0 for _, r in seq)
 
     @pytest.mark.parametrize("family,pot", ALL_COMBOS)
     def test_monotone_toward_one(self, family, pot):
-        ratios = [r for _, r in ratio_sequence(family, pot, 40)]
-        gaps = [abs(1.0 - r) for r in ratios]
+        gaps = [abs(1.0 - r) for _, r in ratios(family, pot, 40)]
         assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_lorentz_ratio_identity(self):
         # ratio(l) = ((n-1/2)(n+1/2)^2/n^3)·(n^2 a_n)^2 with n = l+1
-        for l, ratio in ratio_sequence(LORENTZ, COULOMB, 25):
+        for l, ratio in ratios(LORENTZ, COULOMB, 25):
             n = l + 1.0
             ident = (n - 0.5) * (n + 0.5) ** 2 / n ** 3 * scaled_a(l + 1) ** 2
             assert ratio == pytest.approx(ident, abs=1e-12)
@@ -512,7 +541,8 @@ class TestRatioSequence:
     @pytest.mark.parametrize("family", [GAUSSIAN, LORENTZ])
     def test_coulomb_ratio_within_rounding_of_one_to_the_l_limit(self, family):
         # the true gap, about 1/(8l²), falls below the rounding: the double
-        # may exceed 1 (closed Lorentz from 10⁸), but by a few 1e-14 only
+        # may exceed 1 (Lorentz from l ~ 10⁷, Gaussian from 10¹⁴), but by a
+        # few 1e-14 only
         for method, k in itertools.product(Method, range(25)):
             r = variational_energy(family, COULOMB, 10**k, method).ratio_to_exact
             assert 0.0 < r <= 1.0 + 1e-13, (method, k)
@@ -521,7 +551,3 @@ class TestRatioSequence:
         for l in range(2, 200):
             r2 = (l + 1.0) * (l + 0.5) / ((l + 1.5) * (l - 0.5))
             assert 1.0 < r2 < 1.0 + 3.0 / l
-
-    def test_rejects_bad_l_max(self):
-        with pytest.raises(DomainError):
-            ratio_sequence(GAUSSIAN, COULOMB, 0)
