@@ -18,9 +18,9 @@ exact two-sum residues and folded back in; against 50-digit arithmetic the
 ratio stays within 1e-13 relative for x in [1e-3, 1e12] and real offsets
 a, b in (-0.9, 3).
 
-The Wallis ratio W_n = (2n-1)!!/(2n)!! doubles as the running-product
-definition and the gamma form Γ(n+1/2)/(√π Γ(n+1)); both paths are exposed
-through :func:`wallis_ratio`, which switches representation at n = 150.
+The Wallis ratio W_n = (2n-1)!!/(2n)!! is the exact binomial C(2n, n)/4ⁿ,
+correctly rounded, up to n = 150 and the gamma form Γ(n+1/2)/(√π Γ(n+1))
+beyond; :func:`wallis_ratio` is the one W that every closed form reads.
 """
 
 from __future__ import annotations
@@ -171,18 +171,16 @@ def gamma_ratio(q: GammaRatioQuery) -> float:
 
 
 def wallis_ratio(n: int) -> float:
-    """W_n = (2n-1)!!/(2n)!! = Γ(n+1/2)/(√π Γ(n+1)).
+    """W_n = (2n-1)!!/(2n)!! = C(2n, n)/4ⁿ = Γ(n+1/2)/(√π Γ(n+1)).
 
-    Uses the running product up to n = 150 (exactly representable factors,
-    an independent oracle for the gamma path) and the gamma form beyond;
-    the two paths agree to 1e-13 on the overlap n in [100, 150].
+    Up to n = 150 the exact integer ratio C(2n, n)/4ⁿ, correctly rounded
+    (an oracle for the gamma path that shares no rounding with it), and the
+    gamma form beyond; on the overlap n in [100, 150] the gamma form is
+    within 4.5e-16 of the binomial.
     """
     n = _index(n, "wallis_ratio")
     if n <= _WALLIS_CROSSOVER:
-        w = 1.0
-        for k in range(1, n + 1):
-            w *= (2.0 * k - 1.0) / (2.0 * k)
-        return w
+        return math.comb(2 * n, n) / 4 ** n
     return math.exp(_log_gamma_ratio(n, 0.5, 1.0)) / _SQRT_PI
 
 

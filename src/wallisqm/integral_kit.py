@@ -13,7 +13,9 @@ and the two Lorentz-trial specializations
     I_{2l+2,2l+2} = π·W_l/2^{2l+2},     I_{2l+1,2l+2} = (l!)²/(2(2l+1)!),
 
 whose quotient 1/((l+1/2)·π·W_l²) is the square of the Wallis ratio showing
-up in the Coulomb expectation value.
+up in the Coulomb expectation value.  W_l is gamma_kit's one Wallis ratio,
+and the Coulomb integral the exact factorial ratio, correctly rounded, for
+every l <= 508.
 
 The quadrature engine maps [0, ∞) onto itself double-exponentially
 (the rational map of a tanh-sinh rule composes to x = exp(π·sinh t)) and
@@ -33,7 +35,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import _MAX_TERMS, ConvergenceError, DomainError, _index, _real, _validated_make
-from .gamma_kit import _SQRT_PI, _log_gamma_ratio, wallis_ratio
+from .gamma_kit import _SQRT_PI, wallis_ratio
 
 __all__ = [
     "QuadratureResult",
@@ -126,8 +128,9 @@ def G_rational(l: int) -> float:
     """G_{l+1} = ∫_0^∞ dx/(1+x²)^{l+1}, by the recurrence
     G_{j+1} = (2j-1)/(2j)·G_j seeded with G_1 = π/2.
 
-    Equals (π/2)·W_l, the product of the same factors.  The recurrence
-    takes l steps, so l is limited to 10⁷; DomainError beyond.
+    Equals (π/2)·W_l, a second path to wallis_ratio's binomial and gamma
+    forms.  The recurrence takes l steps, so l is limited to 10⁷;
+    DomainError beyond.
     """
     l = _index(l, "G_rational", hi=_MAX_TERMS)
     g = math.pi / 2.0
@@ -149,17 +152,13 @@ def lorentz_norm_integral(l: int) -> float:
 def lorentz_coulomb_integral(l: int) -> float:
     """I_{2l+1,2l+2} = ∫_0^∞ x^{2l+1}/(1+x²)^{2l+2} dx = (l!)²/(2(2l+1)!).
 
-    Exact integer factorials while (2l+1)! fits them comfortably (l <= 84),
-    the equivalent duplication form √π·Γ(l+1)/(2^{2l+2}·Γ(l+3/2)) beyond.
-    l = 508 (about 2.8e-308) is the largest valid argument: beyond it the
-    integral is subnormal in doubles, and DomainError is raised.
+    That is 1/(2(2l+1)·C(2l, l)), the binomial of W_l, taken as an exact
+    integer ratio, so correctly rounded for every l.  l = 508 (about
+    2.8e-308) is the largest valid argument: beyond it the integral is
+    subnormal in doubles, and DomainError is raised.
     """
     l = _index(l, "lorentz_coulomb_integral", hi=_LORENTZ_L_MAX)
-    if 2 * l + 1 <= 170:
-        f = math.factorial(l)
-        return 0.5 * (f * f / math.factorial(2 * l + 1))
-    return math.ldexp(_SQRT_PI * math.exp(_log_gamma_ratio(l, 1.0, 1.5)),
-                      -(2 * l + 2))
+    return 1 / (2 * (2 * l + 1) * math.comb(2 * l, l))
 
 
 def coulomb_to_norm_ratio(l: int) -> float:

@@ -20,12 +20,12 @@ level is ⟨H⟩ of the same moments there.  The two methods differ only in
 where the moments come from.  The closed method takes the closed moment
 ratios (K/N, P/N, 1):
 
-    Gaussian:  K/N = (l+3/2)/2,       P/N = Γ(l+1)/Γ(l+3/2) or l+3/2
+    Gaussian:  K/N = (l+3/2)/2,       P/N = 1/((l+1/2)·√π·W_l) or l+3/2
     Lorentz:   K/N = (l+1)(l+1/2)/2,  P/N = 1/((l+1/2)·π·W_l²) or (l+3/2)/(l-1/2)
 
 (Coulomb or oscillator; the Lorentz ⟨r²⟩ is finite only for l >= 1), so
-that the Wallis ratio W_l reaches the Lorentz-Coulomb level only through
-P/N, and the minimized levels are
+that the one Wallis ratio W_l reaches both Coulomb levels, and only
+through P/N, and the minimized levels are
 
     E(Gaussian-Coulomb)  = -(1/2)·[Γ(l+1)/Γ(l+3/2)]²/(l+3/2)
     E(Lorentz-Coulomb)   = -(1/2)·[Γ(l+1)/Γ(l+1/2)]⁴/((l+1)(l+1/2)³)
@@ -57,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError, _index, _member, _real, _validated_make
-from .gamma_kit import _log1p_minus_linear, _log_gamma_ratio
+from .gamma_kit import _SQRT_PI, _log1p_minus_linear, wallis_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
 __all__ = [
@@ -91,7 +91,7 @@ class Method(Enum):
 
 _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
 # largest orbital number, of every function and both methods: the largest
-# power of ten below 7937005259840989620600832, the first l whose closed
+# power of ten below 7937005259841000358019072, the first l whose closed
 # Gaussian-Coulomb optimum α* ≈ 1/(2l³) falls below 1e-75.  At 10²⁴ the
 # four closed optima, 5.0e-73, 0.5, 1e48 and 1e12, are trial states, and
 # the Coulomb ratios are 1 to the last bit (the gap, about 1/(8l²), is
@@ -148,7 +148,7 @@ class EnergyEstimate(NamedTuple):
     method holds to 1 for l <= 10⁶, but once the true gap, about 1/(8l²),
     falls below the rounding, it may exceed 1 by a few 1e-14: on a grid of
     500 l a decade, first at l = 7.9·10⁶ (closed Lorentz), 1.5·10⁷
-    (numeric Lorentz), 9.9·10¹³ (closed Gaussian) and 3.5·10¹⁴ (numeric
+    (numeric Lorentz), 7.9·10¹³ (closed Gaussian) and 3.5·10¹⁴ (numeric
     Gaussian).
     """
 
@@ -279,15 +279,15 @@ def _energy_from_moments(moments: tuple[float, float, float], family: Family,
 def _closed_moments(family: Family, pot: Potential, l: int) -> tuple[float, float, float]:
     """(K/N, P/N, 1), the closed moment ratios, which stand in for (K, P, N)
     since every use of the moments is a ratio: K/N = (l+3/2)/2 (Gaussian)
-    or (l+1)(l+½)/2 (Lorentz); P/N = Γ(l+1)/Γ(l+3/2) (Gaussian) or the
-    Coulomb to norm integral quotient 1/((l+½)·π·W_l²) (Lorentz) for
-    Coulomb, and l+3/2 (Gaussian) or (l+3/2)/(l-½) (Lorentz) for the
-    oscillator.  DivergenceError for the Lorentz oscillator at l = 0."""
+    or (l+1)(l+½)/2 (Lorentz); for Coulomb P/N = Γ(l+1)/Γ(l+3/2) =
+    1/((l+½)·√π·W_l) (Gaussian) or 1/((l+½)·π·W_l²) (Lorentz), one
+    wallis_ratio for both, and for the oscillator l+3/2 or (l+3/2)/(l-½).
+    DivergenceError for the Lorentz oscillator at l = 0."""
     _require_l_domain(family, pot, l)
     coulomb = pot is Potential.COULOMB
     if family is Family.GAUSSIAN:
         return ((l + 1.5) / 2.0,
-                math.exp(_log_gamma_ratio(l, 1.0, 1.5)) if coulomb else l + 1.5, 1.0)
+                1.0 / ((l + 0.5) * _SQRT_PI * wallis_ratio(l)) if coulomb else l + 1.5, 1.0)
     return ((l + 1.0) * (l + 0.5) / 2.0,
             coulomb_to_norm_ratio(l) if coulomb else (l + 1.5) / (l - 0.5), 1.0)
 
@@ -369,11 +369,11 @@ def variational_energy(family: Family, pot: Potential, l: int,
     73–79 from l = 100), so its level is bit for bit what
     expectation_energy_numeric returns at its optimum; the numeric path
     never reads a closed moment ratio.  For every l up to 10²⁴ the energies
-    agree with the closed levels to 2.4e-14 relative (2.3e-14 at
-    Gaussian-Coulomb l = 25, the closed level's own error, which the gamma
-    kernel's lgamma differences put there: the numeric level is within
-    1.2e-16 of a 50-digit reference at that l), the optimal parameters
-    to 2.3e-14, and K/N and P/N with their closed ratios to 1.2e-14.
+    agree with the closed levels to 2.1e-14 relative (Lorentz-Coulomb near
+    l = 10¹⁶, the closed level's own error: it raises W_l, past l = 150 the
+    exp of a log, to the fourth power; every numeric level is within 1.2e-15
+    of a 50-digit reference), the optima to 1.2e-14, and K/N and P/N with
+    their closed ratios to 1.1e-14.
     """
     _member(family, Family, "family")
     _member(method, Method, "method")

@@ -349,6 +349,15 @@ class TestWallisRatio:
         with pytest.raises(DomainError):
             wallis_ratio(-1)
 
+    def test_correctly_rounded_up_to_150(self):
+        # (2n-1)!!/(2n)!! as an exact rational, built factor by factor
+        exact = Fraction(1)
+        for n in range(151):
+            if n:
+                exact *= Fraction(2 * n - 1, 2 * n)
+            assert exact == Fraction(math.comb(2 * n, n), 4 ** n)
+            assert wallis_ratio(n) == float(exact), n
+
     @pytest.mark.parametrize("n", range(100, 151))
     def test_path_overlap(self, n):
         gamma_path = gamma_ratio(GammaRatioQuery(float(n), 0.5, 1.0)) / SQRT_PI

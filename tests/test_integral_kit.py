@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -159,9 +160,17 @@ class TestLorentzIntegrals:
                            -(2 * l + 2))
         assert lorentz_coulomb_integral(l) == pytest.approx(float(dup), rel=1e-13)
 
-    def test_coulomb_lgamma_branch(self):
-        # l = 100 exceeds the exact-factorial range; cross-check against the
-        # rational-moment closed form
+    def test_coulomb_correctly_rounded_over_its_domain(self):
+        # (l!)²/(2(2l+1)!) as an exact rational, built by the ratio
+        # I_l/I_(l-1) = l/(2(2l+1))
+        exact = Fraction(1, 2)
+        for l in range(509):
+            if l:
+                exact *= Fraction(l, 2 * (2 * l + 1))
+            assert lorentz_coulomb_integral(l) == float(exact), l
+        assert exact == Fraction(math.factorial(508) ** 2, 2 * math.factorial(1017))
+
+    def test_coulomb_matches_rational_moment(self):
         q = RationalMomentQuery(201.0, 202.0)
         assert lorentz_coulomb_integral(100) == pytest.approx(
             rational_moment(q), rel=1e-12)

@@ -247,19 +247,25 @@ class TestVariationalEnergy:
         assert numeric.optimal_param == pytest.approx(closed.optimal_param, rel=1e-4)
         assert numeric.method is Method.NUMERIC
 
-    def test_lorentz_coulomb_level_against_50_digits(self):
-        # -(1/2)·[Γ(l+1)/Γ(l+½)]⁴/((l+1)(l+½)³): P/N is the Wallis product
-        # up to l = 150, so the kernel's lgamma differences, which would put
-        # 5.8e-14 on the level at l = 30, do not enter
+    @pytest.mark.parametrize("family,bound", [(GAUSSIAN, 2e-15), (LORENTZ, 3e-15)])
+    def test_coulomb_level_against_50_digits(self, family, bound):
+        # -(1/2)·[Γ(l+1)/Γ(l+3/2)]²/(l+3/2) and
+        # -(1/2)·[Γ(l+1)/Γ(l+½)]⁴/((l+1)(l+½)³): both P/N read the exact
+        # binomial W_l up to l = 150, so the gamma kernel's lgamma
+        # differences below 32, up to 1.4e-14 absolute, do not enter
         worst = 0.0
         with mp.workdps(50):
             for l in range(400):
                 x = mp.mpf(l)
-                ref = -mp.exp(4 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(0.5)))) \
-                    / (2 * (x + 1) * (x + mp.mpf(0.5)) ** 3)
-                value = variational_energy(LORENTZ, COULOMB, l).value
+                if family is GAUSSIAN:
+                    ref = -mp.exp(2 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(1.5)))) \
+                        / (2 * (x + mp.mpf(1.5)))
+                else:
+                    ref = -mp.exp(4 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(0.5)))) \
+                        / (2 * (x + 1) * (x + mp.mpf(0.5)) ** 3)
+                value = variational_energy(family, COULOMB, l).value
                 worst = max(worst, float(abs(value / ref - 1)))
-        assert worst <= 5e-15
+        assert worst <= bound
 
     def test_estimate_is_record(self):
         est = variational_energy(GAUSSIAN, COULOMB, 1)

@@ -238,7 +238,7 @@ def test_claims_table_names_and_tolerances():
         ("lorentz-norm-reduction-chain", 1e-13), ("lorentz-coulomb-duplication-chain", 1e-13),
         ("variational-upper-bound", None), ("stationarity-at-optimum", 1e-6),
         ("gaussian-ratio-wallis-linkage", 1e-12), ("lorentz-ratio-identity", 1e-12),
-        ("oscillator-ratio-window", None), ("numeric-path-agreement", 1e-12),
+        ("oscillator-ratio-window", None), ("numeric-path-agreement", 5e-14),
     ]
     assert [name for name, _ in verify.CHECKS] == list(verify._CLAIMS)
     assert len({name for name, _ in _two_path_links()}) == 17
