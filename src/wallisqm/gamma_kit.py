@@ -176,7 +176,9 @@ def wallis_ratio(n: int) -> float:
     Up to n = 150 the exact integer ratio C(2n, n)/4ⁿ, correctly rounded
     (an oracle for the gamma path that shares no rounding with it), and the
     gamma form beyond; on the overlap n in [100, 150] the gamma form is
-    within 4.5e-16 of the binomial.
+    within 4.5e-16 of the binomial.  The gamma form is the exp of a log of
+    size ½·ln n, which carries its rounding into W: against 60-digit mpmath
+    it is within 5.3e-15 relative up to n = 10²⁴, the worst near n = 10¹⁶.
     """
     n = _index(n, "wallis_ratio")
     if n <= _WALLIS_CROSSOVER:

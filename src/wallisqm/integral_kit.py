@@ -19,8 +19,9 @@ every l <= 508.
 
 The quadrature engine maps [0, ∞) onto itself double-exponentially
 (the rational map of a tanh-sinh rule composes to x = exp(π·sinh t)) and
-doubles the trapezoidal density until two refinements differ by less than
-the requested tolerance; that last difference is the error estimate.  It
+doubles the trapezoidal density until the last two refinements agree well
+within the requested tolerance, or their contraction predicts that the
+last one does, and estimates the error of the refinement it returns.  It
 also integrates a tuple-valued integrand in one sweep, one call per node
 for all components, each component converging exactly as it would alone.
 One table of cases, shared by ``wallisqm integrals`` and verify,
@@ -205,6 +206,7 @@ class QuadratureParts(NamedTuple):
 _T_MAX = 6.0       # exp(pi*sinh t) <= exp(633.7) stays finite in doubles up to here
 _MAX_LEVEL = 10
 _TRUNC = 1e-18     # stop a level once terms fall this far below its peak
+_FLOOR = 64 * 2.0 ** -52  # a level's rounding floor, relative to its value
 
 
 @functools.cache
@@ -229,12 +231,39 @@ def _nodes(level: int) -> list[tuple[float, float, float, float]]:
 def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureParts:
     """∫_0^∞ f(x) dx for continuous, absolutely integrable, decaying f.
 
-    Doubles the node density until two successive refinements differ by at
-    most ``tol`` (an absolute tolerance, >= 1e-12); the returned
-    ``abs_error_estimate`` is that last difference, floored at a few ulps
-    of the value.  Non-finite integrand values (overflow at the double-
-    exponentially remote tail nodes) and OverflowError or ZeroDivisionError
-    raised by f are treated as the decayed limit 0.
+    Doubles the node density, level k having step 2^-k, and stops at the
+    first level k >= 2 whose difference d_k = |Q_k - Q_(k-1)| from the
+    level before meets one of three tests (``tol`` is an absolute
+    tolerance, >= 1e-12):
+
+    - d_k <= 1e-3·tol;
+    - d_k <= 64ε·|Q_k|, ε = 2^-52, the rounding floor: 32 to 64 ulps of
+      Q_k.  Differences below it are rounding, not convergence: past
+      convergence the levels of the integral table's integrands differ by
+      at most 6 ulps, and by up to 77 ulps for the Lorentz ones near
+      l = 500, whose (2l+2)-th powers amplify the rounding of their base;
+    - k >= 3 and d_k²/d_(k-1) <= 1e-2·tol.  For a double-exponential rule
+      d_k is about the error of Q_(k-1), so this predicts the error of Q_k
+      from the last contraction ratio (Bailey, Jeyabalan and Li, "A
+      comparison of three high-precision quadrature schemes",
+      Experimental Math. 14, 2005).
+
+    ``abs_error_estimate`` estimates the error of the returned Q_k, floored
+    at 64ε·|Q_k|: d_k where a difference test decided; where the prediction
+    decided, d_k·d_(k-1)/d_(k-2), the last difference contracted by the
+    ratio before the last one (d_k at level 3, or where the differences
+    grew).  In the first levels over a narrow peak the contraction is
+    irregular, and d_k²/d_(k-1) fell up to 260 times short of the error
+    (∫(1+x²)^-191 at level 4); the previous ratio did not.  The floor
+    covers the integrand's own rounding, up to 43ε·|Q_k| on the Lorentz
+    integrands.  Against 50 digits, the estimate is at least the error of
+    every case of the integral table up to l = 508 at every tol from 1e-12
+    to 1e-4, and of 3000 sweeps of the centred moment integrands at random
+    l up to 10⁴ and tol.  Where the prediction decided it may exceed tol.
+
+    Non-finite integrand values (overflow at the double-exponentially
+    remote tail nodes) and OverflowError or ZeroDivisionError raised by f
+    are treated as the decayed limit 0.
 
     A float-valued f gives a QuadratureResult.  A tuple-valued f gives a
     QuadratureParts, all its components integrated in one sweep: f is
@@ -248,9 +277,10 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
     there makes f a scalar 0 at that node, so a tuple-valued f must return
     a value at x = 1.
 
-    Raises ConvergenceError, carrying the best estimate, if the refinement
-    budget is exhausted (for a tuple, that of the first component that did
-    not converge, as the scalar call on it would).
+    Raises ConvergenceError, carrying the best estimate and the last
+    difference, if the refinement budget is exhausted (for a tuple, that of
+    the first component that did not converge, as the scalar call on it
+    would).
     """
     if not _real(tol, "tolerance") >= 1e-12:
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
@@ -264,7 +294,10 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
     zero = 0.0 if scalar else (0.0,) * width
     done: list[QuadratureResult | None] = [None] * width
     current = [0.0] * width
-    diff = [math.inf] * width
+    # each component's last two differences, d_(k-1) and d_(k-2); 0.0 stands
+    # for one not yet taken
+    diff = [0.0] * width
+    older = [0.0] * width
     evals = [0] * width
     calls = 0
     for level in range(_MAX_LEVEL + 1):
@@ -311,14 +344,23 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
             block = h * math.fsum(terms)
             value = block if level == 0 else current[c] / 2.0 + block
             if level >= 2:
-                diff[c] = abs(value - current[c])
-                if diff[c] <= tol:
+                d = abs(value - current[c])
+                floor = _FLOOR * abs(value)
+                if d <= 1e-3 * tol or d <= floor:
+                    estimate = d
+                elif level >= 3 and d * d <= 1e-2 * tol * diff[c]:
+                    estimate = d * diff[c] / older[c] if diff[c] < older[c] else d
+                else:
+                    estimate = None
+                if estimate is not None:
                     done[c] = QuadratureResult(
                         value=value,
-                        abs_error_estimate=max(diff[c], 4e-16 * abs(value)),
+                        abs_error_estimate=max(estimate, floor),
                         evaluations=evals[c],
                         levels=level,
                     )
+                older[c] = diff[c]
+                diff[c] = d
             current[c] = value
         calls += 2 * len(ys) - (level == 0)
         if None not in done:
@@ -364,9 +406,10 @@ def _certified_integrals(l_max: int):
     _integral_cases, integrated at tolerance 1e-10.  dev = |∫f - 2^e·closed|
     is taken on the scaled integrand, and the case passes when it is at
     most 1e-9; quad and bound are returned scaled back by 2^-e, so every
-    bound is 2^-e·1e-9.  (The error estimate, at most max(1e-10,
-    4e-16·|∫f|), stays below 1e-10 on every scaled case, so a bound of
-    10·estimate would never exceed the 1e-9.)"""
+    bound is 2^-e·1e-9.  (Up to l = 508 every scaled case is within
+    2.8e-11, and its error estimate, at least that deviation, reaches
+    4.8e-9 where the contraction decided, so the bound is not taken from
+    the estimate.)"""
     for label, idx, closed, e, f in _integral_cases(l_max):
         res = quad_semiinfinite(f, 1e-10)
         dev = abs(res.value - math.ldexp(closed, e))

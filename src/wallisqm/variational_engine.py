@@ -45,9 +45,9 @@ ln y at every l, l = 0 included, which the double-exponential rule needs
 to converge fast.  All three moments come from one quadrature sweep that
 evaluates the squared profile once per node, each moment converging
 exactly as a quadrature of its own would, bit for bit.  A numeric level is
-one such sweep at a 1e-10 tolerance (about 108 integrand calls a level
-over l <= 20, 73–79 from l = 100).  Both methods take every l up to 10²⁴,
-one orbital limit.
+one such sweep at a 1e-10 tolerance (about 87 integrand calls a level
+over l <= 20, median 85, and 45–79 from l = 100).  Both methods take every
+l up to 10²⁴, one orbital limit.
 """
 
 from __future__ import annotations
@@ -102,10 +102,13 @@ _MAX_L = 10**24
 # expectation_energy_numeric, which therefore agree bit for bit
 _LEVEL_TOL = 1e-10
 # κ of the centred variable, per family, from a sweep of the mean integrand
-# calls a level over l = 0…20: Gaussian 126–131 for κ in [0.4, 0.62], then
-# 139–152 from 0.65 to 0.8; Lorentz 85–89 for κ in [0.6, 0.85], but from
-# 0.9 single levels need 201–207 calls.  From l = 100 to 10²⁴ a level takes
-# 73–79 calls at these values
+# calls a level over l = 0…20 when the quadrature stopped at a difference
+# within tol: Gaussian 126–131 for κ in [0.4, 0.62], then 139–152 from 0.65
+# to 0.8; Lorentz 85–89 for κ in [0.6, 0.85], but from 0.9 single levels
+# needed 201–207 calls.  Under the predictive stop the same sweep reads
+# Gaussian 102–110 for κ in [0.4, 0.85] (104 at 0.55) and Lorentz 58–72
+# for κ in [0.3, 0.9] (70 at 0.8).  From l = 100 to 10²⁴ a level takes
+# 45–79 calls at these values
 _KAPPA = {Family.GAUSSIAN: 0.55, Family.LORENTZ: 0.8}
 
 
@@ -365,13 +368,13 @@ def variational_energy(family: Family, pot: Potential, l: int,
     CLOSED_FORM takes the closed moment ratios, so its level is bit for bit
     expectation_energy_closed at optimal_param_closed.  NUMERIC integrates
     the moments once, in one quadrature sweep at a 1e-10 tolerance in the
-    centred variable (about 108 integrand calls a level over l <= 20,
-    73–79 from l = 100), so its level is bit for bit what
+    centred variable (about 87 integrand calls a level over l <= 20, 45–79
+    from l = 100), so its level is bit for bit what
     expectation_energy_numeric returns at its optimum; the numeric path
     never reads a closed moment ratio.  For every l up to 10²⁴ the energies
     agree with the closed levels to 2.1e-14 relative (Lorentz-Coulomb near
     l = 10¹⁶, the closed level's own error: it raises W_l, past l = 150 the
-    exp of a log, to the fourth power; every numeric level is within 1.2e-15
+    exp of a log, to the fourth power; every numeric level is within 4.5e-15
     of a 50-digit reference), the optima to 1.2e-14, and K/N and P/N with
     their closed ratios to 1.1e-14.
     """

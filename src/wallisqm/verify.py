@@ -393,8 +393,8 @@ _CLAIMS = {c.name: c for c in [
     # l = 10²⁴ of both methods, the same moment algebra on quadrature and on
     # closed moment ratios.  Against 50 digits (every l < 400, 10⁴ log-uniform
     # draws up to 10²⁴) the closed levels are within 2.2e-14 (Lorentz-Coulomb,
-    # W_l⁴ with W_l's gamma form past l = 150) and the numeric ones 1.2e-15,
-    # so the paths differ by 2.3e-14 at most: 5e-14 is about twice that
+    # W_l⁴ with W_l's gamma form past l = 150) and the numeric ones 4.5e-15,
+    # so the paths differ by 2.7e-14 at most: 5e-14 is about twice that
     Claim("numeric-path-agreement", 5e-14, "max numeric/closed rel dev {0:.2e} (tol {tol:.0e})", _Gap(
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.NUMERIC).value,
         lambda family, pot, l: ve.variational_energy(family, pot, l, ve.Method.CLOSED_FORM).value,

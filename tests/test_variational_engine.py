@@ -249,22 +249,13 @@ class TestVariationalEnergy:
 
     @pytest.mark.parametrize("family,bound", [(GAUSSIAN, 2e-15), (LORENTZ, 3e-15)])
     def test_coulomb_level_against_50_digits(self, family, bound):
-        # -(1/2)·[Γ(l+1)/Γ(l+3/2)]²/(l+3/2) and
-        # -(1/2)·[Γ(l+1)/Γ(l+½)]⁴/((l+1)(l+½)³): both P/N read the exact
-        # binomial W_l up to l = 150, so the gamma kernel's lgamma
-        # differences below 32, up to 1.4e-14 absolute, do not enter
+        # both P/N read the exact binomial W_l up to l = 150, so the gamma
+        # kernel's lgamma differences below 32, up to 1.4e-14 absolute, do
+        # not enter
         worst = 0.0
-        with mp.workdps(50):
-            for l in range(400):
-                x = mp.mpf(l)
-                if family is GAUSSIAN:
-                    ref = -mp.exp(2 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(1.5)))) \
-                        / (2 * (x + mp.mpf(1.5)))
-                else:
-                    ref = -mp.exp(4 * (mp.loggamma(x + 1) - mp.loggamma(x + mp.mpf(0.5)))) \
-                        / (2 * (x + 1) * (x + mp.mpf(0.5)) ** 3)
-                value = variational_energy(family, COULOMB, l).value
-                worst = max(worst, float(abs(value / ref - 1)))
+        for l in range(400):
+            value = variational_energy(family, COULOMB, l).value
+            worst = max(worst, level_error(value, family, COULOMB, l))
         assert worst <= bound
 
     def test_estimate_is_record(self):
@@ -341,6 +332,24 @@ class TestNumericLevels:
             assert t == pytest.approx(v, rel=1e-12)
 
 
+def level_error(value, family, pot, l):
+    """|value/E - 1| at 50 digits, E the minimized level:
+    -(1/2)·[Γ(l+1)/Γ(l+3/2)]²/(l+3/2) or l+3/2 (Gaussian),
+    -(1/2)·[Γ(l+1)/Γ(l+½)]⁴/((l+1)(l+½)³) or √((l+1)(l+½)(l+3/2)/(l-½))
+    (Lorentz)."""
+    with mp.workdps(50):
+        x = mp.mpf(l)
+        if pot is OSC:
+            exact = x + 1.5 if family is GAUSSIAN else \
+                mp.sqrt((x + 1) * (x + 0.5) * (x + 1.5) / (x - 0.5))
+        elif family is GAUSSIAN:
+            exact = -mp.exp(2 * (mp.loggamma(x + 1) - mp.loggamma(x + 1.5))) / (2 * (x + 1.5))
+        else:
+            exact = -mp.exp(4 * (mp.loggamma(x + 1) - mp.loggamma(x + 0.5))) \
+                / (2 * (x + 1) * (x + 0.5) ** 3)
+        return float(abs(value / exact - 1))
+
+
 def closed_moment_ratios(family, pot, l):
     """(K/N, P/N) in closed form: Gaussian (l + 3/2)/2 and
     Γ(l+1)/Γ(l+3/2) or l + 3/2; Lorentz (l+1)(l+½)/2 and the Coulomb to
@@ -354,16 +363,20 @@ def closed_moment_ratios(family, pot, l):
 
 # integrand calls of each numeric level, l = l_min…20
 CALLS_PER_LEVEL = {
-    (GAUSSIAN, COULOMB): [223, 219, 205, 193, 185, 179, 171, 93, 93, 91, 89, 89, 89, 87, 87, 87,
-                          85, 85, 85, 85, 83],
-    (GAUSSIAN, OSC): [199, 219, 205, 193, 185, 179, 171, 165, 165, 161, 89, 89, 89, 87, 87, 87,
-                      85, 85, 85, 85, 83],
-    (LORENTZ, COULOMB): [125, 105, 97, 93, 89, 87, 85, 83, 83, 81, 81, 81, 81, 81, 79, 79, 79, 79,
+    (GAUSSIAN, COULOMB): [223, 203, 109, 103, 99, 95, 95, 93, 93, 91, 89, 89, 89, 87, 87, 87, 85,
+                          85, 85, 85, 83],
+    (GAUSSIAN, OSC): [199, 203, 185, 103, 99, 95, 95, 93, 93, 91, 89, 89, 89, 87, 87, 87, 85, 85,
+                      85, 85, 83],
+    (LORENTZ, COULOMB): [125, 101, 53, 53, 51, 49, 49, 47, 47, 47, 47, 47, 79, 79, 79, 79, 79, 79,
                          79, 79, 77],
-    (LORENTZ, OSC): [137, 103, 101, 95, 93, 91, 87, 85, 85, 83, 83, 81, 81, 81, 81, 81, 81, 79, 79,
+    (LORENTZ, OSC): [71, 59, 55, 53, 53, 51, 49, 85, 85, 83, 83, 81, 81, 81, 81, 81, 81, 79, 79,
                      79],
 }
 LARGE_LS = [100, 500, 10**3, 10**4, 10**6, 10**9, 10**12, 10**18, MAX_L]
+# every numeric level is within this of the 50-digit level: measured worst
+# 4.16e-15 (Gaussian-Coulomb, l = 467) over every l <= 5000 and 10⁴
+# log-uniform l up to 10²⁴ per combination
+NUMERIC_LEVEL_BOUND = 4.5e-15
 # l log-uniform in [1, 10²⁴]
 LOG_UNIFORM_L = st.floats(min_value=0.0, max_value=24.0).map(
     lambda u: min(round(10.0 ** u), MAX_L))
@@ -387,6 +400,22 @@ class TestNumericDomain:
         kn, pn = closed_moment_ratios(family, pot, l)
         assert k / n == pytest.approx(kn, rel=1e-13)
         assert p / n == pytest.approx(pn, rel=1e-13)
+
+    @pytest.mark.parametrize("family,pot", ALL_COMBOS)
+    def test_numeric_level_against_50_digits_below_500(self, family, pot):
+        # the worst level, 4.16e-15 off, is Gaussian-Coulomb at l = 467
+        worst = max(level_error(variational_energy(family, pot, l, Method.NUMERIC).value,
+                                family, pot, l) for l in range(l_floor(family, pot), 500))
+        assert worst <= NUMERIC_LEVEL_BOUND
+
+    @given(st.sampled_from(ALL_COMBOS), LOG_UNIFORM_L)
+    @example((GAUSSIAN, COULOMB), MAX_L)
+    @example((LORENTZ, OSC), MAX_L)
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_level_against_50_digits(self, combo, l):
+        family, pot = combo
+        value = variational_energy(family, pot, l, Method.NUMERIC).value
+        assert level_error(value, family, pot, l) <= NUMERIC_LEVEL_BOUND
 
     @given(st.sampled_from(ALL_COMBOS), LOG_UNIFORM_L)
     @example((GAUSSIAN, COULOMB), MAX_L)
@@ -430,9 +459,10 @@ class TestNumericDomain:
         assert expectation_energy_numeric(spec, pot) == est.value
 
     def test_integrand_calls_per_level(self, monkeypatch):
-        # over the 83 levels l <= 20: 108.0 calls a level centred on the norm
-        # integrand's peak, against 112.6 centred on the profile's peak with
-        # l = 0 apart, and 179.0 in x
+        # over the 83 levels l <= 20: 87.2 calls a level (median 85) with the
+        # predictive stop, against 108.0 (median 87) stopping at a difference
+        # within tol; 112.6 centred on the profile's peak with l = 0 apart,
+        # and 179.0 in x
         quad = variational_engine.quad_semiinfinite
         calls = []
 
@@ -451,7 +481,7 @@ class TestNumericDomain:
         assert len(calls) == len(NUMERIC_LEVELS) == 83
         assert calls == CALLS_PER_LEVEL[GAUSSIAN, COULOMB] + CALLS_PER_LEVEL[GAUSSIAN, OSC] \
             + CALLS_PER_LEVEL[LORENTZ, COULOMB] + CALLS_PER_LEVEL[LORENTZ, OSC]
-        assert sum(calls) / len(calls) <= 112.6
+        assert sum(calls) / len(calls) <= 87.2
 
 
 class TestUpperBoundProperty:
