@@ -33,7 +33,7 @@ for name, closed, f in (
     ("norm", lorentz_norm_integral(4), lambda x: x**10 / (1.0 + x * x) ** 10),
     ("coulomb", lorentz_coulomb_integral(4), lambda x: x**9 / (1.0 + x * x) ** 10),
 ):
-    res = quad_semiinfinite(f, tol=1e-10)
+    res = quad_semiinfinite(f)
     print(f"  {name:<10} closed {closed:.12e}  quad {res.value:.12e} "
           f"({res.evaluations} evaluations, est {res.abs_error_estimate:.1e})")
 

@@ -16,10 +16,13 @@ Subcommands:
 
 Global flags (before the subcommand): ``--format {csv,json}`` and
 ``--out <path>``.  No option sets a quadrature tolerance: ``integrals``
-certifies each closed form at tolerance 1e-10 against 1e-9 on the scaled
-integral, as verify does.  Numeric cells are emitted with 17 significant
-digits so parsing them back reproduces the doubles bit-for-bit; identical
-invocations produce byte-identical output.
+certifies each closed form by the quadrature's one tolerance, 1e-10,
+against 1e-9 on the scaled integral, as verify does.  An option that the
+chosen mode ignores is a usage error: ``--m`` and ``--k`` outside ``sum
+--mode general``, ``--l-min`` with an ``--l-max`` list or range, and
+``--s`` outside ``bounds --kind wendel``.  Numeric cells are emitted with
+17 significant digits so parsing them back reproduces the doubles
+bit-for-bit; identical invocations produce byte-identical output.
 
 CSV rows are the cells joined with commas, never quoted: no cell can hold a
 comma, a quote, CR or LF, because labels are fixed identifiers or option
@@ -275,10 +278,11 @@ def _cmd_variational(args) -> tuple[str, int]:
     method = Method(args.method)
     ls = args.l_max
     if len(ls) == 1:  # the range from --l-min, capped like any grid
-        if ls[0] - args.l_min >= _MAX_GRID_POINTS:
-            raise DomainError(f"--l-min {args.l_min} to --l-max {ls[0]} selects more "
+        l_min = 0 if args.l_min is None else args.l_min
+        if ls[0] - l_min >= _MAX_GRID_POINTS:
+            raise DomainError(f"--l-min {l_min} to --l-max {ls[0]} selects more "
                               f"than the {_MAX_GRID_POINTS} orbital numbers allowed")
-        ls = list(range(args.l_min, ls[0] + 1))
+        ls = list(range(l_min, ls[0] + 1))
     if not ls:
         raise DomainError("--l-max/--l-min select no orbital numbers")
     rows = []
@@ -377,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", choices=("coulomb", "oscillator"), required=True)
     p.add_argument("--l-max", type=_parse_int_spec, default=[10],
                    help="single value (range from --l-min), comma list, or start:stop:step")
-    p.add_argument("--l-min", type=_parse_int, default=0)
+    p.add_argument("--l-min", type=_parse_int, default=None,
+                   help="first l of the range to a single --l-max (default 0)")
     p.add_argument("--method", choices=("closed", "numeric"), default="closed")
     p.set_defaults(handler=_cmd_variational)
 
@@ -386,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_float_list,
                    default=[1.0, 10.0, 100.0, 1000.0, 1e6],
                    help="evaluation points: value, comma list, or start:stop:step")
-    p.add_argument("--s", type=float, default=0.5,
-                   help="shift for the wendel kind, in (0, 1)")
+    p.add_argument("--s", type=float, default=None,
+                   help="shift for the wendel kind, in (0, 1) (default 0.5)")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("integrals", help="closed forms vs quadrature residuals")
@@ -403,8 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bounds" and args.kind == "wendel" and not 0.0 < args.s < 1.0:
-        parser.error(f"--s must lie strictly inside (0, 1), got {args.s}")
+    # an option the chosen mode would ignore is refused, not dropped
+    if args.command == "sum" and args.mode == "simple" and (args.m, args.k) != (None, None):
+        parser.error("--m and --k apply only to --mode general")
+    if args.command == "variational" and args.l_min is not None and len(args.l_max) != 1:
+        parser.error("--l-min applies only to a single --l-max value, not a list or range")
+    if args.command == "bounds":
+        if args.kind != "wendel" and args.s is not None:
+            parser.error("--s applies only to --kind wendel")
+        if args.s is None:
+            args.s = 0.5
+        elif not 0.0 < args.s < 1.0:
+            parser.error(f"--s must lie strictly inside (0, 1), got {args.s}")
     try:
         text, failures = args.handler(args)
         _write(text, args.out)

@@ -1,11 +1,13 @@
 """Shared exception types and the one input-validation boundary.
 
 Every public argument is checked by :func:`_index` (integer indices n, l, m),
-:func:`_real` (real parameters and tolerances) or :func:`_member` (the enum
-choices): a bool, nan, ±inf, a non-number or an integer beyond the range of
-a double raises DomainError in the first two, and anything but a member of
-the enum, its value string included, in the third.  Callers keep their own
-range tests; the limits that several modules share are defined here once.
+:func:`_real` (real parameters) or :func:`_instance` (the enum choices and
+the validated records): a bool, nan, ±inf, a non-number or an integer
+beyond the range of a double raises DomainError in the first two, and in
+the third anything but a member of the enum, its value string included, or
+anything but the record, a plain tuple or a look-alike of the same fields
+included.  Callers keep their own range tests; the limits that several
+modules share are defined here once.
 
 A record that validates its fields is a named tuple whose ``__new__`` runs
 the checks and then builds the tuple with ``tuple.__new__``; its ``_make``
@@ -29,7 +31,7 @@ class DivergenceError(DomainError):
 
 
 class ConvergenceError(RuntimeError):
-    """Numerical refinement did not reach the requested tolerance.
+    """Numerical refinement did not reach its tolerance.
 
     Carries the best available estimate so callers can still inspect it.
     """
@@ -95,12 +97,15 @@ def _real(x, name: str) -> float:
     raise DomainError(f"{name} must be a finite real number, got {x!r}")
 
 
-def _member(x, kind: type, name: str):
-    """x itself; DomainError unless x is a member of the enum ``kind`` (its
-    value, say the string "coulomb", is not)."""
+def _instance(x, kind: type, name: str):
+    """x itself; DomainError unless x is an instance of ``kind``: a member of
+    an enum (its value, say the string "coulomb", is not) or a validated
+    record (a plain tuple, the record's unvalidated base class or another
+    named tuple of the same fields is not, since none of them was checked)."""
     if isinstance(x, kind):
         return x
-    raise DomainError(f"{name} must be a {kind.__name__} member, got {x!r}")
+    what = f"{kind.__name__} member" if hasattr(kind, "__members__") else kind.__name__
+    raise DomainError(f"{name} must be a {what}, got {x!r}")
 
 
 def _validated_make(cls, iterable):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, _index, _real, _validated_make
+from .errors import DomainError, _index, _instance, _real, _validated_make
 
 __all__ = [
     "GammaRatioQuery",
@@ -163,6 +163,7 @@ def gamma_ratio(q: GammaRatioQuery) -> float:
     2.6e-15 at 1e50, 5.5e-15 at 1e100, 1.2e-14 at 1e300 and 1.6e-14 at
     1.7e308.
     """
+    _instance(q, GammaRatioQuery, "gamma_ratio query")
     delta = _log_gamma_ratio(q.x, q.a, q.b)
     try:
         return math.exp(delta)

@@ -20,10 +20,11 @@ every l <= 508.
 The quadrature engine maps [0, ∞) onto itself double-exponentially
 (the rational map of a tanh-sinh rule composes to x = exp(π·sinh t)) and
 doubles the trapezoidal density until the last two refinements agree well
-within the requested tolerance, or their contraction predicts that the
-last one does, and estimates the error of the refinement it returns.  It
-also integrates a tuple-valued integrand in one sweep, one call per node
-for all components, each component converging exactly as it would alone.
+within its one absolute tolerance, 1e-10, or their contraction predicts
+that the last one does, and estimates the error of the refinement it
+returns.  It also integrates a tuple-valued integrand in one sweep, one
+call per node for all components, each component converging exactly as it
+would alone.
 One table of cases, shared by ``wallisqm integrals`` and verify,
 certifies the closed forms by quadrature relative to each integrand's peak
 scale: 2^{2l+2} times the Lorentz integrals, to about 1e-14 up to l = 508.
@@ -35,7 +36,8 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
-from .errors import _MAX_TERMS, ConvergenceError, DomainError, _index, _real, _validated_make
+from .errors import (_MAX_TERMS, ConvergenceError, DomainError, _index, _instance, _real,
+                     _validated_make)
 from .gamma_kit import _SQRT_PI, wallis_ratio
 
 __all__ = [
@@ -57,6 +59,11 @@ __all__ = [
 # integrals, about 2^-(2l+2)/√l, fall below the smallest normal double at l = 509
 _GAUSSIAN_MOMENT_M_MAX = 342
 _LORENTZ_L_MAX = 508
+# largest l whose (l + 1/2)·π, in coulomb_to_norm_ratio, is finite: the
+# double 0x1.45f306dc9c882p+1022 (about 5.72e307) is the largest whose
+# product with π is, and l rounds to it up to half its ulp, 2^969, above
+# (the tie goes to its even significand); a bisection over l finds the same
+_COULOMB_RATIO_L_MAX = int(float.fromhex("0x1.45f306dc9c882p+1022")) + 2**969
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +116,7 @@ class RationalMomentQuery(_RationalMomentQuery):
 
 def rational_moment(q: RationalMomentQuery) -> float:
     """∫_0^∞ x^m/(1+x²)^n dx = Γ((m+1)/2)·Γ(n-(m+1)/2)/(2Γ(n))."""
+    _instance(q, RationalMomentQuery, "rational_moment query")
     p = (q.m + 1.0) / 2.0
     return beta_trig_integral(p, q.n - p)
 
@@ -167,8 +175,10 @@ def coulomb_to_norm_ratio(l: int) -> float:
 
     Stays O(1) even where both integrals underflow, which is why the
     Coulomb expectation value is assembled from this quotient directly.
+    l is limited to about 5.72e307, the largest l whose (l+1/2)·π is a
+    finite double; DomainError beyond, where the quotient would read 0.
     """
-    l = _index(l, "coulomb_to_norm_ratio")
+    l = _index(l, "coulomb_to_norm_ratio", hi=_COULOMB_RATIO_L_MAX)
     w = wallis_ratio(l)
     return 1.0 / ((l + 0.5) * math.pi * w * w)
 
@@ -207,6 +217,11 @@ _T_MAX = 6.0       # exp(pi*sinh t) <= exp(633.7) stays finite in doubles up to 
 _MAX_LEVEL = 10
 _TRUNC = 1e-18     # stop a level once terms fall this far below its peak
 _FLOOR = 64 * 2.0 ** -52  # a level's rounding floor, relative to its value
+# the one absolute tolerance of every quadrature, and the two thresholds of
+# the stop rule derived from it (as doubles, exactly 1e-13 and 1e-12)
+_TOL = 1e-10
+_DIFF_TOL = 1e-3 * _TOL
+_PREDICT_TOL = 1e-2 * _TOL
 
 
 @functools.cache
@@ -228,21 +243,21 @@ def _nodes(level: int) -> list[tuple[float, float, float, float]]:
     return table
 
 
-def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureParts:
+def quad_semiinfinite(f: Callable) -> QuadratureResult | QuadratureParts:
     """∫_0^∞ f(x) dx for continuous, absolutely integrable, decaying f.
 
     Doubles the node density, level k having step 2^-k, and stops at the
     first level k >= 2 whose difference d_k = |Q_k - Q_(k-1)| from the
-    level before meets one of three tests (``tol`` is an absolute
-    tolerance, >= 1e-12):
+    level before meets one of three tests, all absolute and derived from
+    the one tolerance 1e-10:
 
-    - d_k <= 1e-3·tol;
+    - d_k <= 1e-13;
     - d_k <= 64ε·|Q_k|, ε = 2^-52, the rounding floor: 32 to 64 ulps of
       Q_k.  Differences below it are rounding, not convergence: past
       convergence the levels of the integral table's integrands differ by
       at most 6 ulps, and by up to 77 ulps for the Lorentz ones near
       l = 500, whose (2l+2)-th powers amplify the rounding of their base;
-    - k >= 3 and d_k²/d_(k-1) <= 1e-2·tol.  For a double-exponential rule
+    - k >= 3 and d_k²/d_(k-1) <= 1e-12.  For a double-exponential rule
       d_k is about the error of Q_(k-1), so this predicts the error of Q_k
       from the last contraction ratio (Bailey, Jeyabalan and Li, "A
       comparison of three high-precision quadrature schemes",
@@ -257,9 +272,9 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
     (∫(1+x²)^-191 at level 4); the previous ratio did not.  The floor
     covers the integrand's own rounding, up to 43ε·|Q_k| on the Lorentz
     integrands.  Against 50 digits, the estimate is at least the error of
-    every case of the integral table up to l = 508 at every tol from 1e-12
-    to 1e-4, and of 3000 sweeps of the centred moment integrands at random
-    l up to 10⁴ and tol.  Where the prediction decided it may exceed tol.
+    every case of the integral table up to l = 508, and of the centred
+    moment integrands of every combination at l up to 10⁴.  Where the
+    prediction decided it may exceed 1e-10.
 
     Non-finite integrand values (overflow at the double-exponentially
     remote tail nodes) and OverflowError or ZeroDivisionError raised by f
@@ -282,8 +297,6 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
     the first component that did not converge, as the scalar call on it
     would).
     """
-    if not _real(tol, "tolerance") >= 1e-12:
-        raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     isfinite = math.isfinite
     try:
         first = f(1.0)
@@ -346,9 +359,9 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
             if level >= 2:
                 d = abs(value - current[c])
                 floor = _FLOOR * abs(value)
-                if d <= 1e-3 * tol or d <= floor:
+                if d <= _DIFF_TOL or d <= floor:
                     estimate = d
-                elif level >= 3 and d * d <= 1e-2 * tol * diff[c]:
+                elif level >= 3 and d * d <= _PREDICT_TOL * diff[c]:
                     estimate = d * diff[c] / older[c] if diff[c] < older[c] else d
                 else:
                     estimate = None
@@ -369,7 +382,7 @@ def quad_semiinfinite(f: Callable, tol: float) -> QuadratureResult | QuadratureP
             return QuadratureParts(parts=tuple(done), evaluations=calls, levels=level)
     c = done.index(None)
     raise ConvergenceError(
-        f"quadrature did not reach tol = {tol} within {_MAX_LEVEL} refinements "
+        f"quadrature did not reach tol = {_TOL} within {_MAX_LEVEL} refinements "
         f"(last difference {diff[c]:.3e})",
         best_estimate=current[c],
         error_estimate=diff[c],
@@ -403,7 +416,7 @@ def _integral_cases(l_max: int):
 
 def _certified_integrals(l_max: int):
     """(label, index, closed, quad, bound, dev, passed) for each case of
-    _integral_cases, integrated at tolerance 1e-10.  dev = |∫f - 2^e·closed|
+    _integral_cases, by quad_semiinfinite.  dev = |∫f - 2^e·closed|
     is taken on the scaled integrand, and the case passes when it is at
     most 1e-9; quad and bound are returned scaled back by 2^-e, so every
     bound is 2^-e·1e-9.  (Up to l = 508 every scaled case is within
@@ -411,7 +424,7 @@ def _certified_integrals(l_max: int):
     4.8e-9 where the contraction decided, so the bound is not taken from
     the estimate.)"""
     for label, idx, closed, e, f in _integral_cases(l_max):
-        res = quad_semiinfinite(f, 1e-10)
+        res = quad_semiinfinite(f)
         dev = abs(res.value - math.ldexp(closed, e))
         yield (label, idx, closed, math.ldexp(res.value, -e), math.ldexp(1e-9, -e),
                dev, dev <= 1e-9)

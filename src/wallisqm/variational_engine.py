@@ -45,9 +45,9 @@ ln y at every l, l = 0 included, which the double-exponential rule needs
 to converge fast.  All three moments come from one quadrature sweep that
 evaluates the squared profile once per node, each moment converging
 exactly as a quadrature of its own would, bit for bit.  A numeric level is
-one such sweep at a 1e-10 tolerance (about 87 integrand calls a level
-over l <= 20, median 85, and 45–79 from l = 100).  Both methods take every
-l up to 10²⁴, one orbital limit.
+one such sweep at the quadrature's one tolerance (about 87 integrand calls
+a level over l <= 20, median 85, and 45–79 from l = 100).  Both methods
+take every l up to 10²⁴, one orbital limit.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DivergenceError, DomainError, _index, _member, _real, _validated_make
+from .errors import DivergenceError, DomainError, _index, _instance, _real, _validated_make
 from .gamma_kit import _SQRT_PI, _log1p_minus_linear, wallis_ratio
 from .integral_kit import coulomb_to_norm_ratio, quad_semiinfinite
 
@@ -97,18 +97,15 @@ _PARAM_MIN, _PARAM_MAX = 1e-75, 1e75
 # the Coulomb ratios are 1 to the last bit (the gap, about 1/(8l²), is
 # below 1e-48)
 _MAX_L = 10**24
-# absolute quadrature tolerance of the moment sweep, whose moments are O(1)
-# at every l: the one sweep of a numeric level and of
-# expectation_energy_numeric, which therefore agree bit for bit
-_LEVEL_TOL = 1e-10
 # κ of the centred variable, per family, from a sweep of the mean integrand
 # calls a level over l = 0…20 when the quadrature stopped at a difference
-# within tol: Gaussian 126–131 for κ in [0.4, 0.62], then 139–152 from 0.65
-# to 0.8; Lorentz 85–89 for κ in [0.6, 0.85], but from 0.9 single levels
-# needed 201–207 calls.  Under the predictive stop the same sweep reads
-# Gaussian 102–110 for κ in [0.4, 0.85] (104 at 0.55) and Lorentz 58–72
-# for κ in [0.3, 0.9] (70 at 0.8).  From l = 100 to 10²⁴ a level takes
-# 45–79 calls at these values
+# within the tolerance: Gaussian 126–131 for κ in [0.4, 0.62], then
+# 139–152 from 0.65 to 0.8; Lorentz 85–89 for κ in [0.6, 0.85], but from
+# 0.9 single levels needed 201–207 calls.  Under the predictive stop the
+# same sweep reads Gaussian 102–110 for κ in [0.4, 0.85] (104 at 0.55) and
+# Lorentz 58–72 for κ in [0.3, 0.9] (70 at 0.8).  From l = 100 to 10²⁴ a
+# level takes 45–79 calls at these values.  The quadrature's one tolerance
+# is an absolute 1e-10, which fits moments that are O(1) at every l
 _KAPPA = {Family.GAUSSIAN: 0.55, Family.LORENTZ: 0.8}
 
 
@@ -132,7 +129,7 @@ class TrialSpec(_TrialSpec):
     __slots__ = ()
 
     def __new__(cls, family: Family, l: int, param: float):
-        _member(family, Family, "family")
+        _instance(family, Family, "family")
         l = _index(l, "orbital number l", hi=_MAX_L)
         if not _PARAM_MIN <= _real(param, "scale parameter") <= _PARAM_MAX:
             raise DomainError(
@@ -253,16 +250,16 @@ def _moment_integrands(family: Family, l: int, pot: Potential):
 
 
 def _moments(family: Family, pot: Potential, l: int) -> tuple[float, float, float]:
-    """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep
-    at _LEVEL_TOL, with the powers of x_pk and l+1 the centred integrand
-    took out put back.  The factor common to all three stays out: every use
-    is a ratio, s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator) and
-    (K + v·P)/(s²·N).  N is never 0: its integrand is 1 at the first node,
-    y = 1, where x = x_pk, and no term of N is negative.  DivergenceError
-    for the Lorentz oscillator at l = 0, before any quadrature."""
+    """(K, P, N), the scale-free moments of ⟨H⟩, from one quadrature sweep,
+    with the powers of x_pk and l+1 the centred integrand took out put
+    back.  The factor common to all three stays out: every use is a ratio,
+    s* = 2K/P (Coulomb) or s*⁴ = 2K/P (oscillator) and (K + v·P)/(s²·N).
+    N is never 0: its integrand is 1 at the first node, y = 1, where
+    x = x_pk, and no term of N is negative.  DivergenceError for the
+    Lorentz oscillator at l = 0, before any quadrature."""
     _require_l_domain(family, pot, l)
     k, n, p = (part.value for part in
-               quad_semiinfinite(_moment_integrands(family, l, pot), _LEVEL_TOL).parts)
+               quad_semiinfinite(_moment_integrands(family, l, pot)).parts)
     L1 = l + 1.0
     x_pk = math.sqrt(L1) if family is Family.GAUSSIAN else 1.0
     return (k * x_pk * L1 ** 2,
@@ -297,7 +294,8 @@ def _closed_moments(family: Family, pot: Potential, l: int) -> tuple[float, floa
 
 def expectation_energy_closed(spec: TrialSpec, pot: Potential) -> float:
     """⟨H⟩ for the given trial state, from the closed moment ratios."""
-    _member(pot, Potential, "potential")
+    _instance(spec, TrialSpec, "trial spec")
+    _instance(pot, Potential, "potential")
     return _energy_from_moments(_closed_moments(spec.family, pot, spec.l), spec.family, pot,
                                 spec.param)
 
@@ -308,17 +306,18 @@ def expectation_energy_numeric(spec: TrialSpec, pot: Potential) -> float:
     The scale parameter only multiplies the moments K, P and N of the
     rescaled profile by powers of the trial length s, so they are
     integrated once and combined at ``spec.param`` as (K + v·P)/(s²·N).
-    The moments are the numeric level's own sweep, at the same 1e-10
-    tolerance: one quadrature that evaluates the trial profile once per
-    node, each moment with the value, error estimate and evaluation count
-    that a separate scalar quadrature of it would give.  So at a numeric
-    level's optimal parameter this is the level's value, bit for bit.
+    The moments are the numeric level's own sweep: one quadrature that
+    evaluates the trial profile once per node, each moment with the value,
+    error estimate and evaluation count that a separate scalar quadrature
+    of it would give.  So at a numeric level's optimal parameter this is
+    the level's value, bit for bit.
     Agreement with expectation_energy_closed is within 1e-14 relative to
     the larger of the kinetic and potential terms, far inside the 1e-8
     contract, for every trial state: every parameter in [1e-75, 1e75] and
     every l up to 10²⁴, which TrialSpec has checked.
     """
-    _member(pot, Potential, "potential")
+    _instance(spec, TrialSpec, "trial spec")
+    _instance(pot, Potential, "potential")
     return _energy_from_moments(_moments(spec.family, pot, spec.l), spec.family, pot,
                                 spec.param)
 
@@ -338,8 +337,8 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
     """The stationary scale parameter of ⟨H⟩, in closed form; l <= 10²⁴,
     where it is a valid TrialSpec parameter: the Gaussian-Coulomb
     α* ≈ 1/(2l³) is 5.0e-73 at 10²⁴, and the Lorentz-Coulomb a* ≈ l² 1e48."""
-    _member(family, Family, "family")
-    _member(pot, Potential, "potential")
+    _instance(family, Family, "family")
+    _instance(pot, Potential, "potential")
     l = _index(l, "orbital number l", hi=_MAX_L)
     return _optimum(_closed_moments(family, pot, l), family, pot, l)
 
@@ -347,7 +346,7 @@ def optimal_param_closed(family: Family, pot: Potential, l: int) -> float:
 def exact_energy(pot: Potential, l: int) -> float:
     """The exact zero-radial-node energy: -1/(2(l+1)²) or ω(l+3/2);
     l <= 10²⁴."""
-    _member(pot, Potential, "potential")
+    _instance(pot, Potential, "potential")
     l = _index(l, "orbital number l", hi=_MAX_L)
     if pot is Potential.COULOMB:
         return -1.0 / (2.0 * (l + 1.0) ** 2)
@@ -367,19 +366,19 @@ def variational_energy(family: Family, pot: Potential, l: int,
     the level is (K + v·P)/(s²·N) of the same moments at that optimum.
     CLOSED_FORM takes the closed moment ratios, so its level is bit for bit
     expectation_energy_closed at optimal_param_closed.  NUMERIC integrates
-    the moments once, in one quadrature sweep at a 1e-10 tolerance in the
-    centred variable (about 87 integrand calls a level over l <= 20, 45–79
-    from l = 100), so its level is bit for bit what
-    expectation_energy_numeric returns at its optimum; the numeric path
-    never reads a closed moment ratio.  For every l up to 10²⁴ the energies
-    agree with the closed levels to 2.1e-14 relative (Lorentz-Coulomb near
-    l = 10¹⁶, the closed level's own error: it raises W_l, past l = 150 the
-    exp of a log, to the fourth power; every numeric level is within 4.5e-15
-    of a 50-digit reference), the optima to 1.2e-14, and K/N and P/N with
-    their closed ratios to 1.1e-14.
+    the moments once, in one quadrature sweep in the centred variable
+    (about 87 integrand calls a level over l <= 20, 45–79 from l = 100),
+    so its level is bit for bit what expectation_energy_numeric returns at
+    its optimum; the numeric path never reads a closed moment ratio.  For
+    every l up to 10²⁴ the energies agree with the closed levels to 2.1e-14
+    relative (Lorentz-Coulomb near l = 10¹⁶, the closed level's own error:
+    it raises W_l, past l = 150 the exp of a log, to the fourth power;
+    every numeric level is within 4.5e-15 of a 50-digit reference), the
+    optima to 1.2e-14, and K/N and P/N with their closed ratios to
+    1.1e-14.
     """
-    _member(family, Family, "family")
-    _member(method, Method, "method")
+    _instance(family, Family, "family")
+    _instance(method, Method, "method")
     l = _index(l, "orbital number l", hi=_MAX_L)
     reference = exact_energy(pot, l)
     moments = (_closed_moments if method is Method.CLOSED_FORM else _moments)(family, pot, l)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import _MAX_TERMS, DomainError, _index, _real, _validated_make
+from .errors import _MAX_TERMS, DomainError, _index, _instance, _real, _validated_make
 from .gamma_kit import _log_gamma_ratio
 
 __all__ = [
@@ -62,14 +62,15 @@ _B_MAX_N = 2**52 - 2  # largest n with n + 1/2 and n + 3/2 exact doubles
 class PartialSum(NamedTuple):
     """A finite series value together with its limit and tail bound.
 
-    When ``closed_form_limit`` is present, |closed_form_limit - value| is
-    bounded by ``tail_bound`` (here the tail bound is the exact remainder
-    taken from the telescoped partial-sum formula).
+    ``closed_form_limit`` is always set, by both constructors
+    (sum_a_recurrence and sum_b_partial), and |closed_form_limit - value|
+    is bounded by ``tail_bound`` (here the tail bound is the exact
+    remainder taken from the telescoped partial-sum formula).
     """
 
     n_terms: int
     value: float
-    closed_form_limit: float | None
+    closed_form_limit: float
     tail_bound: float
 
 
@@ -269,6 +270,8 @@ def b_seq(p: GeneralizedParams, n: int) -> float:
     and n + 3/2 are exact doubles; DomainError beyond, where they would be
     rounded before the exact-offset kernel sees them.
     """
+    if not isinstance(p, GeneralizedParams):  # inline on this hot path
+        _instance(p, GeneralizedParams, "b_seq params")
     n = float(_index(n, "b_seq", lo=1, hi=_B_MAX_N))
     # the real shifts m, k take the kernel's x slot, so the exact offsets
     # n, n+1/2, n+3/2 keep n+m+1/2 and n+k+3/2 exact through its two-sums
@@ -302,6 +305,7 @@ def sum_b_partial(p: GeneralizedParams, n: int) -> PartialSum:
     dominates the observed residual even at the last ulp.  n is limited to
     2⁵² - 2, as in :func:`b_seq`.
     """
+    _instance(p, GeneralizedParams, "sum_b_partial params")
     n = _index(n, "sum_b_partial", lo=1, hi=_B_MAX_N)
     c = _prefactor(p)
     q = (n + p.m) * (n + p.k) * b_seq(p, n)
@@ -318,4 +322,5 @@ def sum_b_partial(p: GeneralizedParams, n: int) -> PartialSum:
 
 def sum_b_closed(p: GeneralizedParams) -> float:
     """Σ_{n>=1} b_n = (4/(2(k-m)+1))·[1 - Γ(m+1)Γ(k+1)/(Γ(m+1/2)Γ(k+3/2))]."""
+    _instance(p, GeneralizedParams, "sum_b_closed params")
     return _prefactor(p) * (1.0 - _b_limit_term(p))

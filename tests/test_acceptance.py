@@ -103,7 +103,7 @@ def test_criterion_06_ratio_limits():
 def test_criterion_07_integral_anatomy():
     with criterion(7, "closed integral forms match quadrature and the chains hold"):
         for m in range(0, 13):
-            res = quad_semiinfinite(lambda x, m=m: x**m * math.exp(-x * x), 1e-10)
+            res = quad_semiinfinite(lambda x, m=m: x**m * math.exp(-x * x))
             assert abs(res.value - gaussian_moment(m)) <= max(
                 1e-9, 10.0 * res.abs_error_estimate)
         for l in range(0, 16):
@@ -112,11 +112,11 @@ def test_criterion_07_integral_anatomy():
                 "norm": lorentz_norm_integral(l),
                 "coulomb": lorentz_coulomb_integral(l),
             }
-            res_g = quad_semiinfinite(lambda x, l=l: (1.0 + x * x) ** -(l + 1.0), 1e-10)
+            res_g = quad_semiinfinite(lambda x, l=l: (1.0 + x * x) ** -(l + 1.0))
             res_n = quad_semiinfinite(
-                lambda x, l=l: x ** (2 * l + 2) / (1.0 + x * x) ** (2 * l + 2), 1e-10)
+                lambda x, l=l: x ** (2 * l + 2) / (1.0 + x * x) ** (2 * l + 2))
             res_c = quad_semiinfinite(
-                lambda x, l=l: x ** (2 * l + 1) / (1.0 + x * x) ** (2 * l + 2), 1e-10)
+                lambda x, l=l: x ** (2 * l + 1) / (1.0 + x * x) ** (2 * l + 2))
             for res, key in ((res_g, "g"), (res_n, "norm"), (res_c, "coulomb")):
                 assert abs(res.value - closed[key]) <= max(
                     1e-9, 10.0 * res.abs_error_estimate)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -13,7 +14,8 @@ from wallisqm.integral_kit import (G_rational, QuadratureResult,
                                    lorentz_coulomb_integral,
                                    lorentz_norm_integral, quad_semiinfinite,
                                    rational_moment)
-from wallisqm.integral_kit import _MAX_LEVEL, _nodes
+from wallisqm.integral_kit import (_COULOMB_RATIO_L_MAX, _DIFF_TOL, _MAX_LEVEL, _PREDICT_TOL,
+                                   _nodes)
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -197,6 +199,20 @@ class TestLorentzIntegrals:
         assert coulomb_to_norm_ratio(0) == pytest.approx(2.0 / PI, rel=1e-14)
         assert coulomb_to_norm_ratio(1) == pytest.approx(8.0 / (3.0 * PI), rel=1e-14)
 
+    def test_ratio_limit_is_the_last_finite_product(self):
+        # bisect for the largest l whose (l + 1/2)·π is finite; past it the
+        # quotient read 0.0 (at 6·10³⁰⁷), against about 1 - 1/(4l)
+        lo, hi = 0, int(sys.float_info.max)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.isfinite((mid + 0.5) * math.pi) else (lo, mid - 1)
+        assert lo == _COULOMB_RATIO_L_MAX
+        assert abs(coulomb_to_norm_ratio(lo) - 1.0) <= 1e-13
+        with pytest.raises(DomainError):
+            coulomb_to_norm_ratio(lo + 1)
+        with pytest.raises(DomainError):
+            coulomb_to_norm_ratio(6e307)
+
     @pytest.mark.parametrize("l", [0, 1, 2, 5, 17, 40])
     def test_ratio_matches_quotient(self, l):
         quotient = lorentz_coulomb_integral(l) / lorentz_norm_integral(l)
@@ -205,51 +221,54 @@ class TestLorentzIntegrals:
 
 class TestQuadrature:
     def test_gaussian(self):
-        res = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-10)
+        res = quad_semiinfinite(lambda x: math.exp(-x * x))
         assert abs(res.value - SQRT_PI / 2.0) < 1e-10
         assert abs(res.value - SQRT_PI / 2.0) <= 10.0 * res.abs_error_estimate
         assert res.evaluations > 0
 
     def test_lorentzian(self):
-        res = quad_semiinfinite(lambda x: 1.0 / (1.0 + x * x), tol=1e-10)
+        res = quad_semiinfinite(lambda x: 1.0 / (1.0 + x * x))
         assert abs(res.value - PI / 2.0) < 1e-10
 
     def test_rational_fourth_power(self):
-        res = quad_semiinfinite(lambda x: x ** 4 / (1.0 + x * x) ** 4, tol=1e-10)
+        res = quad_semiinfinite(lambda x: x ** 4 / (1.0 + x * x) ** 4)
         assert abs(res.value - PI / 32.0) < 1e-9
 
     def test_error_estimate_within_tol(self):
-        res = quad_semiinfinite(lambda x: math.exp(-x), tol=1e-10)
+        res = quad_semiinfinite(lambda x: math.exp(-x))
         assert res.abs_error_estimate <= 1e-10
         assert abs(res.value - 1.0) <= 10.0 * res.abs_error_estimate
 
-    def test_tolerance_floor(self):
-        with pytest.raises(DomainError):
-            quad_semiinfinite(math.exp, tol=1e-13)
+    def test_one_tolerance(self):
+        # f is the whole interface; the stop rule's thresholds, derived from
+        # the one tolerance 1e-10, are the doubles 1e-13 and 1e-12
+        assert list(inspect.signature(quad_semiinfinite).parameters) == ["f"]
+        assert (_DIFF_TOL, _PREDICT_TOL) == (1e-13, 1e-12)
+        with pytest.raises(TypeError):
+            quad_semiinfinite(math.exp, 1e-10)
 
     def test_divergent_integrand_raises(self):
         with pytest.raises(ConvergenceError) as info:
-            quad_semiinfinite(lambda x: 1.0 / (1.0 + x), tol=1e-10)
+            quad_semiinfinite(lambda x: 1.0 / (1.0 + x))
         assert info.value.best_estimate is not None
         assert info.value.evaluations > 0
 
     def test_divergent_pinned(self):
         # best estimate, last difference and evaluation count, bit for bit
         with pytest.raises(ConvergenceError) as info:
-            quad_semiinfinite(lambda x: 1.0 / (1.0 + x), tol=1e-10)
+            quad_semiinfinite(lambda x: 1.0 / (1.0 + x))
         assert info.value.best_estimate == 634.010051599295
         assert info.value.error_estimate == 0.30957899640623054
         assert info.value.evaluations == 12289
+        assert str(info.value) == ("quadrature did not reach tol = 1e-10 within 10 refinements "
+                                   "(last difference 3.096e-01)")
 
     def test_levels(self):
-        # e^{-x²} at tol 1e-10 stops at level 5 (step 2^-5), where the
-        # contraction from level 4 predicts the error, after the 229
-        # evaluations of levels 0 through 5
-        res = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-10)
+        # e^{-x²} stops at level 5 (step 2^-5), where the contraction from
+        # level 4 predicts the error, after the 229 evaluations of levels 0
+        # through 5
+        res = quad_semiinfinite(lambda x: math.exp(-x * x))
         assert (res.levels, res.evaluations) == (5, 229)
-        # a looser tolerance stops no deeper, and never before level 2
-        loose = quad_semiinfinite(lambda x: math.exp(-x * x), tol=1e-2)
-        assert 2 <= loose.levels <= res.levels
 
     @pytest.mark.parametrize("level", range(_MAX_LEVEL + 1))
     def test_nodes_are_finite_at_every_level(self, level):
@@ -273,31 +292,37 @@ def _raising(x):
     return x * math.exp(-x)
 
 
-# (integrand, tol) -> (value, abs_error_estimate, evaluations); the results
+# integrand -> (value, abs_error_estimate, evaluations); the results
 # are pinned bit for bit, so any change to the node sweep that alters the
-# summation order, the truncation test or the evaluation count shows here
+# summation order, the truncation test or the evaluation count shows here.
+# The prediction decides the first three and gaussian-moment-12, the
+# difference test the exponential and the three tails
 PINNED_QUADRATURES = [
-    ("gaussian", lambda x: math.exp(-x * x), 1e-10,
+    ("gaussian", lambda x: math.exp(-x * x),
      (0.8862269254527579, 5.48909572128396e-12, 229)),
-    ("lorentzian", lambda x: 1.0 / (1.0 + x * x), 1e-10,
+    ("lorentzian", lambda x: 1.0 / (1.0 + x * x),
      (1.5707963267948966, 3.239419367174591e-14, 119)),
-    ("rational-fourth-power", lambda x: x ** 4 / (1.0 + x * x) ** 4, 1e-10,
+    ("rational-fourth-power", lambda x: x ** 4 / (1.0 + x * x) ** 4,
      (0.09817477042468106, 2.707219684080881e-12, 89)),
-    ("exponential", lambda x: math.exp(-x), 1e-10,
+    ("exponential", lambda x: math.exp(-x),
      (1.0, 1.4210854715202004e-14, 229)),
-    ("gaussian-moment-12", lambda x: x ** 12 * math.exp(-x * x), 1e-12,
+    ("gaussian-moment-12", lambda x: x ** 12 * math.exp(-x * x),
      (143.94263890752217, 2.0455479288375808e-12, 133)),
-    ("raises-overflow-and-zero-division", _raising, 1e-10,
+    # the one case of the integral table up to l = 15 that the rounding
+    # floor decides: its estimate is the floor, 64ε·|Q|
+    ("gaussian-moment-10", lambda x: x ** 10 * math.exp(-x * x),
+     (26.17138889227676, 3.7191780524319653e-13, 151)),
+    ("raises-overflow-and-zero-division", _raising,
      (0.9999999999998238, 4.0967229608668276e-14, 181)),
-    ("nan-tail", lambda x: x * math.exp(-x) if x < 30.0 else math.nan, 1e-10,
+    ("nan-tail", lambda x: x * math.exp(-x) if x < 30.0 else math.nan,
      (0.9999999999998238, 4.0967229608668276e-14, 185)),
-    ("minus-inf-tail", lambda x: x * math.exp(-x) if x < 30.0 else -math.inf, 1e-10,
+    ("minus-inf-tail", lambda x: x * math.exp(-x) if x < 30.0 else -math.inf,
      (0.9999999999998238, 4.0967229608668276e-14, 185)),
 ]
 
 
-@pytest.mark.parametrize("name,f,tol,expected", PINNED_QUADRATURES,
+@pytest.mark.parametrize("name,f,expected", PINNED_QUADRATURES,
                          ids=[case[0] for case in PINNED_QUADRATURES])
-def test_quadrature_bit_identical(name, f, tol, expected):
-    res = quad_semiinfinite(f, tol)
+def test_quadrature_bit_identical(name, f, expected):
+    res = quad_semiinfinite(f)
     assert (res.value, res.abs_error_estimate, res.evaluations) == expected

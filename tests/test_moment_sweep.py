@@ -18,8 +18,8 @@ import pytest
 from wallisqm.errors import ConvergenceError
 from wallisqm.gamma_kit import _log1p_minus_linear
 from wallisqm.integral_kit import QuadratureParts, QuadratureResult, quad_semiinfinite
-from wallisqm.variational_engine import (_KAPPA, _LEVEL_TOL, _MAX_L, Family, Potential,
-                                         TrialSpec, _moment_integrands, _moments,
+from wallisqm.variational_engine import (_KAPPA, _MAX_L, Family, Potential, TrialSpec,
+                                         _moment_integrands, _moments,
                                          expectation_energy_numeric, optimal_param_closed)
 
 
@@ -87,11 +87,11 @@ def scalar_integrands(family, l, pot):
     return kinetic, potential, norm
 
 
-def scalar_moments(fam, pot, l, tol):
-    """(K, P, N) from three scalar quadratures, the centred ones times the
-    powers of x_pk and (l+1)² that their integrands left out; the factor c
-    and the profile's value at x_pk, common to all three, stay out."""
-    k, p, n = (quad_semiinfinite(g, tol).value for g in scalar_integrands(fam, l, pot))
+def scalar_moments(fam, pot, l, k, p, n):
+    """(K, P, N) from the values k, p, n of the three scalar quadratures,
+    times the powers of x_pk and (l+1)² that their integrands left out; the
+    factor c and the profile's value at x_pk, common to all three, stay
+    out."""
     L1 = float(l) + 1.0
     x_pk = math.sqrt(L1) if fam is Family.GAUSSIAN else 1.0
     return (k * x_pk * L1 ** 2,
@@ -119,41 +119,33 @@ COMBOS = [(Family.GAUSSIAN, Potential.COULOMB),
 LS = (0, 1, 2, 3, 5, 8, 13, 20, 25, 30, 50, 100, 200, 500, 10**3, 10**4, 10**5, 10**6,
       10**9, 10**12, 10**18, _MAX_L)
 FACTORS = (0.01, 0.1, 1.0, 10.0, 100.0)
-TOLS = (1e-6, 3e-9, 1e-10, 1e-11)
 
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
 def test_moments_match_scalar_quadratures(fam, pot):
-    """Family × potential × l <= 10²⁴ × tol; ⟨H⟩ at 0.01–100× the optimum."""
-    assert _LEVEL_TOL in TOLS
+    """Family × potential × l <= 10²⁴; ⟨H⟩ at 0.01–100× the optimum."""
     for l in LS:
         if l == 0 and (fam, pot) == (Family.LORENTZ, Potential.HARMONIC_OSCILLATOR):
             continue
-        scalars = scalar_integrands(fam, l, pot)
-        for tol in TOLS:
-            case = (fam.value, pot.value, l, tol)
-            # every moment converges, far from the optimum too: the scale
-            # only enters after the quadratures
-            k_res, p_res, n_res = (quad_semiinfinite(g, tol) for g in scalars)
-            integrand, calls = counted(_moment_integrands(fam, l, pot))
-            sweep = quad_semiinfinite(integrand, tol)
-            assert isinstance(sweep, QuadratureParts), case
-            assert sweep.parts == (k_res, n_res, p_res), case
-            assert sweep.evaluations == calls[0], case
-            assert sweep.evaluations <= sum(r.evaluations for r in sweep.parts), case
-            assert sweep.levels == max(r.levels for r in sweep.parts), case
-            if tol != _LEVEL_TOL:
-                continue
-            # the moments and the oracle integrate at the level's tolerance,
-            # which no caller sets
-            K, P, N = scalar_moments(fam, pot, l, tol)
-            assert _moments(fam, pot, l) == (K, P, N), case
-            for factor in FACTORS:
-                param = factor * optimal_param_closed(fam, pot, l)
-                s = length_scale(fam, param)
-                v = -s if pot is Potential.COULOMB else 0.5 * s ** 4
-                energy = expectation_energy_numeric(TrialSpec(fam, l, param), pot)
-                assert energy == (K + v * P) / (s * s * N), case + (factor,)
+        case = (fam.value, pot.value, l)
+        # every moment converges, far from the optimum too: the scale only
+        # enters after the quadratures
+        k_res, p_res, n_res = (quad_semiinfinite(g) for g in scalar_integrands(fam, l, pot))
+        integrand, calls = counted(_moment_integrands(fam, l, pot))
+        sweep = quad_semiinfinite(integrand)
+        assert isinstance(sweep, QuadratureParts), case
+        assert sweep.parts == (k_res, n_res, p_res), case
+        assert sweep.evaluations == calls[0], case
+        assert sweep.evaluations <= sum(r.evaluations for r in sweep.parts), case
+        assert sweep.levels == max(r.levels for r in sweep.parts), case
+        K, P, N = scalar_moments(fam, pot, l, k_res.value, p_res.value, n_res.value)
+        assert _moments(fam, pot, l) == (K, P, N), case
+        for factor in FACTORS:
+            param = factor * optimal_param_closed(fam, pot, l)
+            s = length_scale(fam, param)
+            v = -s if pot is Potential.COULOMB else 0.5 * s ** 4
+            energy = expectation_energy_numeric(TrialSpec(fam, l, param), pot)
+            assert energy == (K + v * P) / (s * s * N), case + (factor,)
 
 
 @pytest.mark.parametrize("fam,pot", COMBOS, ids=lambda v: v.value)
@@ -221,10 +213,10 @@ def joined(*fs):
 
 
 def test_float_valued_f_gives_one_result():
-    res = quad_semiinfinite(gauss, 1e-10)
+    res = quad_semiinfinite(gauss)
     assert isinstance(res, QuadratureResult)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
-    one = quad_semiinfinite(lambda x: (gauss(x),), 1e-10)
+    one = quad_semiinfinite(lambda x: (gauss(x),))
     assert isinstance(one, QuadratureParts)
     assert one.parts == (res,)
     assert (one.evaluations, one.levels) == (res.evaluations, res.levels)
@@ -236,9 +228,9 @@ def test_exception_at_the_first_node_is_a_scalar_zero():
     def f(x):
         return (x - 1.0) ** 3 / (x - 1.0) * gauss(x)
 
-    res = quad_semiinfinite(f, 1e-10)
+    res = quad_semiinfinite(f)
     assert isinstance(res, QuadratureResult)
-    assert res == quad_semiinfinite(lambda x: 0.0 if x == 1.0 else f(x), 1e-10)
+    assert res == quad_semiinfinite(lambda x: 0.0 if x == 1.0 else f(x))
 
 
 WIDTHS = (2, 3)
@@ -257,8 +249,8 @@ class TestTupleSweep:
         # the first component is nan where its scalar form raises; only it
         # takes 0 there, the others keep every node
         comps = (_one_nan, gauss, self.third)[:width]
-        res = quad_semiinfinite(joined(*comps), 1e-10)
-        assert res.parts == tuple(quad_semiinfinite(g, 1e-10)
+        res = quad_semiinfinite(joined(*comps))
+        assert res.parts == tuple(quad_semiinfinite(g)
                                   for g in (_one_raises, gauss, self.third)[:width])
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -267,13 +259,13 @@ class TestTupleSweep:
         # Lorentzian's slow tail needs many nodes but converges early
         f = (lambda x: math.exp(-100.0 * (x - 1.0) ** 2), lambda x: 1.0 / (1.0 + x * x),
              self.third)[:width]
-        scalar = tuple(quad_semiinfinite(g, 1e-10) for g in f)
+        scalar = tuple(quad_semiinfinite(g) for g in f)
         assert (scalar[0].levels, scalar[0].evaluations) == (7, 125)
         assert (scalar[1].levels, scalar[1].evaluations) == (4, 119)
         if width == 3:
             assert scalar[2].levels == 5
         integrand, calls = counted(joined(*f))
-        res = quad_semiinfinite(integrand, 1e-10)
+        res = quad_semiinfinite(integrand)
         assert res.parts == scalar
         assert res.levels == 7
         # once the Lorentzian has converged, its many tail nodes are no
@@ -294,8 +286,8 @@ class TestTupleSweep:
         def raising(a):
             return lambda x: a * _one_raises(x)
 
-        res = quad_semiinfinite(f, 1e-10)
-        assert res.parts == tuple(quad_semiinfinite(raising(a), 1e-10) for a in scales)
+        res = quad_semiinfinite(f)
+        assert res.parts == tuple(quad_semiinfinite(raising(a)) for a in scales)
         assert res.parts[1].value == 2.0 * res.parts[0].value
 
     @pytest.mark.parametrize("width,failing", [(2, (0,)), (2, (1,)), (3, (0,)), (3, (1,)),
@@ -308,9 +300,9 @@ class TestTupleSweep:
         for j, c in enumerate(failing):
             comps[c] = bad[j]
         with pytest.raises(ConvergenceError) as scalar:
-            quad_semiinfinite(bad[0], 1e-10)
+            quad_semiinfinite(bad[0])
         with pytest.raises(ConvergenceError) as fused:
-            quad_semiinfinite(joined(*comps), 1e-10)
+            quad_semiinfinite(joined(*comps))
         assert str(fused.value) == str(scalar.value)
         assert (fused.value.best_estimate, fused.value.error_estimate,
                 fused.value.evaluations) == (scalar.value.best_estimate,

@@ -3,9 +3,11 @@ takes an index or a real rejects a bool, nan, ±inf and a string with
 DomainError, as well as a non-integral float or an int too long to print in
 an index slot, an integer too large for a double in either slot, and an
 index past the limit of a call whose work grows with it; every Family,
-Potential and Method slot takes only a member of its enum; and the CLI,
-whatever its argv, exits 0, 1 or 2 without a traceback."""
+Potential and Method slot takes only a member of its enum, and every record
+slot only the validated record; and the CLI, whatever its argv, exits 0, 1
+or 2 without a traceback."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -69,7 +71,6 @@ REAL_SLOTS = {
     "RationalMomentQuery.n": lambda v: ik.RationalMomentQuery(0.0, v),
     "beta_trig_integral.p": lambda v: ik.beta_trig_integral(v, 1.0),
     "beta_trig_integral.q": lambda v: ik.beta_trig_integral(1.0, v),
-    "quad_semiinfinite.tol": lambda v: ik.quad_semiinfinite(lambda x: math.exp(-x), v),
     "TrialSpec.param": lambda v: ve.TrialSpec(_G, 1, v),
 }
 
@@ -114,6 +115,60 @@ def test_enum_slot_accepts_every_member(slot):
         ENUM_SLOTS[slot](member)
 
 
+# each record slot: the validated record, and a call that places its one
+# argument there, all others valid
+RECORD_SLOTS = {
+    "gamma_ratio": (gk.GammaRatioQuery(5.0, 1.0, 0.0), gk.gamma_ratio),
+    "rational_moment": (ik.RationalMomentQuery(2.0, 2.0), ik.rational_moment),
+    "b_seq": (_P, lambda p: ws.b_seq(p, 3)),
+    "sum_b_partial": (_P, lambda p: ws.sum_b_partial(p, 3)),
+    "sum_b_closed": (_P, ws.sum_b_closed),
+    "expectation_energy_closed": (_SPEC, lambda spec: ve.expectation_energy_closed(spec, _C)),
+    "expectation_energy_numeric": (_SPEC, lambda spec: ve.expectation_energy_numeric(spec, _C)),
+}
+
+
+def _look_alike(record, kind):
+    """The record's fields, unchecked: as a plain tuple, as the record's
+    unvalidated base class, or as another named tuple of the same fields."""
+    if kind == "tuple":
+        return tuple(record)
+    if kind == "base":
+        return type(record).__mro__[1](*record)
+    return collections.namedtuple("Twin", record._fields)(*record)
+
+
+@pytest.mark.parametrize("kind", ["tuple", "base", "twin"])
+@pytest.mark.parametrize("slot", sorted(RECORD_SLOTS))
+def test_record_slot_rejects_a_look_alike(slot, kind, monkeypatch):
+    # each once raised AttributeError (a plain tuple) or computed with the
+    # unchecked fields
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("work done for an argument that is not the record")
+
+    monkeypatch.setattr(ve, "quad_semiinfinite", no_quadrature)
+    record, call = RECORD_SLOTS[slot]
+    with pytest.raises(DomainError, match=f"must be a {type(record).__name__}, got"):
+        call(_look_alike(record, kind))
+
+
+@pytest.mark.parametrize("slot", sorted(RECORD_SLOTS))
+def test_record_slot_accepts_the_record(slot):
+    record, call = RECORD_SLOTS[slot]
+    call(record)
+
+
+def test_look_alikes_with_fields_the_record_refuses():
+    # a trial state of l = -3 and param nan once raised a DivergenceError
+    # that named the Lorentz oscillator, and one of param 1e300 gave -0.0
+    twin = collections.namedtuple("S", "family l param")
+    for spec in (twin(_G, -3, math.nan), ve._TrialSpec(ve.Family.LORENTZ, 0, 1e300)):
+        for energy in (ve.expectation_energy_closed, ve.expectation_energy_numeric):
+            with pytest.raises(DomainError, match="trial spec must be a TrialSpec") as info:
+                energy(spec, _C)
+            assert type(info.value) is DomainError
+
+
 @pytest.mark.parametrize("bad", _NEVER_VALID + [
     1.5, pytest.param(-10**5000, id="-10**5000"), pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("slot", sorted(INDEX_SLOTS))
@@ -132,6 +187,8 @@ INDEX_LIMITS = {
     "a_seq": 2**511 - 1,
     "b_seq": 2**52 - 2,
     "sum_b_partial": 2**52 - 2,
+    # the last l whose (l + 1/2)·π is finite, about 5.72e307
+    "coulomb_to_norm_ratio": ik._COULOMB_RATIO_L_MAX,
     # one orbital limit for every function and both methods
     "TrialSpec.l": ve._MAX_L,
     "exact_energy": ve._MAX_L,
@@ -152,8 +209,10 @@ def test_index_one_past_its_limit_is_rejected_at_once(slot):
 
 def test_results_at_the_value_limits_are_sound():
     # a_n is still a normal double, b_n and its partial sum still see exact
-    # offsets, and every closed form and numeric ⟨H⟩ at the largest l is finite
+    # offsets, the Coulomb-to-norm quotient is still about 1 - 1/(4l), and
+    # every closed form and numeric ⟨H⟩ at the largest l is finite
     assert ws.a_seq(2**511 - 1) >= sys.float_info.min
+    assert abs(ik.coulomb_to_norm_ratio(ik._COULOMB_RATIO_L_MAX) - 1.0) <= 1e-13
     n = 2**52 - 2
     with mp.workdps(50):
         N = mp.mpf(n)

@@ -277,9 +277,9 @@ class TestNumericLevels:
         quad = variational_engine.quad_semiinfinite
         quads = []
 
-        def counting_quad(f, tol):
-            quads.append(tol)
-            return quad(f, tol)
+        def counting_quad(f):
+            quads.append(f)
+            return quad(f)
 
         def no_value(*args, **kwargs):
             raise AssertionError("a value call after the moment sweep")
@@ -289,7 +289,7 @@ class TestNumericLevels:
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l, Method.CLOSED_FORM)
         # one sweep for K, N and P gives both the optimum and the value
-        assert quads == [variational_engine._LEVEL_TOL]
+        assert len(quads) == 1
         assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         assert est.value == pytest.approx(closed.value, rel=5e-14)
 
@@ -445,14 +445,14 @@ class TestNumericDomain:
         quad = variational_engine.quad_semiinfinite
         quads = []
 
-        def counting_quad(f, tol):
-            quads.append(tol)
-            return quad(f, tol)
+        def counting_quad(f):
+            quads.append(f)
+            return quad(f)
 
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
         est = variational_energy(family, pot, l, Method.NUMERIC)
         closed = variational_energy(family, pot, l)
-        assert quads == [variational_engine._LEVEL_TOL]
+        assert len(quads) == 1
         assert est.value == pytest.approx(closed.value, rel=1e-12)
         assert est.optimal_param == pytest.approx(closed.optimal_param, rel=1e-12)
         spec = TrialSpec(family, l, est.optimal_param)
@@ -466,14 +466,14 @@ class TestNumericDomain:
         quad = variational_engine.quad_semiinfinite
         calls = []
 
-        def counting_quad(f, tol):
+        def counting_quad(f):
             calls.append(0)
 
             def counted(x):
                 calls[-1] += 1
                 return f(x)
 
-            return quad(counted, tol)
+            return quad(counted)
 
         monkeypatch.setattr(variational_engine, "quad_semiinfinite", counting_quad)
         for family, pot, l in NUMERIC_LEVELS:

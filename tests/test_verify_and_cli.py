@@ -666,6 +666,37 @@ def test_no_option_sets_a_quadrature_tolerance(capsys, argv, message):
     assert out == "" and message in err and "Traceback" not in err
 
 
+_GC = ("variational", "--family", "gaussian", "--potential", "coulomb")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sum", "--n", "3", "--m", "0.5", "--k", "9"], "--m and --k apply only to --mode general"),
+    (["sum", "--mode", "simple", "--m", "0.5"], "--m and --k apply only to --mode general"),
+    (["sum", "--k", "0"], "--m and --k apply only to --mode general"),
+    ([*_GC, "--l-max", "1,2", "--l-min", "5"], "--l-min applies only to a single --l-max"),
+    ([*_GC, "--l-max", "1:4", "--l-min", "0"], "--l-min applies only to a single --l-max"),
+    (["bounds", "--kind", "quartic", "--s", "0.3", "--grid", "1"],
+     "--s applies only to --kind wendel"),
+    (["bounds", "--kind", "kazarinoff", "--s", "0.5"], "--s applies only to --kind wendel"),
+])
+def test_an_option_the_mode_ignores_is_a_usage_error(capsys, argv, message):
+    # each of these once ran, exit 0, without the option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,default", [
+    ([*_GC, "--l-max", "3"], ["--l-min", "0"]),
+    (["bounds", "--kind", "wendel", "--grid", "10,100"], ["--s", "0.5"]),
+])
+def test_unset_l_min_and_s_keep_their_defaults(capsys, argv, default):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == run_cli(capsys, *argv, *default)[1]
+
+
 def test_quartic_verdicts_where_the_doubles_fail(capsys):
     # past x = 300 the verdict is the sandwich proven for every x > 300;
     # 1325.03 is the smallest x where the doubles fail, just above it
@@ -689,7 +720,7 @@ def test_n_past_the_cap_is_refused_before_the_sweep(capsys, monkeypatch):
 def test_convergence_error_is_exit_1(capsys, monkeypatch):
     # no numeric level up to the limit fails to converge; a quadrature that
     # does is reported with its message, not a traceback
-    def not_converging(f, tol):
+    def not_converging(f):
         raise ConvergenceError("quadrature did not reach tol = 1e-10")
 
     monkeypatch.setattr(variational_engine, "quad_semiinfinite", not_converging)
