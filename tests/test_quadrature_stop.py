@@ -119,8 +119,15 @@ def test_estimate_bounds_the_error_of_the_moment_integrands(combo, l):
 # irregularly, d_4²/d_3 is 2.0e-14, and d_4·d_3/d_2 = 6.1e-10 covers the
 # error), and the largest l, where the Lorentz integrands' own
 # rounding, 43ε relative at lorentz-norm 507 and 39ε at lorentz-coulomb
-# 499, is covered by the 64ε floor of the estimate
-L_AXIS = (*range(16), 100, 123, 190, 300, 474, 499, 507, 508)
+# 499, is covered by the 64ε floor of the estimate.  Beside these: the
+# first l whose Lorentz sweeps need 7 and 8 levels (65, 272 and 273); the
+# next largest errors of each family (rational-integral 16, 2.6e-15;
+# lorentz-norm 272 and 270, 1.2e-15; lorentz-coulomb 269 and 267, 1.1e-15);
+# and the errors closest to their estimates (rational-integral 424, 475 and
+# 221 at 0.44, 0.41 and 0.29 of it; lorentz-norm 505 at 0.66; lorentz-coulomb
+# 504 and 502 at 0.64)
+L_AXIS = (*range(17), 65, 100, 123, 190, 221, 267, 269, 270, 272, 273, 300,
+          424, 474, 475, 499, 502, 504, 505, 507, 508)
 
 
 def convergence_cases():
